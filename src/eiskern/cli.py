@@ -4,8 +4,8 @@ verify runs named check suites over a configurable grid and emits a JSON
 report (one object per suite) to stdout or --out; any failing record in a
 non-report-only suite forces exit code 1 and configuration problems exit 2.
 eval computes a named function at given points, table and plotdata emit CSV
-with 17 significant digits.  EISKERN_THREADS caps suite parallelism
-(0 = auto); setting SOURCE_DATE_EPOCH zeroes wall_time_ms so identical
+with 17 significant digits.  Suites run one after another in the given
+order; setting SOURCE_DATE_EPOCH zeroes wall_time_ms so identical
 configurations produce byte-identical reports.
 """
 from __future__ import annotations

@@ -33,16 +33,17 @@ class SumControl:
 
 @dataclass(frozen=True)
 class QuadControl:
-    """Budget for adaptive Gauss-Legendre quadrature."""
+    """Budget for adaptive quadrature on 20-point Gauss-Legendre panels.
 
-    panel_nodes: int = 20
+    The error budget max(abs_tol, rel_tol * |one-panel estimate|) is halved
+    at each bisection; max_depth caps how often a panel may be bisected.
+    """
+
     max_depth: int = 28
     abs_tol: float = 1e-12
     rel_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if self.panel_nodes < 5:
-            raise ValueError("panel_nodes must be >= 5")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.abs_tol <= 0 or self.rel_tol <= 0:

@@ -17,7 +17,7 @@ import math
 from .controls import Evaluation, QuadControl, SumControl, DEFAULT_QUAD, DEFAULT_SUM
 from .errors import DomainError, NonConvergence, PoleError
 from .eisenstein import eisenstein_closed, eisenstein_direct
-from .numkern import PI, as_complex, coth, digamma, dirichlet_eta, polygamma
+from .numkern import PI, as_complex, coth, digamma, dirichlet_eta, eta_odd, polygamma
 from .quadrature import adaptive_quad, quad_decaying_tail
 from .summation import alternating_sum
 
@@ -86,7 +86,7 @@ def he_taylor(z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
     p = 1.0 + 0.0j
     n = 0
     while n < min(ctl.max_terms, 2000):
-        t = (-1.0) ** n * dirichlet_eta(2 * n + 1) * p
+        t = (-1.0) ** n * eta_odd(n) * p
         total += t
         n += 1
         p *= z2

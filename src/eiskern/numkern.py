@@ -21,6 +21,7 @@ Algorithm notes (also the tested contracts):
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -37,34 +38,24 @@ POLE_GUARD = 1e-12  # hard rejection radius around poles
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and polynomials (exact rational arithmetic internally)
 
-_BERN: list[Fraction] = [Fraction(1)]
-
-
-def _extend_bernoulli(n: int) -> None:
-    while len(_BERN) <= n:
-        m = len(_BERN)
-        # sum_{k=0}^{m} C(m+1, k) B_k = 0  for m >= 1
-        s = sum(Fraction(math.comb(m + 1, k)) * _BERN[k] for k in range(m))
-        _BERN.append(-s / (m + 1))
-
-
+# One entry per index up to the largest n asked for: B_20 for polygamma,
+# B_120 for the moment series, and the caller's own n through the public API.
+@functools.cache
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention); B_(2m+1) = 0 for m >= 1."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    _extend_bernoulli(n)
-    return _BERN[n]
-
-
-_extend_bernoulli(64)  # read-only cache, initialized before first concurrent use
+    if n == 0:
+        return Fraction(1)
+    # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1; ascending k keeps the recursion shallow
+    return -sum(math.comb(n + 1, k) * bernoulli_number(k) for k in range(n)) / (n + 1)
 
 
 def bernoulli_poly(n: int, x: float) -> float:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    _extend_bernoulli(n)
-    return float(sum(float(math.comb(n, k) * _BERN[k]) * x ** (n - k) for k in range(n + 1)))
+    return float(sum(float(math.comb(n, k) * bernoulli_number(k)) * x ** (n - k) for k in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +218,31 @@ def dirichlet_lambda(r: float) -> float:
     return -math.expm1(-r * math.log(2.0)) * riemann_zeta(r)
 
 
+# One entry per n asked for: he_taylor stops at n < 2000, the Omega Taylor
+# coefficients at the largest k that omega_taylor (k < 400) or the closed
+# moment route (the caller's k) asks for.
+@functools.cache
+def eta_odd(n: int) -> float:
+    """eta(2n+1), n >= 0: the odd eta values behind both Taylor expansions."""
+    return dirichlet_eta(float(2 * n + 1))
+
+
 # ---------------------------------------------------------------------------
 # Pochhammer
 
 def pochhammer(rho, sigma: int) -> complex:
-    """Rising factorial (rho)_sigma as a finite product; (rho)_0 = 1, (0)_0 = 1."""
+    """Rising factorial (rho)_sigma as a finite product; (rho)_0 = 1, (0)_0 = 1.
+
+    Raises DomainError when the product overflows.
+    """
     if sigma < 0:
         raise ValueError("pochhammer requires sigma >= 0")
     rho = as_complex(rho)
     out = 1.0 + 0.0j
     for i in range(sigma):
         out *= rho + i
+    if not cmath.isfinite(out):
+        raise DomainError(f"({rho})_{sigma} is not representable in double precision")
     return out
 
 

@@ -12,17 +12,19 @@ verification.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .controls import Evaluation, QuadControl, SumControl, DEFAULT_QUAD, DEFAULT_SUM
 from .errors import DomainError, NonConvergence, PoleError, StepError
 from .hilbert_eisenstein import mathieu_E
-from .numkern import PI, as_complex, coth, digamma, dirichlet_eta, riemann_zeta
+from .numkern import PI, as_complex, coth, digamma, eta_odd, riemann_zeta
 from .quadrature import adaptive_quad
 from .summation import alternating_sum
 
 _TWO_PI = 2.0 * PI
 _HEAD = 1e-3  # analytic head panel below which the integrand uses its series
+_ZETA3 = riemann_zeta(3.0)  # shared by the bounds and the envelope
 
 
 def _definition_integrand(z: complex):
@@ -83,21 +85,14 @@ def omega_partial_fraction(z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
 # ---------------------------------------------------------------------------
 # moments and the Taylor routes
 
-def _eta_odd(n: int) -> float:
-    if n not in _ETA_ODD_CACHE:
-        _ETA_ODD_CACHE[n] = dirichlet_eta(float(2 * n + 1))
-    return _ETA_ODD_CACHE[n]
-
-
-_ETA_ODD_CACHE: dict[int, float] = {}
-_MOMENT_CLOSED_CACHE: dict[int, float] = {}
-
-
+# Cached up to the largest k asked for: omega_taylor stops at k < 400, the
+# closed moment route adds the caller's k.
+@functools.cache
 def _taylor_coefficient(k: int) -> float:
     # coefficient of z^(2k+1): 4^(-k) sum_{n<=k} (-1)^n eta(2n+1) / (pi^(2n+1) (2(k-n)+1)!)
     s = 0.0
     for n in range(k + 1):
-        s += (-1.0) ** n * _eta_odd(n) / (PI ** (2 * n + 1) * math.factorial(2 * (k - n) + 1))
+        s += (-1.0) ** n * eta_odd(n) / (PI ** (2 * n + 1) * math.factorial(2 * (k - n) + 1))
     return s / 4.0 ** k
 
 
@@ -112,9 +107,7 @@ def omega_moment(k: int, route: str = "closed",
     if k < 0:
         raise DomainError("moment index must be >= 0")
     if route == "closed":
-        if k not in _MOMENT_CLOSED_CACHE:
-            _MOMENT_CLOSED_CACHE[k] = math.factorial(2 * k + 1) * _taylor_coefficient(k)
-        return _MOMENT_CLOSED_CACHE[k]
+        return math.factorial(2 * k + 1) * _taylor_coefficient(k)
     if route == "quadrature":
         def f(u: float) -> complex:
             return u ** (2 * k + 1) / math.tan(PI * u)
@@ -184,10 +177,9 @@ def omega_bounds(x: float) -> tuple[float, float]:
     if x == 0.0:
         return 0.0, 0.0
     ax = abs(x)
-    z3 = riemann_zeta(3.0)
     pref = math.sinh(0.5 * ax) / PI
-    lo = pref * math.log((z3 * ax * ax + 8.0 * PI * PI) / (3.0 * ax * ax + 2.0 * PI * PI))
-    hi = pref * math.log((3.0 * ax * ax + 8.0 * PI * PI) / (z3 * ax * ax + 2.0 * PI * PI))
+    lo = pref * math.log((_ZETA3 * ax * ax + 8.0 * PI * PI) / (3.0 * ax * ax + 2.0 * PI * PI))
+    hi = pref * math.log((3.0 * ax * ax + 8.0 * PI * PI) / (_ZETA3 * ax * ax + 2.0 * PI * PI))
     if x > 0:
         return lo, hi
     return -hi, -lo
@@ -204,9 +196,8 @@ def omega_asymptotic_envelope(x: float) -> tuple[float, float, float]:
     x = float(x)
     if x < 10.0:
         raise DomainError("envelope check is defined for x >= 10")
-    z3 = riemann_zeta(3.0)
-    lo_coef = math.log(z3 / 3.0) / _TWO_PI
-    hi_coef = math.log(3.0 / z3) / _TWO_PI
+    lo_coef = math.log(_ZETA3 / 3.0) / _TWO_PI
+    hi_coef = math.log(3.0 / _ZETA3) / _TWO_PI
     brace = (2.0 * math.log(2.0)
              + 2.0 * digamma(1.0 + 1j * x / (4.0 * PI)).real
              - 2.0 * digamma(1.0 + 1j * x / (2.0 * PI)).real)

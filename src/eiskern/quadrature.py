@@ -3,33 +3,47 @@
 The a posteriori error convention is the two-level panel difference: a panel
 is accepted when |GL(a,b) - GL(a,m) - GL(m,b)| falls below its share of the
 tolerance budget, and the accepted differences accumulate into the reported
-error estimate.
+error estimate.  Every panel uses one 20-point rule, computed at import in
+plain floats.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
-
-import numpy.polynomial.legendre as _leg
 
 from .controls import QuadControl, DEFAULT_QUAD
 from .errors import QuadratureFailure
 
-_NODE_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Ascending nodes and weights of the n-point rule, by Newton on P_n."""
+    def legendre(x: float) -> tuple[float, float]:
+        # P_n(x) by the three-term recurrence, then P_n'(x) from P_n and P_(n-1)
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    xs, ws = [], []
+    for i in range(n):
+        x = -math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(6):  # quadratic convergence from a start within ~1e-3
+            p, dp = legendre(x)
+            x -= p / dp
+        dp = legendre(x)[1]
+        xs.append(x)
+        ws.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return tuple(xs), tuple(ws)
 
 
-def _nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    if n not in _NODE_CACHE:
-        x, w = _leg.leggauss(n)
-        _NODE_CACHE[n] = (tuple(x), tuple(w))
-    return _NODE_CACHE[n]
+_XS, _WS = _gauss_legendre(20)
 
 
-def _panel(f: Callable[[float], complex], a: float, b: float, n: int) -> complex:
-    xs, ws = _nodes(n)
+def _panel(f: Callable[[float], complex], a: float, b: float) -> complex:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     total = 0.0 + 0.0j
-    for x, w in zip(xs, ws):
+    for x, w in zip(_XS, _WS):
         total += w * f(mid + half * x)
     return half * total
 
@@ -43,7 +57,7 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float,
     """
     if a == b:
         return 0.0 + 0.0j, 0.0, 0
-    rough = _panel(f, a, b, ctl.panel_nodes)
+    rough = _panel(f, a, b)
     tol = max(ctl.abs_tol, ctl.rel_tol * abs(rough))
     value = 0.0 + 0.0j
     err = 0.0
@@ -52,8 +66,8 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float,
     while stack:
         lo, hi, coarse, budget, depth = stack.pop()
         mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid, ctl.panel_nodes)
-        right = _panel(f, mid, hi, ctl.panel_nodes)
+        left = _panel(f, lo, mid)
+        right = _panel(f, mid, hi)
         fine = left + right
         disc = abs(fine - coarse)
         panels += 2
@@ -79,8 +93,6 @@ def quad_decaying_tail(f: Callable[[float], complex], a: float, rate: float,
     """
     if rate <= 0:
         raise QuadratureFailure("tail integral needs a positive decay rate")
-    import math
-
     target = ctl.abs_tol * 0.1
     T = a + max(8.0, (math.log(max(cutoff_scale, 1e-300)) - math.log(target)) / rate)
     value = 0.0 + 0.0j

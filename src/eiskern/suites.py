@@ -706,23 +706,4 @@ def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    workers = _worker_count()
-    if workers <= 1 or len(names) <= 1:
-        return [SUITES[n](cfg) for n in names]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(SUITES[n], cfg) for n in names]
-        return [f.result() for f in futures]
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("EISKERN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"EISKERN_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("EISKERN_THREADS must be >= 0")
-    if n == 0:
-        return min(8, os.cpu_count() or 1)
-    return n
+    return [SUITES[n](cfg) for n in names]

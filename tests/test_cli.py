@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eiskern
 from eiskern.cli import main
 
 FAST_SUITES = "omega.moments,bstar.values,eisenstein.product,conjecture.double_sum"
@@ -16,6 +20,13 @@ def run(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_cli_import_is_numpy_free():
+    src = os.path.dirname(os.path.dirname(eiskern.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, eiskern.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

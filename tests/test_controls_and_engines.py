@@ -1,15 +1,18 @@
-"""Control dataclass invariants, engine guards and suite threading."""
+"""Control dataclass invariants, the quadrature rule, engine guards and
+reproducible suite runs."""
 from __future__ import annotations
 
 import json
 import math
 
+import numpy as np
 import pytest
 
 from eiskern import (Evaluation, NonConvergence, PoleError, QuadControl,
                      QuadratureFailure, SumControl, eisenstein_direct,
-                     eisenstein_integral)
-from eiskern.quadrature import adaptive_quad
+                     eisenstein_integral, mathieu_E, omega_pv_hilbert,
+                     omega_quadrature)
+from eiskern.quadrature import _WS, _XS, adaptive_quad
 from eiskern.suites import SuiteConfig, run_suites
 
 
@@ -24,8 +27,6 @@ def test_sum_control_invariants():
 
 def test_quad_control_invariants():
     with pytest.raises(ValueError):
-        QuadControl(panel_nodes=3)
-    with pytest.raises(ValueError):
         QuadControl(max_depth=0)
     with pytest.raises(ValueError):
         QuadControl(abs_tol=0.0)
@@ -36,14 +37,28 @@ def test_evaluation_diagnostics_default():
     assert ev.diagnostics == {}
 
 
+def test_gauss_legendre_rule():
+    x, w = np.polynomial.legendre.leggauss(20)
+    assert all(type(v) is float for v in _XS + _WS)
+    assert max(abs(a - b) for a, b in zip(_XS, x)) <= 1e-15
+    assert max(abs(a - b) for a, b in zip(_WS, w)) <= 1e-14
+    for k in range(40):  # exact for polynomials of degree <= 2n - 1
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(sum(wi * xi ** k for xi, wi in zip(_XS, _WS)) - exact) <= 1e-14
+
+
 def test_adaptive_quad_basics():
     v, err, panels = adaptive_quad(lambda t: math.exp(-t), 0.0, 5.0)
     assert v.real == pytest.approx(1.0 - math.exp(-5.0), rel=1e-12)
     assert err >= 0 and panels >= 2
+    assert type(v) is complex
+    for ev in (omega_quadrature(1.0), omega_quadrature(60.0), eisenstein_integral(2, 0.3),
+               mathieu_E(1.0), omega_pv_hilbert(2.0 + 1j)):
+        assert type(ev.value) is complex
 
 
 def test_adaptive_quad_failure_on_depth():
-    ctl = QuadControl(panel_nodes=5, max_depth=2, abs_tol=1e-15, rel_tol=1e-15)
+    ctl = QuadControl(max_depth=2, abs_tol=1e-15, rel_tol=1e-15)
     with pytest.raises(QuadratureFailure):
         adaptive_quad(lambda t: abs(t - 0.3537) ** 0.2, 0.0, 1.0, ctl)
 
@@ -59,13 +74,11 @@ def test_integral_pole_guard():
         eisenstein_integral(2, 3.0)
 
 
-def test_run_suites_threaded_matches_serial(monkeypatch):
+def test_run_suites_reproducible(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     names = ["bstar.values", "omega.moments", "eisenstein.product"]
-    monkeypatch.setenv("EISKERN_THREADS", "1")
-    serial = run_suites(SuiteConfig(), names)
-    monkeypatch.setenv("EISKERN_THREADS", "3")
-    threaded = run_suites(SuiteConfig(), names)
-    a = json.dumps([s.to_json() for s in serial])
-    b = json.dumps([s.to_json() for s in threaded])
+    first = run_suites(SuiteConfig(), names)
+    second = run_suites(SuiteConfig(), names)
+    a = json.dumps([s.to_json() for s in first])
+    b = json.dumps([s.to_json() for s in second])
     assert a == b

@@ -233,6 +233,10 @@ def test_pochhammer():
     assert pochhammer(3, 2) == 12
     assert pochhammer(2.5, 0) == 1
     assert pochhammer(1j, 3) == pytest.approx(1j * (1j + 1) * (1j + 2), rel=1e-15)
+    with pytest.raises(DomainError):  # overflow is an error, not nan
+        pochhammer(1.5, 10 ** 5)
+    with pytest.raises(DomainError):
+        pochhammer(2.0 + 3.0j, 400)
 
 
 # ---------------------------------------------------------------------------
