@@ -16,8 +16,10 @@ class SumControl:
     """Budget for symmetric / alternating summation.
 
     max_terms caps the largest index touched, rel_tol is the relative target
-    for the a posteriori error estimate, accelerate switches extrapolation
-    (Richardson, Euler transform, epsilon algorithm) on or off.
+    for the truncation part of the a posteriori error estimate (Richardson
+    stops once its tableau diagonal moves by at most rel_tol, CRVZ and the
+    epsilon algorithm accept once their estimate meets it), accelerate
+    switches extrapolation (Richardson, CRVZ, epsilon algorithm) on or off.
     """
 
     max_terms: int = 200_000
@@ -55,9 +57,10 @@ class Evaluation:
     """Value plus an a posteriori error estimate and route diagnostics.
 
     err_estimate follows one convention everywhere: for series it is the
-    last-term (or last extrapolation correction) estimate, for quadrature
-    the accumulated two-level panel difference.  It is a cheap conservative
-    bound, not a guess.
+    last-term (or last extrapolation correction) estimate, plus a rounding
+    floor for the accelerated engines; for quadrature the accumulated
+    two-level panel difference.  It is a cheap conservative bound, not a
+    guess.
     """
 
     value: complex

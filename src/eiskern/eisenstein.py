@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .controls import Evaluation, QuadControl, SumControl, DEFAULT_QUAD, DEFAULT_SUM
 from .errors import NonConvergence, PoleError, StripError, UnsupportedOrder
 from .numkern import PI, as_complex, cot, digamma, polygamma
 from .quadrature import adaptive_quad
 
+_EPS = sys.float_info.epsilon
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
 
 
@@ -35,8 +37,10 @@ def eisenstein_direct(r: int, z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
 
     r = 1 uses the paired-term form 1/z + sum_k 2z/(z^2 - k^2) whose tail is
     O(1/N); r >= 2 pairs (z+k)^(-r) + (z-k)^(-r).  With ctl.accelerate the
-    partial sums at N = n0*2^j are Richardson-extrapolated, which all orders
-    need to reach rel_tol ~ 1e-10 within a sane term budget.
+    partial sums at N = 8*2^j, j <= 11 (16384 terms, fewer if ctl.max_terms
+    is smaller) are Richardson-extrapolated until the tableau diagonal moves
+    by at most ctl.rel_tol; err_estimate is that last correction plus the
+    rounding floor N*eps*|value|.
     """
     _require_order(r)
     z = as_complex(z)
@@ -52,11 +56,13 @@ def eisenstein_direct(r: int, z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
 
     if ctl.accelerate:
         from .summation import richardson_limit
-        n0, levels = 64, 8
+        n0, levels = 8, 11
         while n0 * 2 ** levels > ctl.max_terms and levels > 2:
             levels -= 1
-        value, err, used = richardson_limit(term, n0, levels, first=first)
-        if err > ctl.rel_tol * max(1e-300, abs(value)) and err > 1e-14 * max(1.0, abs(value)):
+        value, err, used = richardson_limit(term, n0, levels, first=first, rel_tol=ctl.rel_tol)
+        # err includes the rounding floor; convergence is judged on the truncation part
+        tol = max(ctl.rel_tol * abs(value), 1e-14 * max(1.0, abs(value)))
+        if err > tol + used * _EPS * abs(value):
             raise NonConvergence(f"eisenstein_direct(r={r}): err {err:.2e} after {used} terms")
         return Evaluation(value, err, used, "direct")
 

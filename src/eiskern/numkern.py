@@ -233,11 +233,14 @@ def eta_odd(n: int) -> float:
 def pochhammer(rho, sigma: int) -> complex:
     """Rising factorial (rho)_sigma as a finite product; (rho)_0 = 1, (0)_0 = 1.
 
-    Raises DomainError when the product overflows.
+    The product is exactly 0 when rho is a non-positive integer and
+    sigma > -rho; otherwise raises DomainError when it overflows.
     """
     if sigma < 0:
         raise ValueError("pochhammer requires sigma >= 0")
     rho = as_complex(rho)
+    if rho.imag == 0.0 and rho.real <= 0.0 and rho.real.is_integer() and sigma > -rho.real:
+        return 0.0 + 0.0j
     out = 1.0 + 0.0j
     for i in range(sigma):
         out *= rho + i

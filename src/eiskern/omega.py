@@ -25,6 +25,29 @@ from .summation import alternating_sum
 _TWO_PI = 2.0 * PI
 _HEAD = 1e-3  # analytic head panel below which the integrand uses its series
 _ZETA3 = riemann_zeta(3.0)  # shared by the bounds and the envelope
+_LOG_SPACE_X = 1400.0  # sinh(x/2) overflows past x ~ 1420.9; beyond this, log space
+
+
+def _sinh_half_over_pi(ax: float, factor: float) -> float:
+    """sinh(ax/2)/pi * factor for ax >= 0, in log space for ax > 1400 so that
+    only a product that is itself not a double raises (DomainError)."""
+    if ax <= _LOG_SPACE_X:
+        return math.sinh(0.5 * ax) / PI * factor
+    if factor == 0.0:
+        return 0.0
+    try:
+        mag = math.exp(0.5 * ax - math.log(_TWO_PI) + math.log(abs(factor)))
+    except OverflowError:
+        raise DomainError(f"Omega-scale value at x = {ax:g} is not representable "
+                          "in double precision") from None
+    return math.copysign(mag, factor)
+
+
+def _real_brace(x: float) -> float:
+    """The digamma brace of omega_digamma for real x, as a sum of real parts."""
+    return (2.0 * math.log(2.0)
+            + 2.0 * digamma(1.0 + 1j * x / (4.0 * PI)).real
+            - 2.0 * digamma(1.0 + 1j * x / (2.0 * PI)).real)
 
 
 def _definition_integrand(z: complex):
@@ -53,13 +76,19 @@ def omega_quadrature(z, ctl: QuadControl = DEFAULT_QUAD) -> Evaluation:
 
 def omega_digamma(z) -> complex:
     """Closed form (1/pi) sinh(z/2) {2 log 2 + psi(1+iz/4pi) + psi(1-iz/4pi)
-    - psi(1+iz/2pi) - psi(1-iz/2pi)}; all real z, complex z only inside |z| < 2pi."""
+    - psi(1+iz/2pi) - psi(1-iz/2pi)}; all real z, complex z only inside |z| < 2pi.
+
+    Real |z| > 1400 is computed in log space; DomainError where Omega(z) is
+    not a double."""
     z = as_complex(z)
     if z.imag != 0.0 and abs(z) >= _TWO_PI:
         raise DomainError("digamma route for complex z requires |z| < 2*pi; "
                           "use the quadrature or partial-fraction route")
     if z == 0:
         return 0.0 + 0.0j
+    if z.imag == 0.0 and abs(z.real) > _LOG_SPACE_X:
+        v = _sinh_half_over_pi(abs(z.real), _real_brace(z.real))
+        return complex(v if z.real > 0 else -v)
     brace = (2.0 * math.log(2.0)
              + digamma(1.0 + 1j * z / (4.0 * PI)) + digamma(1.0 - 1j * z / (4.0 * PI))
              - digamma(1.0 + 1j * z / (2.0 * PI)) - digamma(1.0 - 1j * z / (2.0 * PI)))
@@ -172,14 +201,17 @@ def omega_bounds(x: float) -> tuple[float, float]:
 
     lower = (1/pi) sinh(x/2) log((zeta(3) x^2 + 8 pi^2)/(3 x^2 + 2 pi^2)),
     upper the same with numerator/denominator coefficient pattern swapped.
+    Computed in log space for |x| > 1400; DomainError where a bound is not a
+    double.
     """
     x = float(x)
     if x == 0.0:
         return 0.0, 0.0
     ax = abs(x)
-    pref = math.sinh(0.5 * ax) / PI
-    lo = pref * math.log((_ZETA3 * ax * ax + 8.0 * PI * PI) / (3.0 * ax * ax + 2.0 * PI * PI))
-    hi = pref * math.log((3.0 * ax * ax + 8.0 * PI * PI) / (_ZETA3 * ax * ax + 2.0 * PI * PI))
+    lo = _sinh_half_over_pi(
+        ax, math.log((_ZETA3 * ax * ax + 8.0 * PI * PI) / (3.0 * ax * ax + 2.0 * PI * PI)))
+    hi = _sinh_half_over_pi(
+        ax, math.log((3.0 * ax * ax + 8.0 * PI * PI) / (_ZETA3 * ax * ax + 2.0 * PI * PI)))
     if x > 0:
         return lo, hi
     return -hi, -lo
@@ -198,10 +230,7 @@ def omega_asymptotic_envelope(x: float) -> tuple[float, float, float]:
         raise DomainError("envelope check is defined for x >= 10")
     lo_coef = math.log(_ZETA3 / 3.0) / _TWO_PI
     hi_coef = math.log(3.0 / _ZETA3) / _TWO_PI
-    brace = (2.0 * math.log(2.0)
-             + 2.0 * digamma(1.0 + 1j * x / (4.0 * PI)).real
-             - 2.0 * digamma(1.0 + 1j * x / (2.0 * PI)).real)
-    ratio = -math.expm1(-x) / (2.0 * PI) * brace
+    ratio = -math.expm1(-x) / (2.0 * PI) * _real_brace(x)
     return lo_coef, hi_coef, ratio
 
 

@@ -255,11 +255,14 @@ def run_numkern_identities(cfg: SuiteConfig) -> CheckSuite:
                   -math.expm1(-max(s, 1.5) * LOG2) * nk.riemann_zeta(max(s, 1.5)),
                   1e-12, "rel", "lambda(s) = (1 - 2^(-s)) zeta(s)")
 
-    from fractions import Fraction
-    for n in range(2, 21):
-        closure = sum(Fraction(math.comb(n, k)) * nk.bernoulli_number(k) for k in range(n))
-        rec.check(f"bernoulli closure n={n}", complex(float(closure)), 0.0, 1e-14, "abs",
-                  "binomial recurrence of the Bernoulli numbers, exact rationals")
+    # dirichlet_eta, not riemann_zeta: zeta at even integers is computed from B_2m
+    for m in range(1, 11):
+        eta = nk.dirichlet_eta(2.0 * m)
+        via_eta = ((-1) ** (m + 1) * 2.0 * math.factorial(2 * m) * eta
+                   / (-math.expm1((1 - 2 * m) * LOG2) * (2.0 * PI) ** (2 * m)))
+        rec.check(f"bernoulli/eta m={m}", complex(float(nk.bernoulli_number(2 * m))),
+                  via_eta, 1e-12, "rel",
+                  "B_2m = (-1)^(m+1) 2 (2m)! zeta(2m)/(2 pi)^(2m), zeta(2m) from eta(2m)")
 
     for z, variant in ((0.5, "plain"), (0.5, "alternating"), (0.5, "real_part"),
                        (0.3, "plain"), (-0.4, "alternating")):

@@ -80,6 +80,12 @@ def test_eval_domain_violation_exits_2_with_precondition(capsys):
     assert "requires s > 1" in err
 
 
+def test_eval_omega_not_a_double_exits_2(capsys):
+    rc, _, err = run(["eval", "omega", "1e4"], capsys)
+    assert rc == 2
+    assert "not representable" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -153,3 +153,15 @@ def test_product_identity_uniqueness_witness():
     for r in (2, 3, 4):
         res = abs(product_identity_residual(r, 0.25))
         assert res > 0.05 * abs(eisenstein_polygamma(r + 2, 0.25))
+
+
+def test_direct_route_stops_early_and_is_accurate():
+    from eiskern.suites import SuiteConfig, strip_grid
+    for z in strip_grid(SuiteConfig()):
+        for r in range(1, 7):
+            assert eisenstein_direct(r, z).terms_used <= 4096, (r, z)
+    mp = pytest.importorskip("mpmath")
+    z = 0.37 + 0.6j
+    with mp.workdps(30):
+        want = complex((mp.psi(3, 1 - mp.mpc(z)) + mp.psi(3, mp.mpc(z))) / 6)
+    assert abs(eisenstein_direct(4, z).value - want) <= 1e-13 * abs(want)

@@ -239,6 +239,14 @@ def test_pochhammer():
         pochhammer(2.0 + 3.0j, 400)
 
 
+def test_pochhammer_exact_zero():
+    # the zero factor at i = 300 comes after the partial product overflows
+    assert pochhammer(-300, 500) == 0
+    assert pochhammer(-300.0 + 0j, 301) == 0
+    assert pochhammer(0, 1) == 0
+    assert pochhammer(-3, 3) == -6      # stops just before the zero factor
+
+
 # ---------------------------------------------------------------------------
 # odd-zeta series
 

@@ -164,6 +164,22 @@ def test_bounds_grid_strict():
         assert lo < omega_digamma(-x).real < hi
 
 
+def test_large_x_in_log_space_or_typed_error():
+    # past x = 1400 sinh(x/2) overflows but Omega(x) and its bounds stay doubles
+    for x in (1410.0, 1440.0):
+        v = omega_digamma(x).real
+        assert math.isfinite(v) and omega_digamma(-x).real == -v
+        # Omega(x) = ratio * e^(x/2), split so that no factor overflows
+        ratio = omega_asymptotic_envelope(x)[2]
+        assert v == pytest.approx((ratio * math.exp(0.25 * x)) * math.exp(0.25 * x), rel=1e-12)
+    lo, hi = omega_bounds(1410.0)
+    assert lo < omega_digamma(1410.0).real < hi
+    with pytest.raises(DomainError):
+        omega_digamma(1e4)
+    with pytest.raises(DomainError):
+        omega_bounds(2000.0)
+
+
 def test_envelope_membership_and_caption_constant():
     z3 = riemann_zeta(3.0)
     for x in (10.0, 20.0, 40.0, 500.0):
