@@ -167,7 +167,7 @@ REGISTRY = {
     "polygamma": (2, lambda a, _r: _wrap(nk.polygamma(_parse_int(a[0]), _parse_complex(a[1])),
                                          "polygamma"), "polygamma r z"),
     "gamma": (1, lambda a, _r: _wrap(nk.gamma(_parse_complex(a[0])), "lanczos"), "gamma z"),
-    "zeta": (1, lambda a, _r: _wrap(nk.riemann_zeta(_parse_real(a[0])), "eta-accelerated"),
+    "zeta": (1, lambda a, _r: _wrap(nk.riemann_zeta(_parse_real(a[0])), "via-eta"),
              "zeta s"),
     "eta": (1, lambda a, _r: _wrap(nk.dirichlet_eta(_parse_real(a[0])), "alternating"), "eta s"),
     "lambda": (1, lambda a, _r: _wrap(nk.dirichlet_lambda(_parse_real(a[0])), "via-zeta"),

@@ -18,13 +18,11 @@ class SumControl:
     max_terms caps the largest index touched, rel_tol is the relative target
     for the truncation part of the a posteriori error estimate (Richardson
     stops once its tableau diagonal moves by at most rel_tol, CRVZ and the
-    epsilon algorithm accept once their estimate meets it), accelerate
-    switches extrapolation (Richardson, CRVZ, epsilon algorithm) on or off.
+    epsilon algorithm accept once their estimate meets it).
     """
 
     max_terms: int = 200_000
     rel_tol: float = 1e-12
-    accelerate: bool = True
 
     def __post_init__(self) -> None:
         if self.max_terms < 8:
@@ -58,7 +56,7 @@ class Evaluation:
 
     err_estimate follows one convention everywhere: for series it is the
     last-term (or last extrapolation correction) estimate, plus a rounding
-    floor for the accelerated engines; for quadrature the accumulated
+    floor for the series engines; for quadrature the accumulated
     two-level panel difference.  It is a cheap conservative bound, not a
     guess.
     """

@@ -36,11 +36,11 @@ def eisenstein_direct(r: int, z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
     """Symmetric partial sums of the defining series.
 
     r = 1 uses the paired-term form 1/z + sum_k 2z/(z^2 - k^2) whose tail is
-    O(1/N); r >= 2 pairs (z+k)^(-r) + (z-k)^(-r).  With ctl.accelerate the
-    partial sums at N = 8*2^j, j <= 11 (16384 terms, fewer if ctl.max_terms
-    is smaller) are Richardson-extrapolated until the tableau diagonal moves
-    by at most ctl.rel_tol; err_estimate is that last correction plus the
-    rounding floor N*eps*|value|.
+    O(1/N); r >= 2 pairs (z+k)^(-r) + (z-k)^(-r).  The partial sums at
+    N = 8*2^j, j <= 11 (16384 terms, fewer if ctl.max_terms is smaller) are
+    Richardson-extrapolated until the tableau diagonal moves by at most
+    ctl.rel_tol; err_estimate is that last correction plus the rounding
+    floor N*eps*|value|.
     """
     _require_order(r)
     z = as_complex(z)
@@ -54,29 +54,16 @@ def eisenstein_direct(r: int, z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
         term = lambda k: (z + k) ** (-r) + (z - k) ** (-r)
         first = z ** (-r)
 
-    if ctl.accelerate:
-        from .summation import richardson_limit
-        n0, levels = 8, 11
-        while n0 * 2 ** levels > ctl.max_terms and levels > 2:
-            levels -= 1
-        value, err, used = richardson_limit(term, n0, levels, first=first, rel_tol=ctl.rel_tol)
-        # err includes the rounding floor; convergence is judged on the truncation part
-        tol = max(ctl.rel_tol * abs(value), 1e-14 * max(1.0, abs(value)))
-        if err > tol + used * _EPS * abs(value):
-            raise NonConvergence(f"eisenstein_direct(r={r}): err {err:.2e} after {used} terms")
-        return Evaluation(value, err, used, "direct")
-
-    total = complex(first)
-    k = 0
-    while k < ctl.max_terms:
-        k += 1
-        t = term(k)
-        total += t
-        # integral tail bound ~ |t| * k / (r - 1) for r >= 2, ~ 2|z|/k for r = 1
-        tail = abs(t) * k / (r - 1) if r >= 2 else 2.0 * abs(z) / k
-        if tail <= ctl.rel_tol * max(1e-300, abs(total)):
-            return Evaluation(total, tail, k, "direct")
-    raise NonConvergence(f"eisenstein_direct(r={r}): max_terms exhausted")
+    from .summation import richardson_limit
+    n0, levels = 8, 11
+    while n0 * 2 ** levels > ctl.max_terms and levels > 2:
+        levels -= 1
+    value, err, used = richardson_limit(term, n0, levels, first=first, rel_tol=ctl.rel_tol)
+    # err includes the rounding floor; convergence is judged on the truncation part
+    tol = max(ctl.rel_tol * abs(value), 1e-14 * max(1.0, abs(value)))
+    if err > tol + used * _EPS * abs(value):
+        raise NonConvergence(f"eisenstein_direct(r={r}): err {err:.2e} after {used} terms")
+    return Evaluation(value, err, used, "direct")
 
 
 def eisenstein_closed(r: int, z) -> complex:
@@ -86,12 +73,22 @@ def eisenstein_closed(r: int, z) -> complex:
     _guard_integer(z)
     if r > 3:
         raise UnsupportedOrder("closed trigonometric forms exist for r in {1, 2, 3} only")
+    w = PI * z
     if r == 1:
-        return PI * cot(PI * z)
-    s = cmath.sin(PI * z)
+        return PI * cot(w)
+    try:
+        s = cmath.sin(w)
+        s2 = s * s
+    except OverflowError:
+        s2 = math.inf
+    if not cmath.isfinite(s2):
+        # 1/sin^2(w) = -4q/(1-q)^2 with q = e^(+-2iw), |q| <= 1: underflows instead
+        q = cmath.exp(2j * w if w.imag >= 0 else -2j * w)
+        inv_s2 = -4.0 * q / (1.0 - q) ** 2
+        return PI * PI * inv_s2 if r == 2 else PI ** 3 * cot(w) * inv_s2
     if r == 2:
-        return PI * PI / (s * s)
-    return PI ** 3 * cot(PI * z) / (s * s)
+        return PI * PI / s2
+    return PI ** 3 * cot(w) / s2
 
 
 def eisenstein_polygamma(r: int, z) -> complex:

@@ -35,9 +35,9 @@ def _guard_imaginary_integers(z: complex, guard: float = IM_AXIS_GUARD) -> None:
 def he_direct(r: int, z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
     """Direct summation of the defining series.
 
-    r = 1 reduces the symmetric sum to 2i sum_k (-1)^(k-1) k/(z^2+k^2) and
-    accelerates the alternating tail; r >= 2 sums the normally convergent
-    pairs (-1)^k [(z+ik)^(-r) - (z-ik)^(-r)].
+    r = 1 reduces the symmetric sum to 2i sum_k (-1)^(k-1) k/(z^2+k^2);
+    r >= 2 sums the normally convergent pairs (-1)^k [(z+ik)^(-r) - (z-ik)^(-r)].
+    Both go through alternating_sum.
     """
     if r < 1:
         raise DomainError("order r must be a positive integer")

@@ -115,20 +115,36 @@ def gamma(z) -> complex:
 
     Positive real arguments use the C library; elsewhere a Lanczos
     approximation (g = 7, 9 terms) with the reflection formula for
-    Re z < 1/2.  Relative accuracy ~1e-13 on moderate arguments.
+    Re z < 1/2.  Relative accuracy ~1e-13 on moderate arguments.  Where the
+    Lanczos product overflows it is formed in log space; raises DomainError
+    when Gamma(z) itself is not a double.
     """
     z = as_complex(z)
     _guard_nonpositive_integer(z, "gamma")
     if z.imag == 0.0 and z.real > 0.0:
-        return complex(math.gamma(z.real))
+        try:
+            return complex(math.gamma(z.real))
+        except OverflowError:
+            pass
     if z.real < 0.5:
-        return PI / (cmath.sin(PI * z) * gamma(1.0 - z))
+        d = cmath.sin(PI * z) * gamma(1.0 - z)
+        # past a double, |d| puts |Gamma(z)| below pi/DBL_MAX: it underflows to 0
+        return PI / d if cmath.isfinite(d) else 0j
     w = z - 1.0
     x = _LANCZOS[0]
     for i in range(1, len(_LANCZOS)):
         x += _LANCZOS[i] / (w + i)
     t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * PI) * t ** (w + 0.5) * cmath.exp(-t) * x
+    try:
+        v = math.sqrt(2.0 * PI) * t ** (w + 0.5) * cmath.exp(-t) * x
+        if cmath.isfinite(v):
+            return v
+    except OverflowError:
+        pass
+    try:
+        return cmath.exp((w + 0.5) * cmath.log(t) - t + cmath.log(math.sqrt(2.0 * PI) * x))
+    except OverflowError:
+        raise DomainError(f"gamma({z}) is not representable in double precision") from None
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +202,7 @@ def polygamma(r: int, z) -> complex:
 # ---------------------------------------------------------------------------
 # zeta family on the real line
 
-_ETA_CTL = SumControl(max_terms=4096, rel_tol=1e-12, accelerate=True)
+_ETA_CTL = SumControl(max_terms=4096, rel_tol=1e-12)
 
 
 def dirichlet_eta(s: float) -> float:

@@ -1,9 +1,10 @@
 """Identity, bound and conjecture check suites behind the verification CLI.
 
-Each suite instantiates one Invariants block over a configurable grid and
-returns a CheckSuite of CheckRecords.  Records carry both discrepancies, the
-tolerance and policy that decided the pass flag, and an anchor string naming
-the identity being instantiated.  Report-only suites never affect exit codes.
+Each suite body records CheckRecords for the identities it instantiates over
+a configurable grid; run_suites builds its CheckSuite, times it and counts
+passes and fails.  Records carry both discrepancies, the tolerance and policy
+that decided the pass flag, and an anchor string naming the identity being
+instantiated.  The suites in REPORT_ONLY never affect exit codes.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from . import eisenstein as eis
 from . import hilbert_eisenstein as he
 from . import numkern as nk
 from . import omega as om
-from .controls import QuadControl, SumControl
 from .errors import ConfigError
 
 LOG2 = math.log(2.0)
@@ -39,8 +39,6 @@ class GridSpec:
 class SuiteConfig:
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
     grid: GridSpec = field(default_factory=GridSpec)
-    sum_control: SumControl = field(default_factory=SumControl)
-    quad_control: QuadControl = field(default_factory=QuadControl)
     seed: int = 20260808
 
 
@@ -73,12 +71,15 @@ class CheckRecord:
 
 @dataclass
 class CheckSuite:
+    """The records of one suite; run_suites fills in counts and timing."""
+
     name: str
-    records: list[CheckRecord]
-    pass_count: int
-    fail_count: int
-    wall_time_ms: float
-    report_only: bool
+    override: float | None = None       # the --tol value replacing each gating tolerance
+    records: list[CheckRecord] = field(default_factory=list)
+    pass_count: int = 0
+    fail_count: int = 0
+    wall_time_ms: float = 0.0
+    report_only: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -89,13 +90,6 @@ class CheckSuite:
             "wall_time_ms": self.wall_time_ms,
             "report_only": self.report_only,
         }
-
-
-class _Recorder:
-    def __init__(self, suite: str, cfg: SuiteConfig):
-        self.suite = suite
-        self.records: list[CheckRecord] = []
-        self.override = cfg.tolerance_overrides.get(suite)
 
     def check(self, inputs: str, lhs: complex, rhs: complex, tol: float,
               policy: str, anchor: str) -> None:
@@ -115,7 +109,7 @@ class _Recorder:
             ok = True
         else:
             raise ConfigError(f"unknown pass policy {policy!r}")
-        self.records.append(CheckRecord(self.suite, inputs, lhs, rhs,
+        self.records.append(CheckRecord(self.name, inputs, lhs, rhs,
                                         abs_disc, rel_disc, tol, ok, policy, anchor))
 
     def lower_bound(self, inputs: str, value: float, threshold: float,
@@ -124,17 +118,9 @@ class _Recorder:
         violation = max(0.0, threshold - value)
         tol = 0.0 if self.override is None else self.override
         self.records.append(CheckRecord(
-            self.suite, inputs, complex(value), complex(threshold),
+            self.name, inputs, complex(value), complex(threshold),
             violation, violation / max(abs(threshold), 1e-300), tol,
             violation <= tol, "lower_bound", anchor))
-
-    def suite_result(self, started: float, report_only: bool = False) -> CheckSuite:
-        elapsed = (time.perf_counter() - started) * 1000.0
-        if os.environ.get("SOURCE_DATE_EPOCH") is not None:
-            elapsed = 0.0  # reproducible-output mode: byte-identical reports
-        npass = sum(1 for r in self.records if r.passed)
-        return CheckSuite(self.suite, self.records, npass,
-                          len(self.records) - npass, elapsed, report_only)
 
 
 # ---------------------------------------------------------------------------
@@ -164,33 +150,25 @@ def _push_off_imag_integers(y: float, margin: float = 0.05) -> float:
     return y
 
 
+def _jittered_grid(cfg: SuiteConfig, seed: int) -> list[tuple[float, float]]:
+    """Grid nodes, each moved by a uniform jitter of at most step/4 per axis."""
+    rng = random.Random(seed)
+    g = cfg.grid
+    a = g.step / 4.0
+    return [(re + rng.uniform(-a, a), im + rng.uniform(-a, a))
+            for re in _axis(g.re_min, g.re_max, g.step)
+            for im in _axis(g.im_min, g.im_max, g.step)]
+
+
 def strip_grid(cfg: SuiteConfig) -> list[complex]:
     """Jittered complex grid with fractional real part kept off the integers."""
-    rng = random.Random(cfg.seed)
-    g = cfg.grid
-    pts = []
-    for re in _axis(g.re_min, g.re_max, g.step):
-        for im in _axis(g.im_min, g.im_max, g.step):
-            jr = rng.uniform(-g.step / 4.0, g.step / 4.0)
-            ji = rng.uniform(-g.step / 4.0, g.step / 4.0)
-            pts.append(complex(_clamp_strip(re + jr), im + ji))
-    return pts
+    return [complex(_clamp_strip(x), y) for x, y in _jittered_grid(cfg, cfg.seed)]
 
 
 def axis_grid(cfg: SuiteConfig) -> list[complex]:
     """Jittered complex grid kept off the nonzero imaginary integers."""
-    rng = random.Random(cfg.seed + 1)
-    g = cfg.grid
-    pts = []
-    for re in _axis(g.re_min, g.re_max, g.step):
-        for im in _axis(g.im_min, g.im_max, g.step):
-            jr = rng.uniform(-g.step / 4.0, g.step / 4.0)
-            ji = rng.uniform(-g.step / 4.0, g.step / 4.0)
-            z = complex(re + jr, _push_off_imag_integers(im + ji))
-            if abs(z) < 0.05:
-                z += 0.1
-            pts.append(z)
-    return pts
+    pts = [complex(x, _push_off_imag_integers(y)) for x, y in _jittered_grid(cfg, cfg.seed + 1)]
+    return [z + 0.1 if abs(z) < 0.05 else z for z in pts]
 
 
 def disc_sample(cfg: SuiteConfig, n: int = 20, radius: float = 5.0) -> list[complex]:
@@ -213,9 +191,7 @@ def _fmt(z: complex) -> str:
 # ---------------------------------------------------------------------------
 # suites
 
-def run_numkern_identities(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("numkern.identities", cfg)
+def run_numkern_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
     rng = random.Random(cfg.seed + 3)
 
     count = 0
@@ -277,18 +253,14 @@ def run_numkern_identities(cfg: SuiteConfig) -> CheckSuite:
                   nk.digamma_realpart_integral(t), want, 1e-10, "abs",
                   "integral form of Re psi on the line Re = 1")
 
-    return rec.suite_result(t0)
 
-
-def run_eisenstein_routes(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("eisenstein.routes", cfg)
+def run_eisenstein_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
     anchor = "route agreement for the Eisenstein series"
     for z in strip_grid(cfg):
         for r in range(1, 7):
-            d = eis.eisenstein_direct(r, z, cfg.sum_control).value
+            d = eis.eisenstein_direct(r, z).value
             p = eis.eisenstein_polygamma(r, z)
-            q = eis.eisenstein_integral(r, z, cfg.quad_control).value
+            q = eis.eisenstein_integral(r, z).value
             tag = f"r={r} z={_fmt(z)}"
             rec.check(f"{tag} direct/polygamma", d, p, 1e-8, "rel", anchor)
             rec.check(f"{tag} direct/integral", d, q, 1e-8, "rel", anchor)
@@ -297,20 +269,17 @@ def run_eisenstein_routes(cfg: SuiteConfig) -> CheckSuite:
                 c = eis.eisenstein_closed(r, z)
                 rec.check(f"{tag} direct/closed", d, c, 1e-10, "rel", anchor)
                 rec.check(f"{tag} closed/integral", c, q, 1e-8, "rel", anchor)
-    return rec.suite_result(t0)
 
 
-def run_eisenstein_properties(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("eisenstein.properties", cfg)
+def run_eisenstein_properties(rec: CheckSuite, cfg: SuiteConfig) -> None:
     pts = strip_grid(cfg)[:8]
     for z in pts:
         for r in (1, 2, 3, 4):
-            a = eis.eisenstein_direct(r, z + 1, cfg.sum_control).value
-            b = eis.eisenstein_direct(r, z, cfg.sum_control).value
+            a = eis.eisenstein_direct(r, z + 1).value
+            b = eis.eisenstein_direct(r, z).value
             rec.check(f"periodicity r={r} z={_fmt(z)}", a, b, 1e-10, "abs_or_rel",
                       "one-periodicity of the Eisenstein series")
-            a = eis.eisenstein_direct(r, -z, cfg.sum_control).value
+            a = eis.eisenstein_direct(r, -z).value
             rec.check(f"parity r={r} z={_fmt(z)}", a, (-1.0) ** r * b, 1e-10,
                       "abs_or_rel", "parity eps_r(-z) = (-1)^r eps_r(z)")
     h = 1e-5
@@ -320,12 +289,9 @@ def run_eisenstein_properties(cfg: SuiteConfig) -> CheckSuite:
             rec.check(f"derivative r={r} z={_fmt(z)}", fd,
                       -r * eis.eisenstein_polygamma(r + 1, z), 1e-5, "rel",
                       "derivative ladder eps_r' = -r eps_(r+1)")
-    return rec.suite_result(t0)
 
 
-def run_eisenstein_product(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("eisenstein.product", cfg)
+def run_eisenstein_product(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for z in strip_grid(cfg):
         res = eis.product_identity_residual(1, z)
         rec.check(f"r=1 z={_fmt(z)}", res + eis.eisenstein_closed(3, z),
@@ -339,15 +305,12 @@ def run_eisenstein_product(cfg: SuiteConfig) -> CheckSuite:
         scale = abs(eis.eisenstein_polygamma(r + 2, 0.25))
         rec.lower_bound(f"uniqueness r={r} z=0.25", res / scale, 0.05,
                         "the product identity fails for every order above one")
-    return rec.suite_result(t0)
 
 
-def run_he_closed(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("he.closed", cfg)
+def run_he_closed(rec: CheckSuite, cfg: SuiteConfig) -> None:
     pts = axis_grid(cfg)[:19] + [3 + 0.5j]
     for z in pts:
-        d = he.he_direct(1, z, cfg.sum_control).value
+        d = he.he_direct(1, z).value
         c = he.he_closed(1, z)
         rec.check(f"z={_fmt(z)}", c, d, 1e-9, "rel",
                   "first-order HE closed digamma form vs direct summation")
@@ -355,16 +318,13 @@ def run_he_closed(cfg: SuiteConfig) -> CheckSuite:
               "HE value 2i log 2 at the origin")
     rec.check("z=0 direct", he.he_direct(1, 0).value, 2j * LOG2, 1e-13, "abs",
               "HE value 2i log 2 at the origin")
-    return rec.suite_result(t0)
 
 
-def run_he_higher(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("he.higher", cfg)
+def run_he_higher(rec: CheckSuite, cfg: SuiteConfig) -> None:
     pts = axis_grid(cfg)[:10]
     for z in pts:
         for r in (2, 3, 4, 5):
-            d = he.he_direct(r, z, cfg.sum_control).value
+            d = he.he_direct(r, z).value
             c = he.he_closed(r, z)
             rec.check(f"closed r={r} z={_fmt(z)}", c, d, 1e-8, "rel",
                       "higher-order HE polygamma form vs direct summation")
@@ -391,20 +351,17 @@ def run_he_higher(cfg: SuiteConfig) -> CheckSuite:
         rec.check(f"second-derivative link z={_fmt(z)}", second / 6.0,
                   he.he_closed(4, z), 1e-5, "rel",
                   "two-fold derivative of h_2 reaches h_4")
-    return rec.suite_result(t0)
 
 
-def run_he_routes(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("he.routes", cfg)
+def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for z in (0.5, -0.35, 0.3 + 0.3j, 0.2 - 0.6j, 0.85):
-        tv = he.he_taylor(z, cfg.sum_control).value
+        tv = he.he_taylor(z).value
         rec.check(f"taylor z={_fmt(complex(z))}", tv, he.he_closed(1, z), 1e-8,
                   "abs_or_rel", "HE Taylor expansion in eta values on the unit disc")
     for x in (0.5, 1.0, 1.7):
         for r in (1, 2, 3, 4):
             rec.check(f"real-axis r={r} x={x}", he.he_real(r, x),
-                      he.he_direct(r, x, cfg.sum_control).value, 1e-9, "abs_or_rel",
+                      he.he_direct(r, x).value, 1e-9, "abs_or_rel",
                       "real-axis Re/Im split of the HE closed form")
     for x in (0.5, 1.0, 1.3):
         a = he.he_via_eisenstein(1, x)
@@ -415,7 +372,7 @@ def run_he_routes(cfg: SuiteConfig) -> CheckSuite:
                   "HE through the classical Eisenstein series")
         for r in (2, 3):
             rec.check(f"via-eisenstein r={r} x={x}", he.he_via_eisenstein(r, x),
-                      he.he_direct(r, x, cfg.sum_control).value, 1e-8, "abs_or_rel",
+                      he.he_direct(r, x).value, 1e-8, "abs_or_rel",
                       "HE through the classical Eisenstein series")
     for z in (0.7, 0.4 + 0.3j):
         n = 10_000
@@ -427,23 +384,20 @@ def run_he_routes(cfg: SuiteConfig) -> CheckSuite:
             v = he.he_real(r, x)
             rec.check(f"imaginary-only r={r} x={x}", complex(v.real), 0.0, 1e-12,
                       "abs", "HE values on the real axis are purely imaginary")
-            v = he.he_direct(r, x, cfg.sum_control).value
+            v = he.he_direct(r, x).value
             rec.check(f"imaginary-only direct r={r} x={x}", complex(v.real), 0.0,
                       1e-12, "abs", "HE values on the real axis are purely imaginary")
-    return rec.suite_result(t0)
 
 
-def run_omega_routes(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("omega.routes", cfg)
+def run_omega_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
     anchor = "route agreement for the complete Omega function"
     for z in disc_sample(cfg, 20, 5.0):
         values = {
-            "quadrature": om.omega_quadrature(z, cfg.quad_control).value,
+            "quadrature": om.omega_quadrature(z).value,
             "digamma": om.omega_digamma(z),
-            "partial-fraction": om.omega_partial_fraction(z, cfg.sum_control).value,
-            "taylor-moments": om.omega_taylor(z, "moments", cfg.sum_control).value,
-            "taylor-eta": om.omega_taylor(z, "eta", cfg.sum_control).value,
+            "partial-fraction": om.omega_partial_fraction(z).value,
+            "taylor-moments": om.omega_taylor(z, "moments").value,
+            "taylor-eta": om.omega_taylor(z, "eta").value,
         }
         names = list(values)
         for i, a in enumerate(names):
@@ -451,15 +405,12 @@ def run_omega_routes(cfg: SuiteConfig) -> CheckSuite:
                 rec.check(f"z={_fmt(z)} {a}/{b}", values[a], values[b], 1e-8,
                           "abs_or_rel", anchor)
     for x in (1.0, 5.0, 10.0, 18.0, 25.0, 30.0):
-        q = om.omega_quadrature(x, cfg.quad_control).value
+        q = om.omega_quadrature(x).value
         d = om.omega_digamma(x)
         rec.check(f"real axis x={x}", q, d, 1e-8, "rel", anchor)
-    return rec.suite_result(t0)
 
 
-def run_omega_symmetry(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("omega.symmetry", cfg)
+def run_omega_symmetry(rec: CheckSuite, cfg: SuiteConfig) -> None:
     grid = [-2.0, -1.0, 0.5, 1.0, 2.0]
     for x in grid:
         for y in grid:
@@ -479,19 +430,16 @@ def run_omega_symmetry(cfg: SuiteConfig) -> CheckSuite:
     for x in grid:
         rec.check(f"real-line x={x}", complex(om.omega_digamma(x).imag), 0.0,
                   1e-12, "abs", "Omega is real on the real axis")
-        rec.check(f"imag-line y={x}", complex(om.omega_quadrature(1j * x, cfg.quad_control).value.real),
+        rec.check(f"imag-line y={x}", complex(om.omega_quadrature(1j * x).value.real),
                   0.0, 1e-12, "abs", "Omega is purely imaginary on the imaginary axis")
-    return rec.suite_result(t0)
 
 
-def run_omega_moments(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("omega.moments", cfg)
+def run_omega_moments(rec: CheckSuite, cfg: SuiteConfig) -> None:
     rec.check("first moment", om.omega_moment(0, "closed"), LOG2 / PI, 1e-12, "abs",
               "first moment equals log(2)/pi")
     for k in range(6):
         c = om.omega_moment(k, "closed")
-        q = om.omega_moment(k, "quadrature", cfg.quad_control)
+        q = om.omega_moment(k, "quadrature")
         s = om.omega_moment(k, "series")
         rec.check(f"k={k} closed/quadrature", c, q, 1e-10, "abs",
                   "odd moment closed eta form vs defining integral")
@@ -499,12 +447,9 @@ def run_omega_moments(cfg: SuiteConfig) -> CheckSuite:
                   "odd moment closed eta form vs Bernoulli series")
         rec.check(f"k={k} quadrature/series", q, s, 1e-10, "abs",
                   "odd moment defining integral vs Bernoulli series")
-    return rec.suite_result(t0)
 
 
-def run_omega_bounds(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("omega.bounds", cfg)
+def run_omega_bounds(rec: CheckSuite, cfg: SuiteConfig) -> None:
     anchor = "two-sided sinh-log bounds for Omega on the real line"
     for i in range(1, 81):
         x = i / 10.0
@@ -516,12 +461,9 @@ def run_omega_bounds(cfg: SuiteConfig) -> CheckSuite:
         val = om.omega_digamma(-x).real
         rec.lower_bound(f"x={-x:.1f} lower", val - lo, 0.0, anchor)
         rec.lower_bound(f"x={-x:.1f} upper", hi - val, 0.0, anchor)
-    return rec.suite_result(t0)
 
 
-def run_omega_asymptotic(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("omega.asymptotic", cfg)
+def run_omega_asymptotic(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for x in (10.0, 20.0, 40.0):
         lo, hi, ratio = om.omega_asymptotic_envelope(x)
         rec.lower_bound(f"x={x} above lower", ratio - lo, 0.0,
@@ -542,25 +484,19 @@ def run_omega_asymptotic(cfg: SuiteConfig) -> CheckSuite:
         rec.check(f"x={x} log-space report", complex(log_approx),
                   complex(log_lower), 1e9, "report",
                   "log-space envelope values at the large-x window")
-    return rec.suite_result(t0, report_only=True)
 
 
-def run_omega_ode(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("omega.ode", cfg)
+def run_omega_ode(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for x in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0):
-        r = om.omega_ode_residual(x, 1e-5, cfg.quad_control)
+        r = om.omega_ode_residual(x, 1e-5)
         rec.check(f"x={x}", complex(r), 0.0, 1e-6, "abs",
                   "first-order ODE residual of the Omega function")
-    return rec.suite_result(t0)
 
 
-def run_omega_identities(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("omega.identities", cfg)
+def run_omega_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for z in (1.0, 2.0, 1 + 1j, -0.5 + 2j, 3.3):
-        pv = om.omega_pv_hilbert(z, cfg.quad_control).value
-        q = om.omega_quadrature(z, cfg.quad_control).value
+        pv = om.omega_pv_hilbert(z).value
+        q = om.omega_quadrature(z).value
         rec.check(f"pv fold z={_fmt(complex(z))}", pv, q, 1e-9, "abs",
                   "principal-value Hilbert fold equals the defining integral")
     for zr in (-1.0, -0.5, 0.5, 1.0):
@@ -569,19 +505,16 @@ def run_omega_identities(cfg: SuiteConfig) -> CheckSuite:
         rhs = cb.conj_genfun_series(z)
         rec.check(f"generating link z={zr}", lhs, rhs, 1e-8, "abs",
                   "exponential generating function of half-point conjugate values")
-    return rec.suite_result(t0)
 
 
-def run_conj_values(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("conj.values", cfg)
+def run_conj_values(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for m in range(7):
         rec.check(f"half-point m={m}", cb.conj_bernoulli_half(m, "eta"),
                   cb.conj_bernoulli_half(m, "zeta"), 1e-13, "rel",
                   "conjugate Bernoulli half-point eta form vs zeta form")
-    q0 = om.omega_moment(0, "quadrature", cfg.quad_control)
-    q1 = om.omega_moment(1, "quadrature", cfg.quad_control)
-    q2 = om.omega_moment(2, "quadrature", cfg.quad_control)
+    q0 = om.omega_moment(0, "quadrature")
+    q1 = om.omega_moment(1, "quadrature")
+    q2 = om.omega_moment(2, "quadrature")
     rec.check("moment combination m=0", -q0, cb.conj_bernoulli_half(0), 1e-9, "abs",
               "half-point value as the negated first moment")
     rec.check("moment combination m=1", q0 / 4.0 - q1, cb.conj_bernoulli_half(1),
@@ -590,18 +523,15 @@ def run_conj_values(cfg: SuiteConfig) -> CheckSuite:
               cb.conj_bernoulli_half(2), 1e-9, "abs",
               "half-point value as a three-moment combination")
     for x in (0.25, 0.5, 0.75, 0.1):
-        rec.check(f"log closed form x={x}", cb.conj_bernoulli_periodic(0, x, cfg.sum_control),
+        rec.check(f"log closed form x={x}", cb.conj_bernoulli_periodic(0, x),
                   -(1.0 / PI) * math.log(2.0 * math.sin(PI * x)), 1e-10, "abs",
                   "first conjugate function as -log(2 sin(pi x))/pi")
-    rec.check("fourier half-point n=1", cb.conj_bernoulli_periodic(1, 0.5, cfg.sum_control),
+    rec.check("fourier half-point n=1", cb.conj_bernoulli_periodic(1, 0.5),
               cb.conj_bernoulli_half(1), 1e-12, "abs",
               "Fourier series at one half against the closed value")
-    return rec.suite_result(t0)
 
 
-def run_conj_roundtrips(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("conj.roundtrips", cfg)
+def run_conj_roundtrips(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for m in range(1, 7):
         ze = cb.zeta_even_euler(m)
         eta_route = nk.dirichlet_eta(float(2 * m)) / -math.expm1((1 - 2 * m) * LOG2)
@@ -612,32 +542,29 @@ def run_conj_roundtrips(cfg: SuiteConfig) -> CheckSuite:
                   nk.riemann_zeta(float(2 * m + 1)), 1e-12, "rel",
                   "odd zeta recovered from conjugate Bernoulli numbers")
     for a in (1.5, 2.5, 3.2):
-        b = cb.fractional_bernoulli(a, 0.0, cfg.sum_control)
+        b = cb.fractional_bernoulli(a, 0.0)
         z = -1.0 / math.cos(a * PI / 2.0) * 2.0 ** (a - 1.0) * PI ** a * b / math.gamma(a + 1.0)
         rec.check(f"fractional alpha={a}", z, nk.riemann_zeta(a), 1e-8, "rel",
                   "zeta from the fractional Bernoulli number")
     for m in (1, 2, 3):
         a = 2 * m + 1
-        bt = cb.conj_bernoulli_periodic(m, 0.0, cfg.sum_control)
+        bt = cb.conj_bernoulli_periodic(m, 0.0)
         z = 1.0 / math.sin(a * PI / 2.0) * 2.0 ** (a - 1.0) * PI ** a * bt / math.gamma(a + 1.0)
         rec.check(f"conjugate fractional m={m}", z, nk.riemann_zeta(float(a)), 1e-10,
                   "rel", "zeta from the conjugate fractional Bernoulli number")
     for n in (2, 3, 4):
         for x in (0.0, 0.25, 0.5):
             rec.check(f"interpolation n={n} x={x}",
-                      cb.fractional_bernoulli(float(n), x, cfg.sum_control),
+                      cb.fractional_bernoulli(float(n), x),
                       nk.bernoulli_poly(n, x), 1e-9, "abs",
                       "fractional function interpolates the Bernoulli polynomials")
-    return rec.suite_result(t0)
 
 
-def run_conj_genfun(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("conj.genfun", cfg)
+def run_conj_genfun(rec: CheckSuite, cfg: SuiteConfig) -> None:
     pts = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1 + 0.5j, -0.7 + 1.2j]
     for z in pts:
         z = complex(z)
-        g = cb.conj_bernoulli_genfun(z, cfg.sum_control)
+        g = cb.conj_bernoulli_genfun(z)
         s = cb.conj_genfun_series(z)
         o = -(z / (2.0 * cmath.sinh(z / 2.0))) * om.omega_digamma(z)
         tag = _fmt(z)
@@ -647,12 +574,9 @@ def run_conj_genfun(cfg: SuiteConfig) -> CheckSuite:
                   "generating-function closed branch vs the Omega product")
         rec.check(f"series/omega z={tag}", s, o, 1e-8, "abs",
                   "coefficient series vs the Omega product")
-    return rec.suite_result(t0)
 
 
-def run_bstar_values(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("bstar.values", cfg)
+def run_bstar_values(rec: CheckSuite, cfg: SuiteConfig) -> None:
     rec.check("alpha=2", cb.ramanujan_bstar(2.0), 1.0 / 6.0, 1e-12, "abs",
               "sign-free fractional Bernoulli number at two")
     rec.check("alpha=3", cb.ramanujan_bstar(3.0), 0.05815227, 1e-7, "abs",
@@ -662,22 +586,18 @@ def run_bstar_values(cfg: SuiteConfig) -> CheckSuite:
               "even values reduce to the classical Bernoulli numbers")
     rec.check("alpha=5", cb.ramanujan_bstar(5.0), 0.025413275, 1e-7, "abs",
               "the printed constant q for the five-halves family")
-    return rec.suite_result(t0)
 
 
-def run_conjecture_double_sum(cfg: SuiteConfig) -> CheckSuite:
-    t0 = time.perf_counter()
-    rec = _Recorder("conjecture.double_sum", cfg)
-    c = cb.conjecture_double_sum(0, 0.5, cfg.sum_control)
+def run_conjecture_double_sum(rec: CheckSuite, cfg: SuiteConfig) -> None:
+    c = cb.conjecture_double_sum(0, 0.5)
     rec.check("j=0 z=0.5 closed value", c.double_sum, -LOG2 / PI, 1e-12, "abs",
               "conjectured double sum at the half point, lowest index")
     rec.check("j=0 z=0.5 fourier", c.double_sum, c.fourier, 1e-12, "abs",
               "conjectured double sum vs Fourier oracle")
     for j, z in ((0, 0.25), (1, 0.5), (1, 0.25), (2, 0.5), (2, 0.3)):
-        c = cb.conjecture_double_sum(j, z, cfg.sum_control)
+        c = cb.conjecture_double_sum(j, z)
         rec.check(f"j={j} z={z} report", c.double_sum, c.fourier, 1e9, "report",
                   "conjectured double sum vs Fourier oracle, reported only")
-    return rec.suite_result(t0, report_only=True)
 
 
 SUITES = {
@@ -706,7 +626,18 @@ REPORT_ONLY = {"omega.asymptotic", "conjecture.double_sum"}
 
 
 def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
+    """Run the named suites in order, each body recording into its own CheckSuite."""
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return [SUITES[n](cfg) for n in names]
+    results = []
+    for name in names:
+        suite = CheckSuite(name, cfg.tolerance_overrides.get(name), report_only=name in REPORT_ONLY)
+        started = time.perf_counter()
+        SUITES[name](suite, cfg)
+        if os.environ.get("SOURCE_DATE_EPOCH") is None:  # set: byte-identical reports
+            suite.wall_time_ms = (time.perf_counter() - started) * 1000.0
+        suite.pass_count = sum(r.passed for r in suite.records)
+        suite.fail_count = len(suite.records) - suite.pass_count
+        results.append(suite)
+    return results

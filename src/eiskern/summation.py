@@ -60,21 +60,11 @@ def alternating_sum(term: Callable[[int], complex], ctl: SumControl = DEFAULT_SU
                     start: int = 1) -> tuple[complex, float, int]:
     """Sum_{k>=start} (-1)^(k-start) term(k) with term(k) the unsigned tail.
 
-    Accelerated: CRVZ on n = min(32, max_terms) terms with truncation error
+    CRVZ on n = min(32, max_terms) terms with truncation error
     |CRVZ_n - CRVZ_(n-8)|; if that misses rel_tol, the epsilon algorithm on
     blocks of 128, 512, 2048 terms (capped by max_terms) until one meets it.
-    The error adds the rounding floor sqrt(n)*eps*sum|t_k|.  Unaccelerated:
-    plain summation with the alternating-series remainder bound.
+    The error adds the rounding floor sqrt(n)*eps*sum|t_k|.
     """
-    if not ctl.accelerate:
-        total = 0.0 + 0.0j
-        for j in range(ctl.max_terms):
-            t = term(start + j)
-            total += -t if j % 2 else t
-            if abs(t) <= ctl.rel_tol * max(1e-300, abs(total)):
-                return total, abs(t), j + 1
-        raise NonConvergence("alternating series: max_terms exhausted")
-
     converged = lambda v, e, mult=1.0: e <= max(mult * ctl.rel_tol * abs(v), 1e-16)
     n = min(32, ctl.max_terms)
     terms = [term(start + j) for j in range(n)]
@@ -98,16 +88,21 @@ def wynn_epsilon(partials: Sequence[complex]) -> tuple[complex, float]:
 
     Returns the deepest even-column entry and, as error estimate, its
     distance to the previous even column plus the rounding floor of the
-    n partial sums, sqrt(n)*eps*(|s_0| + sum|s_(i+1) - s_i|).  Suited to
-    power-series partial sums on the boundary of convergence.
+    n partial sums, sqrt(n)*eps*(|s_0| + sum|s_(i+1) - s_i|).  A sequence
+    whose last two partial sums are equal has settled: the floor is its
+    error.  Suited to power-series partial sums on the boundary of
+    convergence.
     """
     n = len(partials)
     if n < 3:
         return partials[-1], abs(partials[-1])
     floor = math.sqrt(n) * _EPS * (abs(partials[0]) + sum(
         abs(b - a) for a, b in zip(partials, partials[1:])))
-    eps_prev = [0.0 + 0.0j] * (n + 1)          # column -1
-    eps_cur = list(partials)                   # column 0
+    if partials[-1] == partials[-2]:
+        return partials[-1], floor
+    # a zero term repeats a partial sum; its zero difference would end the table early
+    eps_cur = [a for a, b in zip(partials, partials[1:]) if a != b] + [partials[-1]]
+    eps_prev = [0.0 + 0.0j] * (len(eps_cur) + 1)   # column -1
     best = prev_best = eps_cur[-1]
     col = 0
     while len(eps_cur) >= 2:

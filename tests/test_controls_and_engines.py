@@ -13,7 +13,7 @@ from eiskern import (Evaluation, NonConvergence, PoleError, QuadControl,
                      eisenstein_integral, mathieu_E, omega_pv_hilbert,
                      omega_quadrature)
 from eiskern.quadrature import _WS, _XS, adaptive_quad
-from eiskern.suites import SuiteConfig, run_suites
+from eiskern.suites import REPORT_ONLY, SUITES, SuiteConfig, run_suites
 
 
 def test_sum_control_invariants():
@@ -21,7 +21,7 @@ def test_sum_control_invariants():
         SumControl(max_terms=4)
     with pytest.raises(ValueError):
         SumControl(rel_tol=1e-18)
-    ctl = SumControl(max_terms=64, rel_tol=1e-10, accelerate=False)
+    ctl = SumControl(max_terms=64, rel_tol=1e-10)
     assert ctl.max_terms == 64
 
 
@@ -64,7 +64,7 @@ def test_adaptive_quad_failure_on_depth():
 
 
 def test_direct_nonconvergence_when_budget_tiny():
-    ctl = SumControl(max_terms=32, rel_tol=1e-12, accelerate=False)
+    ctl = SumControl(max_terms=32, rel_tol=1e-12)
     with pytest.raises(NonConvergence):
         eisenstein_direct(2, 0.3 + 0.4j, ctl)
 
@@ -82,3 +82,13 @@ def test_run_suites_reproducible(monkeypatch):
     a = json.dumps([s.to_json() for s in first])
     b = json.dumps([s.to_json() for s in second])
     assert a == b
+
+
+def test_run_suites_owns_report_only_and_timing(monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    results = run_suites(SuiteConfig(), list(SUITES))
+    assert {s.name for s in results if s.report_only} == REPORT_ONLY
+    for s in results:
+        assert s.wall_time_ms == 0.0
+        assert s.pass_count == sum(r.passed for r in s.records)
+        assert s.pass_count + s.fail_count == len(s.records) > 0

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from eiskern import (PoleError, SumControl, UnsupportedOrder,
+from eiskern import (PoleError, UnsupportedOrder,
                      eisenstein_closed, eisenstein_direct, eisenstein_integral,
                      eisenstein_polygamma, product_identity_residual)
 
@@ -50,12 +50,6 @@ def test_direct_against_raw_partial_sums():
         assert abs(fast - slow) <= 1e-11 * abs(slow)
 
 
-def test_direct_unaccelerated_path():
-    ctl = SumControl(max_terms=200_000, rel_tol=1e-6, accelerate=False)
-    v = eisenstein_direct(3, 0.25, ctl)
-    assert v.value.real == pytest.approx(eisenstein_closed(3, 0.25).real, rel=1e-6)
-
-
 def test_direct_pole_guard():
     with pytest.raises(PoleError):
         eisenstein_direct(2, 1.0 + 1e-12j)
@@ -68,6 +62,12 @@ def test_closed_values():
     assert eisenstein_closed(1, 0.25) == pytest.approx(PI, rel=1e-14)
     assert eisenstein_closed(2, 0.25) == pytest.approx(2 * PI ** 2, rel=1e-14)
     assert eisenstein_closed(3, 0.25) == pytest.approx(2 * PI ** 3, rel=1e-13)
+    # sin(pi z)^2 overflows while the value underflows towards 0
+    assert eisenstein_closed(2, 0.3 + 114j) == pytest.approx(
+        1.0198432478e-310 - 3.1387547743e-310j, rel=1e-9)
+    for z in (0.5 + 200j, 0.5 + 400j, 0.25 - 400j):
+        for r in (2, 3):
+            assert abs(eisenstein_closed(r, z)) < 1e-300
     with pytest.raises(UnsupportedOrder):
         eisenstein_closed(4, 0.25)
 

@@ -79,6 +79,13 @@ def test_gamma_examples():
     assert gamma(1) == pytest.approx(1.0, abs=1e-14)
     assert gamma(5) == pytest.approx(24.0, abs=1e-12)
     assert gamma(0.5) == pytest.approx(math.sqrt(PI), rel=1e-14)
+    # the direct Lanczos product overflows: log space, a DomainError past a double
+    assert gamma(160 + 1j) == pytest.approx(1.0338721720042359e282 - 2.7495261835884845e282j,
+                                            rel=1e-12)
+    for z in (200, 172 + 1j):
+        with pytest.raises(DomainError):
+            gamma(z)
+    assert abs(gamma(-170.5 + 1j)) < 1e-300    # reflection of a finite Gamma(171.5 - i)
 
 
 def test_gamma_recurrence_grid():
