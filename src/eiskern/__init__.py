@@ -3,7 +3,7 @@ function and conjugate Bernoulli numbers, each computable by at least two
 independent representations, plus a verification CLI that machine-checks
 the identities, bounds and conjectures relating them."""
 
-from .controls import Evaluation, QuadControl, SumControl
+from .controls import Evaluation
 from .errors import (ConfigError, DomainError, EiskernError, NonConvergence,
                      PoleError, QuadratureFailure, StepError, StripError,
                      UnsupportedOrder)
@@ -30,7 +30,7 @@ from .conj_bernoulli import (ConjectureCheck, conj_bernoulli_genfun,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Evaluation", "QuadControl", "SumControl",
+    "Evaluation",
     "EiskernError", "PoleError", "DomainError", "NonConvergence",
     "QuadratureFailure", "UnsupportedOrder", "StripError", "StepError",
     "ConfigError",

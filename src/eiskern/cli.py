@@ -93,11 +93,9 @@ def _parse_real(txt: str) -> float:
 # ---------------------------------------------------------------------------
 # eval registry
 
-def _wrap(value, route: str = "closed", err: float | None = None) -> Evaluation:
-    if isinstance(value, Evaluation):
-        return value
+def _wrap(value, route: str) -> Evaluation:
     v = complex(value)
-    return Evaluation(v, 8e-16 * max(1.0, abs(v)) if err is None else err, 0, route)
+    return Evaluation(v, 8e-16 * max(1.0, abs(v)), 0, route)
 
 
 def _eval_epsilon(args, route):
@@ -117,8 +115,9 @@ def _eval_epsilon(args, route):
 
 
 def _eval_he(args, route):
-    r, z = _parse_int(args[0]), _parse_complex(args[1])
     route = route or "closed"
+    real_axis = route in ("real", "eisenstein", "coth")
+    r, z = _parse_int(args[0]), (_parse_real if real_axis else _parse_complex)(args[1])
     if route == "closed":
         return _wrap(he.he_closed(r, z), "closed")
     if route == "direct":
@@ -126,9 +125,9 @@ def _eval_he(args, route):
     if route == "taylor":
         return he.he_taylor(z)
     if route == "real":
-        return _wrap(he.he_real(r, z.real), "real-axis")
+        return _wrap(he.he_real(r, z), "real-axis")
     if route in ("eisenstein", "coth"):
-        return _wrap(he.he_via_eisenstein(r, z.real, form=route), f"via-{route}")
+        return _wrap(he.he_via_eisenstein(r, z, form=route), f"via-{route}")
     raise ConfigError(f"unknown he route {route!r}")
 
 

@@ -15,11 +15,10 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .controls import SumControl, DEFAULT_SUM
 from .errors import DomainError, NonConvergence
-from .numkern import (PI, as_complex, bernoulli_poly, coth, digamma,
-                      dirichlet_eta, riemann_zeta)
-from .summation import power_tail, wynn_epsilon
+from .numkern import (PI, as_complex, bernoulli_number, bernoulli_poly, coth,
+                      digamma, dirichlet_eta, riemann_zeta)
+from .summation import REL_TOL, power_tail, wynn_epsilon
 
 _TWO_PI = 2.0 * PI
 _LOG2 = math.log(2.0)
@@ -28,7 +27,7 @@ _LOG2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 # boundary polylog sum_{k>=1} e^(2 pi i k x) / k^s
 
-def periodic_polylog(s: float, x: float, ctl: SumControl = DEFAULT_SUM) -> complex:
+def periodic_polylog(s: float, x: float) -> complex:
     """sum_{k>=1} e^(2 pi i k x) k^(-s) for real s, x.
 
     x on the integers needs s > 1 (Euler-Maclaurin tail); x on the half
@@ -52,21 +51,17 @@ def periodic_polylog(s: float, x: float, ctl: SumControl = DEFAULT_SUM) -> compl
     acc = 0.0 + 0.0j
     wk = 1.0 + 0.0j
     k = 0
-    best = None
     for block in (48, 96, 192, 384, 768):
-        if block > ctl.max_terms:
-            break
         while k < block:
             k += 1
             wk *= w
             acc += wk / k ** s
             partials.append(acc)
         value, err = wynn_epsilon(partials[-64:])
-        best = (value, err, k)
-        if err <= max(ctl.rel_tol * abs(value), 1e-15 * max(1.0, abs(value))):
+        if err <= max(REL_TOL * abs(value), 1e-15 * max(1.0, abs(value))):
             return value
-    if best is not None and best[1] <= 1e-9 * max(1.0, abs(best[0])):
-        return best[0]
+    if err <= 1e-9 * max(1.0, abs(value)):
+        return value
     raise NonConvergence(f"periodic polylog did not settle at s={s}, x={x}")
 
 
@@ -95,7 +90,7 @@ def conj_bernoulli_half(m: int, form: str = "eta") -> float:
     raise DomainError(f"unknown form {form!r}")
 
 
-def conj_bernoulli_periodic(n: int, x: float, ctl: SumControl = DEFAULT_SUM) -> float:
+def conj_bernoulli_periodic(n: int, x: float) -> float:
     """Periodic conjugate Bernoulli function of odd index 2n+1 by Fourier series.
 
     B~_(2n+1)(x) = -2 (2n+1)! sum_k sin(2 pi k x - (2n+1) pi/2) / (2 pi k)^(2n+1);
@@ -109,11 +104,11 @@ def conj_bernoulli_periodic(n: int, x: float, ctl: SumControl = DEFAULT_SUM) -> 
         raise DomainError("B~_1 requires x not an integer")
     s = 2 * n + 1
     phase = cmath.exp(-1j * s * PI / 2.0)
-    li = periodic_polylog(float(s), x, ctl)
+    li = periodic_polylog(float(s), x)
     return -2.0 * math.factorial(s) * _TWO_PI ** (-s) * (phase * li).imag
 
 
-def conj_bernoulli_genfun(z, ctl: SumControl = DEFAULT_SUM) -> complex:
+def conj_bernoulli_genfun(z) -> complex:
     """Exponential generating function sum_k B~_k(1/2) z^k / k! in closed form.
 
     Real z uses -(z/pi){log 2 + Re psi(1+iz/4pi) - Re psi(1+iz/2pi)}; complex
@@ -146,11 +141,11 @@ def conj_bernoulli_genfun(z, ctl: SumControl = DEFAULT_SUM) -> complex:
             + 0.5j * z * (coth(0.25 * z) - coth(0.5 * z)) - 1j)
 
 
-def conj_genfun_series(z, m_max: int = 20) -> complex:
-    """Truncated coefficient series sum_k B~_k(1/2) z^k/k! (odd k only)."""
+def conj_genfun_series(z) -> complex:
+    """Truncated coefficient series sum_k B~_k(1/2) z^k/k! (odd k <= 41 only)."""
     z = as_complex(z)
     total = 0.0 + 0.0j
-    for m in range(m_max + 1):
+    for m in range(21):
         k = 2 * m + 1
         total += conj_bernoulli_half(m) * z ** k / math.factorial(k)
     return total
@@ -176,12 +171,11 @@ def zeta_even_euler(m: int) -> float:
     """Euler: zeta(2m) = (-1)^(m+1) 2^(2m-1) pi^(2m) B_(2m) / (2m)!."""
     if m < 1:
         raise DomainError("even-zeta representation needs m >= 1")
-    from .numkern import bernoulli_number
     b = float(bernoulli_number(2 * m))
     return (-1.0) ** (m + 1) * 2.0 ** (2 * m - 1) * PI ** (2 * m) * b / math.factorial(2 * m)
 
 
-def fractional_bernoulli(alpha: float, x: float, ctl: SumControl = DEFAULT_SUM) -> float:
+def fractional_bernoulli(alpha: float, x: float) -> float:
     """Periodic fractional Bernoulli function
     B_alpha(x) = -2 Gamma(alpha+1) sum_k cos(pi(2kx - alpha/2)) / (2 pi k)^alpha.
 
@@ -194,7 +188,7 @@ def fractional_bernoulli(alpha: float, x: float, ctl: SumControl = DEFAULT_SUM) 
     xf = x - math.floor(x)
     if (xf < 1e-12 or xf > 1.0 - 1e-12) and alpha <= 1.0:
         raise DomainError("x must avoid the integers for alpha <= 1")
-    li = periodic_polylog(alpha, x, ctl)
+    li = periodic_polylog(alpha, x)
     phase = cmath.exp(-1j * PI * alpha / 2.0)
     return -2.0 * math.gamma(alpha + 1.0) * _TWO_PI ** (-alpha) * (phase * li).real
 
@@ -215,7 +209,7 @@ class ConjectureCheck(NamedTuple):
     discrepancy: float
 
 
-def conjecture_double_sum(j: int, z: float, ctl: SumControl = DEFAULT_SUM) -> ConjectureCheck:
+def conjecture_double_sum(j: int, z: float) -> ConjectureCheck:
     """Conjectured closed form of B~_(2j+1)(z) as a finite double sum.
 
     -(2j+1)!/pi * sum_{k<=j} B_(2j-2k)(z)/(4^k (2j-2k)!)
@@ -235,5 +229,5 @@ def conjecture_double_sum(j: int, z: float, ctl: SumControl = DEFAULT_SUM) -> Co
                     for n in range(k + 1))
         total += bernoulli_poly(2 * j - 2 * k, z) / (4.0 ** k * math.factorial(2 * j - 2 * k)) * inner
     double_sum = -math.factorial(2 * j + 1) / PI * total
-    fourier = conj_bernoulli_periodic(j, z, ctl)
+    fourier = conj_bernoulli_periodic(j, z)
     return ConjectureCheck(double_sum, fourier, abs(double_sum - fourier))

@@ -12,10 +12,11 @@ import cmath
 import math
 import sys
 
-from .controls import Evaluation, QuadControl, SumControl, DEFAULT_QUAD, DEFAULT_SUM
+from .controls import Evaluation
 from .errors import NonConvergence, PoleError, StripError, UnsupportedOrder
 from .numkern import PI, as_complex, cot, digamma, polygamma
-from .quadrature import adaptive_quad
+from .quadrature import ABS_TOL, quad_segments
+from .summation import REL_TOL, richardson_limit
 
 _EPS = sys.float_info.epsilon
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
@@ -32,15 +33,16 @@ def _require_order(r: int) -> None:
         raise UnsupportedOrder("order r must be a positive integer")
 
 
-def eisenstein_direct(r: int, z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
+def eisenstein_direct(r: int, z) -> Evaluation:
     """Symmetric partial sums of the defining series.
 
     r = 1 uses the paired-term form 1/z + sum_k 2z/(z^2 - k^2) whose tail is
     O(1/N); r >= 2 pairs (z+k)^(-r) + (z-k)^(-r).  The partial sums at
-    N = 8*2^j, j <= 11 (16384 terms, fewer if ctl.max_terms is smaller) are
-    Richardson-extrapolated until the tableau diagonal moves by at most
-    ctl.rel_tol; err_estimate is that last correction plus the rounding
-    floor N*eps*|value|.
+    N = 8*2^j, j <= 11 (at most 16384 terms) are Richardson-extrapolated
+    until the tableau diagonal moves by at most REL_TOL; err_estimate is that
+    last correction plus the rounding floor N*eps*|value|.  NonConvergence
+    when that correction at 16384 terms still exceeds
+    max(REL_TOL*|value|, 1e-14*max(1, |value|)).
     """
     _require_order(r)
     z = as_complex(z)
@@ -54,13 +56,9 @@ def eisenstein_direct(r: int, z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
         term = lambda k: (z + k) ** (-r) + (z - k) ** (-r)
         first = z ** (-r)
 
-    from .summation import richardson_limit
-    n0, levels = 8, 11
-    while n0 * 2 ** levels > ctl.max_terms and levels > 2:
-        levels -= 1
-    value, err, used = richardson_limit(term, n0, levels, first=first, rel_tol=ctl.rel_tol)
+    value, err, used = richardson_limit(term, 8, 11, first=first, rel_tol=REL_TOL)
     # err includes the rounding floor; convergence is judged on the truncation part
-    tol = max(ctl.rel_tol * abs(value), 1e-14 * max(1.0, abs(value)))
+    tol = max(REL_TOL * abs(value), 1e-14 * max(1.0, abs(value)))
     if err > tol + used * _EPS * abs(value):
         raise NonConvergence(f"eisenstein_direct(r={r}): err {err:.2e} after {used} terms")
     return Evaluation(value, err, used, "direct")
@@ -141,8 +139,7 @@ def _integrand_factory(r: int, zeta: complex, form: str):
     return hyperbolic if form == "hyperbolic" else exponential
 
 
-def eisenstein_integral(r: int, z, ctl: QuadControl = DEFAULT_QUAD,
-                        form: str = "exponential") -> Evaluation:
+def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
     """Strip-reduced integral representation.
 
     eps_r(z) = zeta^(-r) + (1/(r-1)!) int_0^oo t^(r-1)/(e^t-1)
@@ -171,31 +168,20 @@ def eisenstein_integral(r: int, z, ctl: QuadControl = DEFAULT_QUAD,
     f = _integrand_factory(r, zeta, form)
     g = math.factorial(r - 1)
     rate = 1.0 - abs(zeta.real)  # decay of the slower exponential
-    T = _tail_cutoff(r, rate, ctl.abs_tol)
-
-    value = 0.0 + 0.0j
-    err = 0.0
-    panels = 0
-    lo, seg = 0.0, 1.0
-    while lo < T:
-        hi = min(lo + seg, T)
-        v, e, p = adaptive_quad(f, lo, hi, ctl)
-        value += v
-        err += e
-        panels += p
-        lo, seg = hi, seg * 2.0
+    T = _tail_cutoff(r, rate)
+    value, err, panels = quad_segments(f, 0.0, T)
     tail_bound = 2.0 * T ** (r - 1) * math.exp(-rate * T) / rate
     total = sign * (zeta ** (-r) + value / g)
     return Evaluation(total, err / g + tail_bound / g, panels, f"integral-{form}")
 
 
-def _tail_cutoff(r: int, rate: float, abs_tol: float) -> float:
+def _tail_cutoff(r: int, rate: float) -> float:
     if rate <= 0:
         raise StripError("strip reduction produced |Re zeta| >= 1")
     T = max(30.0 / rate, 8.0)
     for _ in range(40):
         bound = 2.0 * T ** (r - 1) * math.exp(-rate * T) / rate
-        if bound < 0.05 * abs_tol:
+        if bound < 0.05 * ABS_TOL:
             break
         T *= 1.5
     return T

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 
-from .controls import Evaluation, QuadControl, SumControl, DEFAULT_QUAD, DEFAULT_SUM
+from .controls import Evaluation
 from .errors import DomainError, NonConvergence, PoleError
 from .eisenstein import eisenstein_closed, eisenstein_direct
 from .numkern import PI, as_complex, coth, digamma, dirichlet_eta, eta_odd, polygamma
 from .quadrature import adaptive_quad, quad_decaying_tail
-from .summation import alternating_sum
+from .summation import REL_TOL, alternating_sum
 
 IM_AXIS_GUARD = 1e-10  # hard floor; suites keep distance >= 0.05
 
@@ -32,7 +32,7 @@ def _guard_imaginary_integers(z: complex, guard: float = IM_AXIS_GUARD) -> None:
         raise PoleError(f"Hilbert-Eisenstein series has a pole at {1j * k}")
 
 
-def he_direct(r: int, z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
+def he_direct(r: int, z) -> Evaluation:
     """Direct summation of the defining series.
 
     r = 1 reduces the symmetric sum to 2i sum_k (-1)^(k-1) k/(z^2+k^2);
@@ -47,10 +47,10 @@ def he_direct(r: int, z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
         return Evaluation(_TWO_I_LOG2, 0.0, 0, "direct")
     if r == 1:
         z2 = z * z
-        value, err, used = alternating_sum(lambda k: k / (z2 + k * k), ctl)
+        value, err, used = alternating_sum(lambda k: k / (z2 + k * k))
         return Evaluation(2j * value, 2.0 * err, used, "direct")
     value, err, used = alternating_sum(
-        lambda k: (z + 1j * k) ** (-r) - (z - 1j * k) ** (-r), ctl)
+        lambda k: (z + 1j * k) ** (-r) - (z - 1j * k) ** (-r))
     return Evaluation(-value, err, used, "direct")
 
 
@@ -76,7 +76,7 @@ def he_closed(r: int, z) -> complex:
         - (-1.0) ** (r - 1) * polygamma(r - 1, 1.0 + 1j * z))
 
 
-def he_taylor(z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
+def he_taylor(z) -> Evaluation:
     """h_1 on the unit disc: 2i sum_n (-1)^n eta(2n+1) z^(2n), |z| < 1."""
     z = as_complex(z)
     if abs(z) >= 1.0:
@@ -85,12 +85,12 @@ def he_taylor(z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
     total = 0.0 + 0.0j
     p = 1.0 + 0.0j
     n = 0
-    while n < min(ctl.max_terms, 2000):
+    while n < 2000:
         t = (-1.0) ** n * eta_odd(n) * p
         total += t
         n += 1
         p *= z2
-        if abs(t) <= ctl.rel_tol * max(1e-300, abs(total)) and n >= 3:
+        if abs(t) <= REL_TOL * max(1e-300, abs(total)) and n >= 3:
             tail = abs(p) / max(1e-300, 1.0 - abs(z2))
             return Evaluation(2j * total, 2.0 * tail, n, "taylor")
     raise NonConvergence("he_taylor: term budget exhausted inside |z| < 1")
@@ -162,32 +162,31 @@ def he_via_eisenstein(r: int, x: float, form: str = "eisenstein") -> complex:
 # ---------------------------------------------------------------------------
 # Mathieu series
 
-def mathieu(r: float, x: float, alternating: bool,
-            ctl: SumControl = DEFAULT_SUM) -> Evaluation:
+def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     """S_r(x) = sum 2k/(k^2+x^2)^r (r > 1) or the alternating variant (r > 0)."""
     if alternating:
         if r <= 0:
             raise DomainError("alternating Mathieu series requires r > 0")
         x2 = float(x) ** 2
-        value, err, used = alternating_sum(lambda k: 2.0 * k / (k * k + x2) ** r, ctl)
+        value, err, used = alternating_sum(lambda k: 2.0 * k / (k * k + x2) ** r)
         return Evaluation(complex(value.real), err, used, "series-alternating")
     if r <= 1:
         raise DomainError("Mathieu series requires r > 1")
     x2 = float(x) ** 2
     total = 0.0
     k = 0
-    while k < ctl.max_terms:
+    while k < 200_000:
         k += 1
         total += 2.0 * k / (k * k + x2) ** r
         # midpoint-rule tail for the remaining monotone terms
         corr = ((k + 0.5) ** 2 + x2) ** (1.0 - r) / (r - 1.0)
         est = 2.0 * (2.0 * r - 1.0) / (k * k + x2) ** r  # ~ |f'(k)|/24 scale guard
-        if est <= ctl.rel_tol * (total + corr):
+        if est <= REL_TOL * (total + corr):
             return Evaluation(complex(total + corr), est, k, "series-tail-corrected")
-    raise NonConvergence("mathieu: max_terms exhausted")
+    raise NonConvergence("mathieu: 200000 terms exhausted")
 
 
-def mathieu_E(x: float, ctl: QuadControl = DEFAULT_QUAD) -> Evaluation:
+def mathieu_E(x: float) -> Evaluation:
     """Forcing term of the Omega ODE: the alternating Mathieu series S~_2.
 
     For x != 0 computed from the integral (1/x) int_0^oo u sin(xu)/(e^u+1) du,
@@ -202,7 +201,7 @@ def mathieu_E(x: float, ctl: QuadControl = DEFAULT_QUAD) -> Evaluation:
     def f(u: float) -> float:
         return u * math.sin(x * u) / (math.exp(u) + 1.0)
 
-    head, e1, p1 = adaptive_quad(f, 0.0, 2.0, ctl)
-    tail, e2, p2 = quad_decaying_tail(f, 2.0, rate=0.7, ctl=ctl, cutoff_scale=30.0)
+    head, e1, p1 = adaptive_quad(f, 0.0, 2.0)
+    tail, e2, p2 = quad_decaying_tail(f, 2.0, rate=0.7, cutoff_scale=30.0)
     val = (head + tail).real / x
     return Evaluation(complex(val), (e1 + e2) / abs(x), p1 + p2, "integral")

@@ -25,10 +25,10 @@ import functools
 import math
 from fractions import Fraction
 
-from .controls import Evaluation, QuadControl, SumControl, DEFAULT_QUAD
+from .controls import Evaluation
 from .errors import DomainError, PoleError
 from .quadrature import adaptive_quad, quad_decaying_tail
-from .summation import alternating_sum
+from .summation import REL_TOL, alternating_sum
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 PI = math.pi
@@ -110,14 +110,40 @@ _LANCZOS = (
 )
 
 
+def _lanczos(z: complex) -> tuple[complex, complex, complex]:
+    """(w, t, x) with Gamma(z) = sqrt(2 pi) t^(w+1/2) e^(-t) x, w = z - 1, Re z >= 1/2."""
+    w = z - 1.0
+    x = _LANCZOS[0]
+    for i in range(1, len(_LANCZOS)):
+        x += _LANCZOS[i] / (w + i)
+    return w, w + _LANCZOS_G + 0.5, x
+
+
+def _log_sin(w: complex) -> complex:
+    """log sin(w) up to a multiple of 2 pi i, overflow-safe for large |Im w|:
+    -+iw + log(+-(i/2)(1 - q)) with q = e^(+-2iw), |q| <= 1."""
+    sgn = 1.0 if w.imag >= 0 else -1.0
+    return -sgn * 1j * w + cmath.log(sgn * 0.5j * (1.0 - cmath.exp(sgn * 2j * w)))
+
+
+def _log_gamma(z: complex) -> complex:
+    """log Gamma(z) up to a multiple of 2 pi i: the Lanczos form in log space,
+    for Re z < 1/2 through log pi - log sin(pi z) - log Gamma(1 - z)."""
+    if z.real < 0.5:
+        return math.log(PI) - _log_sin(PI * z) - _log_gamma(1.0 - z)
+    w, t, x = _lanczos(z)
+    return (w + 0.5) * cmath.log(t) - t + cmath.log(math.sqrt(2.0 * PI) * x)
+
+
 def gamma(z) -> complex:
     """Gamma function, principal value, complex arguments admitted.
 
     Positive real arguments use the C library; elsewhere a Lanczos
     approximation (g = 7, 9 terms) with the reflection formula for
     Re z < 1/2.  Relative accuracy ~1e-13 on moderate arguments.  Where the
-    Lanczos product overflows it is formed in log space; raises DomainError
-    when Gamma(z) itself is not a double.
+    Lanczos product or the reflection overflows, Gamma(z) is formed in log
+    space, where it may underflow to 0; raises DomainError when Gamma(z)
+    is too large for a double.
     """
     z = as_complex(z)
     _guard_nonpositive_integer(z, "gamma")
@@ -126,23 +152,20 @@ def gamma(z) -> complex:
             return complex(math.gamma(z.real))
         except OverflowError:
             pass
-    if z.real < 0.5:
-        d = cmath.sin(PI * z) * gamma(1.0 - z)
-        # past a double, |d| puts |Gamma(z)| below pi/DBL_MAX: it underflows to 0
-        return PI / d if cmath.isfinite(d) else 0j
-    w = z - 1.0
-    x = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        x += _LANCZOS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
     try:
-        v = math.sqrt(2.0 * PI) * t ** (w + 0.5) * cmath.exp(-t) * x
-        if cmath.isfinite(v):
-            return v
-    except OverflowError:
+        if z.real < 0.5:
+            d = cmath.sin(PI * z) * gamma(1.0 - z)
+            if cmath.isfinite(d):
+                return PI / d
+        else:
+            w, t, x = _lanczos(z)
+            v = math.sqrt(2.0 * PI) * t ** (w + 0.5) * cmath.exp(-t) * x
+            if cmath.isfinite(v):
+                return v
+    except (OverflowError, DomainError):
         pass
     try:
-        return cmath.exp((w + 0.5) * cmath.log(t) - t + cmath.log(math.sqrt(2.0 * PI) * x))
+        return cmath.exp(_log_gamma(z))
     except OverflowError:
         raise DomainError(f"gamma({z}) is not representable in double precision") from None
 
@@ -202,16 +225,13 @@ def polygamma(r: int, z) -> complex:
 # ---------------------------------------------------------------------------
 # zeta family on the real line
 
-_ETA_CTL = SumControl(max_terms=4096, rel_tol=1e-12)
-
-
 def dirichlet_eta(s: float) -> float:
     """Dirichlet eta(s) = sum (-1)^(n-1) n^(-s), s > 0; eta(1) = log 2 exactly."""
     if s <= 0:
         raise DomainError("dirichlet_eta requires s > 0")
     if s == 1.0:
         return math.log(2.0)
-    value, _, _ = alternating_sum(lambda k: k ** (-s), _ETA_CTL)
+    value, _, _ = alternating_sum(lambda k: k ** (-s))
     return value.real
 
 
@@ -271,7 +291,7 @@ def pochhammer(rho, sigma: int) -> complex:
 _ZETA_ODD_VARIANTS = ("plain", "alternating", "real_part")
 
 
-def zeta_odd_series(z, variant: str = "plain", ctl: SumControl | None = None) -> Evaluation:
+def zeta_odd_series(z, variant: str = "plain") -> Evaluation:
     """Power series sum_k zeta(2k+1) z^(2k) (k >= 1) against its digamma form.
 
     variant "plain":        sum zeta(2k+1) z^(2k)        = -[psi(1+z)+psi(1-z)]/2 - gamma
@@ -289,7 +309,6 @@ def zeta_odd_series(z, variant: str = "plain", ctl: SumControl | None = None) ->
         raise DomainError("real_part variant requires real z")
     if abs(z) >= 1.0:
         raise DomainError("zeta_odd_series requires |z| < 1")
-    ctl = ctl or SumControl()
 
     if variant == "plain":
         closed = -0.5 * (digamma(1.0 + z) + digamma(1.0 - z)) - EULER_GAMMA
@@ -303,7 +322,7 @@ def zeta_odd_series(z, variant: str = "plain", ctl: SumControl | None = None) ->
     k = 0
     z2 = z * z
     p = 1.0 + 0.0j
-    while k < min(ctl.max_terms, 400):
+    while k < 400:
         k += 1
         p *= z2
         coeff = riemann_zeta(2 * k + 1)
@@ -312,7 +331,7 @@ def zeta_odd_series(z, variant: str = "plain", ctl: SumControl | None = None) ->
             t *= (-1.0) ** (k - 1)
         series += t
         term_bound = abs(t)
-        if term_bound <= ctl.rel_tol * max(abs(series), 1e-300) and k >= 4:
+        if term_bound <= REL_TOL * max(abs(series), 1e-300) and k >= 4:
             break
     disc = abs(series - closed)
     return Evaluation(
@@ -328,7 +347,7 @@ def zeta_odd_series(z, variant: str = "plain", ctl: SumControl | None = None) ->
 # ---------------------------------------------------------------------------
 # integral form of Re psi on the vertical line through 1
 
-def digamma_realpart_integral(t: float, ctl: QuadControl = DEFAULT_QUAD) -> float:
+def digamma_realpart_integral(t: float) -> float:
     """-gamma + 2*int_0^oo e^(-u) sin^2(t*u/(2*pi)) / sinh(u) du = Re psi(1 + i*t/(2*pi))."""
     if not math.isfinite(t):
         raise DomainError("t must be finite")
@@ -339,6 +358,6 @@ def digamma_realpart_integral(t: float, ctl: QuadControl = DEFAULT_QUAD) -> floa
             return freq * freq * u  # limit of sin^2/sinh
         return math.exp(-u) * math.sin(freq * u) ** 2 / math.sinh(u)
 
-    head, _, _ = adaptive_quad(f, 0.0, 1.0, ctl)
-    tail, _, _ = quad_decaying_tail(f, 1.0, rate=2.0, ctl=ctl, cutoff_scale=2.0)
+    head, _, _ = adaptive_quad(f, 0.0, 1.0)
+    tail, _, _ = quad_decaying_tail(f, 1.0, rate=2.0, cutoff_scale=2.0)
     return -EULER_GAMMA + 2.0 * (head + tail).real

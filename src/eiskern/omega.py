@@ -15,12 +15,12 @@ import cmath
 import functools
 import math
 
-from .controls import Evaluation, QuadControl, SumControl, DEFAULT_QUAD, DEFAULT_SUM
+from .controls import Evaluation
 from .errors import DomainError, NonConvergence, PoleError, StepError
 from .hilbert_eisenstein import mathieu_E
-from .numkern import PI, as_complex, coth, digamma, eta_odd, riemann_zeta
+from .numkern import PI, as_complex, bernoulli_number, coth, digamma, eta_odd, riemann_zeta
 from .quadrature import adaptive_quad
-from .summation import alternating_sum
+from .summation import REL_TOL, alternating_sum
 
 _TWO_PI = 2.0 * PI
 _HEAD = 1e-3  # analytic head panel below which the integrand uses its series
@@ -43,6 +43,13 @@ def _sinh_half_over_pi(ax: float, factor: float) -> float:
     return math.copysign(mag, factor)
 
 
+def _require_re_in_range(z: complex) -> None:
+    """The integrands and sinh(z/2) of the complex routes overflow past |Re z| ~ 1420."""
+    if abs(z.real) > _LOG_SPACE_X:
+        raise DomainError(f"this Omega route requires |Re z| <= {_LOG_SPACE_X:g}; "
+                          "real z has the log-space digamma route")
+
+
 def _real_brace(x: float) -> float:
     """The digamma brace of omega_digamma for real x, as a sum of real parts."""
     return (2.0 * math.log(2.0)
@@ -63,13 +70,14 @@ def _head_integral(z: complex, a: float) -> complex:
     return (z / PI) * (a + c2 * a ** 3 / 3.0 + c4 * a ** 5 / 5.0)
 
 
-def omega_quadrature(z, ctl: QuadControl = DEFAULT_QUAD) -> Evaluation:
+def omega_quadrature(z) -> Evaluation:
     """Adaptive quadrature of the definition; the u -> 0 panel is analytic."""
     z = as_complex(z)
+    _require_re_in_range(z)
     if z == 0:
         return Evaluation(0.0 + 0.0j, 0.0, 0, "quadrature")
     head = _head_integral(z, _HEAD)
-    body, err, panels = adaptive_quad(_definition_integrand(z), _HEAD, 0.5, ctl)
+    body, err, panels = adaptive_quad(_definition_integrand(z), _HEAD, 0.5)
     head_err = abs(z) ** 7 * _HEAD ** 7 / 5040.0 + abs(z) * PI ** 5 * _HEAD ** 7
     return Evaluation(2.0 * (head + body), 2.0 * err + 2.0 * head_err, panels, "quadrature")
 
@@ -95,10 +103,11 @@ def omega_digamma(z) -> complex:
     return cmath.sinh(0.5 * z) / PI * brace
 
 
-def omega_partial_fraction(z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
+def omega_partial_fraction(z) -> Evaluation:
     """Partial-fraction route: Omega(z) = (2/pi) sinh(z/2) sum_k (-1)^(k-1) k/(w^2+k^2)
     with w = z/(2 pi); poles where w hits i*Z minus 0."""
     z = as_complex(z)
+    _require_re_in_range(z)
     w = z / _TWO_PI
     k = round(w.imag)
     if k != 0 and abs(w - 1j * k) < 1e-10:
@@ -106,7 +115,7 @@ def omega_partial_fraction(z, ctl: SumControl = DEFAULT_SUM) -> Evaluation:
     if z == 0:
         return Evaluation(0.0 + 0.0j, 0.0, 0, "partial-fraction")
     w2 = w * w
-    s, err, used = alternating_sum(lambda k: k / (w2 + k * k), ctl)
+    s, err, used = alternating_sum(lambda k: k / (w2 + k * k))
     pref = 2.0 / PI * cmath.sinh(0.5 * z)
     return Evaluation(pref * s, abs(pref) * err, used, "partial-fraction")
 
@@ -125,8 +134,7 @@ def _taylor_coefficient(k: int) -> float:
     return s / 4.0 ** k
 
 
-def omega_moment(k: int, route: str = "closed",
-                 quad_ctl: QuadControl = DEFAULT_QUAD) -> float:
+def omega_moment(k: int, route: str = "closed") -> float:
     """Odd moment Omega_(2k+1) = 2 int_0^(1/2) u^(2k+1) cot(pi u) du.
 
     route "closed": the finite eta combination (2k+1)!/4^k * sum_n ...;
@@ -142,10 +150,9 @@ def omega_moment(k: int, route: str = "closed",
             return u ** (2 * k + 1) / math.tan(PI * u)
         head = _HEAD ** (2 * k + 1) / (PI * (2 * k + 1)) \
             - PI * _HEAD ** (2 * k + 3) / (3.0 * (2 * k + 3))
-        body, _, _ = adaptive_quad(f, _HEAD, 0.5, quad_ctl)
+        body, _, _ = adaptive_quad(f, _HEAD, 0.5)
         return 2.0 * (head + body.real)
     if route == "series":
-        from .numkern import bernoulli_number
         s = 1.0 / (2 * k + 1)
         n = 0
         term = 1.0
@@ -158,7 +165,7 @@ def omega_moment(k: int, route: str = "closed",
     raise DomainError(f"unknown moment route {route!r}")
 
 
-def omega_taylor(z, variant: str = "eta", ctl: SumControl = DEFAULT_SUM) -> Evaluation:
+def omega_taylor(z, variant: str = "eta") -> Evaluation:
     """Taylor routes on |z| < 2pi.
 
     variant "moments": sum_k Omega_(2k+1) z^(2k+1)/(2k+1)! with closed-form
@@ -178,7 +185,7 @@ def omega_taylor(z, variant: str = "eta", ctl: SumControl = DEFAULT_SUM) -> Eval
     z2 = z * z
     ratio = abs(z2) / (4.0 * PI * PI)
     k = 0
-    while k < min(ctl.max_terms, 400):
+    while k < 400:
         if variant == "moments":
             coeff = omega_moment(k, "closed") / math.factorial(2 * k + 1)
         else:
@@ -187,7 +194,7 @@ def omega_taylor(z, variant: str = "eta", ctl: SumControl = DEFAULT_SUM) -> Eval
         total += t
         zp *= z2
         k += 1
-        if k >= 4 and abs(t) <= ctl.rel_tol * max(1e-300, abs(total)):
+        if k >= 4 and abs(t) <= REL_TOL * max(1e-300, abs(total)):
             tail = abs(t) * ratio / max(1e-12, 1.0 - ratio)
             return Evaluation(total, tail, k, f"taylor-{variant}")
     raise NonConvergence("omega_taylor: term budget exhausted")
@@ -234,8 +241,7 @@ def omega_asymptotic_envelope(x: float) -> tuple[float, float, float]:
     return lo_coef, hi_coef, ratio
 
 
-def omega_ode_residual(x: float, h: float,
-                       quad_ctl: QuadControl = DEFAULT_QUAD) -> float:
+def omega_ode_residual(x: float, h: float) -> float:
     """Residual of the first-order ODE solved by Omega.
 
     |Omega'(x) - (1/2) coth(x/2) Omega(x) + (x/(2 pi^3)) sinh(x/2) E(x/(2 pi))|
@@ -253,15 +259,15 @@ def omega_ode_residual(x: float, h: float,
     if abs(x) < 1e-8:
         x_lim = 1e-6
         damp = 0.5 * coth(0.5 * x_lim).real * omega_digamma(x_lim).real
-        forcing = (x / PI ** 3) * math.sinh(0.5 * x) * mathieu_E(0.0, quad_ctl).value.real
+        forcing = (x / PI ** 3) * math.sinh(0.5 * x) * mathieu_E(0.0).value.real
         return abs(d_omega - damp + forcing)
     damp = 0.5 * coth(0.5 * x).real * omega_digamma(x).real
-    e_val = mathieu_E(x / _TWO_PI, quad_ctl).value.real
+    e_val = mathieu_E(x / _TWO_PI).value.real
     forcing = (x / (2.0 * PI ** 3)) * math.sinh(0.5 * x) * e_val
     return abs(d_omega - damp + forcing)
 
 
-def omega_eval(z, quad_ctl: QuadControl = DEFAULT_QUAD) -> Evaluation:
+def omega_eval(z) -> Evaluation:
     """Default route dispatch: digamma for real z and for complex |z| < 0.9*2pi
     (measured to be the cheapest accurate representation there), quadrature
     beyond; the partial-fraction and Taylor routes stay verification-only."""
@@ -269,10 +275,10 @@ def omega_eval(z, quad_ctl: QuadControl = DEFAULT_QUAD) -> Evaluation:
     if z.imag == 0.0 or abs(z) < 0.9 * _TWO_PI:
         val = omega_digamma(z)
         return Evaluation(val, 8e-16 * max(1.0, abs(val)), 0, "digamma")
-    return omega_quadrature(z, quad_ctl)
+    return omega_quadrature(z)
 
 
-def omega_pv_hilbert(z, ctl: QuadControl = DEFAULT_QUAD) -> Evaluation:
+def omega_pv_hilbert(z) -> Evaluation:
     """Principal-value Hilbert-transform form, folded onto [0, 1/2].
 
     PV int_(-1/2)^(1/2) e^(zu) cot(pi u) du  =  int_0^(1/2) (e^(zu) - e^(-zu)) cot(pi u) du,
@@ -280,6 +286,7 @@ def omega_pv_hilbert(z, ctl: QuadControl = DEFAULT_QUAD) -> Evaluation:
     independent code path.
     """
     z = as_complex(z)
+    _require_re_in_range(z)
     if z == 0:
         return Evaluation(0.0 + 0.0j, 0.0, 0, "pv-fold")
 
@@ -287,5 +294,5 @@ def omega_pv_hilbert(z, ctl: QuadControl = DEFAULT_QUAD) -> Evaluation:
         return (cmath.exp(z * u) - cmath.exp(-z * u)) / math.tan(PI * u)
 
     head = 2.0 * _head_integral(z, _HEAD)  # same series limit as the definition
-    body, err, panels = adaptive_quad(f, _HEAD, 0.5, ctl)
+    body, err, panels = adaptive_quad(f, _HEAD, 0.5)
     return Evaluation(head + body, err + 4e-16 * abs(head), panels, "pv-fold")

@@ -11,8 +11,13 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .controls import QuadControl, DEFAULT_QUAD
 from .errors import QuadratureFailure
+
+# The error budget max(ABS_TOL, _REL_TOL*|one-panel estimate|) is halved at
+# each bisection; _MAX_DEPTH caps how often a panel may be bisected.
+_MAX_DEPTH = 28
+ABS_TOL = 1e-12
+_REL_TOL = 1e-11
 
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -48,17 +53,17 @@ def _panel(f: Callable[[float], complex], a: float, b: float) -> complex:
     return half * total
 
 
-def adaptive_quad(f: Callable[[float], complex], a: float, b: float,
-                  ctl: QuadControl = DEFAULT_QUAD) -> tuple[complex, float, int]:
+def adaptive_quad(f: Callable[[float], complex], a: float,
+                  b: float) -> tuple[complex, float, int]:
     """Integrate f over [a, b]; returns (value, err_estimate, panel_count).
 
-    Raises QuadratureFailure when a subinterval still misses its budget at
-    ctl.max_depth.
+    Raises QuadratureFailure when a subinterval still misses its budget
+    after _MAX_DEPTH bisections.
     """
     if a == b:
         return 0.0 + 0.0j, 0.0, 0
     rough = _panel(f, a, b)
-    tol = max(ctl.abs_tol, ctl.rel_tol * abs(rough))
+    tol = max(ABS_TOL, _REL_TOL * abs(rough))
     value = 0.0 + 0.0j
     err = 0.0
     panels = 0
@@ -74,39 +79,42 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float,
         if disc <= budget or disc <= 1e-16 * abs(fine):
             value += fine
             err += disc
-        elif depth >= ctl.max_depth:
+        elif depth >= _MAX_DEPTH:
             raise QuadratureFailure(
-                f"panel [{lo}, {hi}] still off by {disc:.3e} at max_depth={ctl.max_depth}")
+                f"panel [{lo}, {hi}] still off by {disc:.3e} at depth {_MAX_DEPTH}")
         else:
             stack.append((lo, mid, left, budget / 2.0, depth + 1))
             stack.append((mid, hi, right, budget / 2.0, depth + 1))
     return value, err, panels
 
 
+def quad_segments(f: Callable[[float], complex], a: float,
+                  T: float) -> tuple[complex, float, int]:
+    """adaptive_quad over [a, T] on segments that double from length max(1, a)."""
+    value = 0.0 + 0.0j
+    err = 0.0
+    panels = 0
+    lo, seg = a, max(1.0, a)
+    while lo < T:
+        hi = min(lo + seg, T)
+        v, e, p = adaptive_quad(f, lo, hi)
+        value += v
+        err += e
+        panels += p
+        lo, seg = hi, seg * 2.0
+    return value, err, panels
+
+
 def quad_decaying_tail(f: Callable[[float], complex], a: float, rate: float,
-                       ctl: QuadControl = DEFAULT_QUAD,
                        cutoff_scale: float = 1.0) -> tuple[complex, float, int]:
     """Integrate f over [a, oo) for |f(t)| <~ cutoff_scale * e^(-rate*t).
 
     Truncates at T where the exponential bound drops below the absolute
-    tolerance and integrates geometric segments adaptively.
+    tolerance ABS_TOL and integrates geometric segments adaptively.
     """
     if rate <= 0:
         raise QuadratureFailure("tail integral needs a positive decay rate")
-    target = ctl.abs_tol * 0.1
+    target = ABS_TOL * 0.1
     T = a + max(8.0, (math.log(max(cutoff_scale, 1e-300)) - math.log(target)) / rate)
-    value = 0.0 + 0.0j
-    err = 0.0
-    panels = 0
-    lo = a
-    seg = max(1.0, a)
-    while lo < T:
-        hi = min(lo + seg, T)
-        v, e, p = adaptive_quad(f, lo, hi, ctl)
-        value += v
-        err += e
-        panels += p
-        lo = hi
-        seg *= 2.0
-    err += target  # truncated tail allowance
-    return value, err, panels
+    value, err, panels = quad_segments(f, a, T)
+    return value, err + target, panels  # target: truncated tail allowance

@@ -9,10 +9,10 @@ import sys
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .controls import SumControl, DEFAULT_SUM
 from .errors import NonConvergence
 
 _EPS = sys.float_info.epsilon
+REL_TOL = 1e-12  # relative truncation target of every series engine and power-series loop
 
 
 def richardson_limit(term: Callable[[int], complex], n0: int, levels: int,
@@ -56,30 +56,28 @@ def _crvz(terms: Sequence[complex], n: int) -> complex:
     return s / d
 
 
-def alternating_sum(term: Callable[[int], complex], ctl: SumControl = DEFAULT_SUM,
-                    start: int = 1) -> tuple[complex, float, int]:
-    """Sum_{k>=start} (-1)^(k-start) term(k) with term(k) the unsigned tail.
+def alternating_sum(term: Callable[[int], complex]) -> tuple[complex, float, int]:
+    """Sum_{k>=1} (-1)^(k-1) term(k) with term(k) the unsigned tail.
 
-    CRVZ on n = min(32, max_terms) terms with truncation error
-    |CRVZ_n - CRVZ_(n-8)|; if that misses rel_tol, the epsilon algorithm on
-    blocks of 128, 512, 2048 terms (capped by max_terms) until one meets it.
+    CRVZ on 32 terms with truncation error |CRVZ_32 - CRVZ_24|; if that
+    misses REL_TOL, the epsilon algorithm on blocks of 128, 512, 2048 terms
+    until one meets it (NonConvergence when even 2048 terms miss 128*REL_TOL).
     The error adds the rounding floor sqrt(n)*eps*sum|t_k|.
     """
-    converged = lambda v, e, mult=1.0: e <= max(mult * ctl.rel_tol * abs(v), 1e-16)
-    n = min(32, ctl.max_terms)
-    terms = [term(start + j) for j in range(n)]
-    value = _crvz(terms, n)
-    trunc = abs(value - _crvz(terms, n - 8))
+    converged = lambda v, e, mult=1.0: e <= max(mult * REL_TOL * abs(v), 1e-16)
+    terms = [term(k) for k in range(1, 33)]
+    value = _crvz(terms, 32)
+    trunc = abs(value - _crvz(terms, 24))
     if not converged(value, trunc):
         # modulated moduli defeat CRVZ; epsilon resums unit-circle transients
-        for size in sorted({min(b, ctl.max_terms) for b in (128, 512, 2048)}):
-            terms += [term(start + j) for j in range(len(terms), size)]
+        for size in (128, 512, 2048):
+            terms += [term(k) for k in range(len(terms) + 1, size + 1)]
             partials = list(accumulate(t if j % 2 == 0 else -t for j, t in enumerate(terms)))
             value, trunc = wynn_epsilon(partials[-64:])
             if converged(value, trunc):
                 break
         if not converged(value, trunc, 128.0):  # best effort: a generous multiple
-            raise NonConvergence("alternating series: acceleration did not reach rel_tol")
+            raise NonConvergence("alternating series: acceleration did not reach REL_TOL")
     return value, trunc + math.sqrt(len(terms)) * _EPS * sum(map(abs, terms)), len(terms)
 
 
@@ -119,17 +117,17 @@ def wynn_epsilon(partials: Sequence[complex]) -> tuple[complex, float]:
     return best, abs(best - prev_best) + floor
 
 
-def power_tail(s: float, n: int, j_max: int = 8) -> float:
+def power_tail(s: float, n: int) -> float:
     """Euler-Maclaurin estimate of sum_{k>n} k^(-s) for real s > 1.
 
-    tail = n^(1-s)/(s-1) - n^(-s)/2 + sum_j B_2j/(2j)! (s)_{2j-1} n^(-s-2j+1)
+    tail = n^(1-s)/(s-1) - n^(-s)/2 + sum_{j<=8} B_2j/(2j)! (s)_{2j-1} n^(-s-2j+1)
     """
     from .numkern import bernoulli_number  # local import avoids a cycle
 
     tail = n ** (1.0 - s) / (s - 1.0) - 0.5 * n ** (-s)
     rising = s
     fact = 1.0
-    for j in range(1, j_max + 1):
+    for j in range(1, 9):
         fact *= (2 * j - 1) * (2 * j)
         if j > 1:
             rising *= (s + 2 * j - 3) * (s + 2 * j - 2)

@@ -86,6 +86,26 @@ def test_eval_omega_not_a_double_exits_2(capsys):
     assert "not representable" in err
 
 
+def test_eval_omega_complex_past_re_1400_exits_2(capsys):
+    rc, _, err = run(["eval", "omega", "1500+1i"], capsys)
+    assert rc == 2
+    assert "|Re z| <= 1400" in err
+
+
+def test_eval_he_real_axis_routes_reject_complex_z(capsys):
+    rc, out, _ = run(["eval", "he", "1", "0.5+0.3i", "--json"], capsys)
+    assert rc == 0
+    value = json.loads(out)["value"]
+    assert complex(value["re"], value["im"]) == pytest.approx(
+        0.36423728261254806 + 1.0368832550179363j, rel=1e-12)
+    for route in ("real", "eisenstein", "coth"):
+        rc, _, err = run(["eval", "he", "1", "0.5+0.3i", "--route", route], capsys)
+        assert rc == 2
+        assert "a real argument is required" in err
+    rc, out, _ = run(["eval", "he", "1", "0.5", "--route", "real"], capsys)
+    assert rc == 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 

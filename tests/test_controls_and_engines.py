@@ -1,5 +1,5 @@
-"""Control dataclass invariants, the quadrature rule, engine guards and
-reproducible suite runs."""
+"""The result record, the quadrature rule, engine guards at the fixed
+budgets and reproducible suite runs."""
 from __future__ import annotations
 
 import json
@@ -8,28 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from eiskern import (Evaluation, NonConvergence, PoleError, QuadControl,
-                     QuadratureFailure, SumControl, eisenstein_direct,
-                     eisenstein_integral, mathieu_E, omega_pv_hilbert,
-                     omega_quadrature)
+from eiskern import (Evaluation, NonConvergence, PoleError, QuadratureFailure,
+                     eisenstein_direct, eisenstein_integral, mathieu_E,
+                     omega_pv_hilbert, omega_quadrature)
 from eiskern.quadrature import _WS, _XS, adaptive_quad
 from eiskern.suites import REPORT_ONLY, SUITES, SuiteConfig, run_suites
-
-
-def test_sum_control_invariants():
-    with pytest.raises(ValueError):
-        SumControl(max_terms=4)
-    with pytest.raises(ValueError):
-        SumControl(rel_tol=1e-18)
-    ctl = SumControl(max_terms=64, rel_tol=1e-10)
-    assert ctl.max_terms == 64
-
-
-def test_quad_control_invariants():
-    with pytest.raises(ValueError):
-        QuadControl(max_depth=0)
-    with pytest.raises(ValueError):
-        QuadControl(abs_tol=0.0)
 
 
 def test_evaluation_diagnostics_default():
@@ -58,15 +41,15 @@ def test_adaptive_quad_basics():
 
 
 def test_adaptive_quad_failure_on_depth():
-    ctl = QuadControl(max_depth=2, abs_tol=1e-15, rel_tol=1e-15)
+    # the cusp keeps its bisected panels off budget down to the depth cap
     with pytest.raises(QuadratureFailure):
-        adaptive_quad(lambda t: abs(t - 0.3537) ** 0.2, 0.0, 1.0, ctl)
+        adaptive_quad(lambda t: abs(t - 0.3537) ** 0.2, 0.0, 1.0)
 
 
-def test_direct_nonconvergence_when_budget_tiny():
-    ctl = SumControl(max_terms=32, rel_tol=1e-12)
+def test_direct_nonconvergence_far_from_real_axis():
+    # the tail of sum (z+k)^-2 only settles once N >> |Im z|; 16384 terms are too few
     with pytest.raises(NonConvergence):
-        eisenstein_direct(2, 0.3 + 0.4j, ctl)
+        eisenstein_direct(2, 0.3 + 30j)
 
 
 def test_integral_pole_guard():

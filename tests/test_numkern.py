@@ -86,6 +86,13 @@ def test_gamma_examples():
         with pytest.raises(DomainError):
             gamma(z)
     assert abs(gamma(-170.5 + 1j)) < 1e-300    # reflection of a finite Gamma(171.5 - i)
+    # sin(pi z) or Gamma(1 - z) overflows: the reflection runs in log space
+    assert gamma(-0.5 + 227j) == pytest.approx(
+        -1.1518337829078916e-157 - 1.0159198242067677e-157j, rel=1e-11)
+    assert gamma(-3 + 300j) == pytest.approx(
+        -2.8792833658719148e-214 - 1.1465666882439301e-213j, rel=1e-11)
+    assert gamma(-171.5) == pytest.approx(1.9316265431711996e-310, abs=1e-320)
+    assert gamma(-180.5) == 0    # -1.16e-330 underflows
 
 
 def test_gamma_recurrence_grid():

@@ -178,6 +178,14 @@ def test_large_x_in_log_space_or_typed_error():
         omega_digamma(1e4)
     with pytest.raises(DomainError):
         omega_bounds(2000.0)
+    # the complex routes overflow past |Re z| ~ 1420: finite up to 1400, typed beyond
+    routes = (omega_quadrature, omega_pv_hilbert, omega_partial_fraction)
+    for z in (1400 + 1j, -1400 + 1j):
+        assert all(cmath.isfinite(route(z).value) for route in routes)
+    for z in (1430 + 1j, 1500 + 1j, -1500 + 1j):
+        for route in routes:
+            with pytest.raises(DomainError, match=r"\|Re z\| <= 1400"):
+                route(z)
 
 
 def test_envelope_membership_and_caption_constant():

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from eiskern import SumControl
 from eiskern.summation import (alternating_sum, power_tail, richardson_limit,
                                wynn_epsilon)
 
@@ -141,5 +140,5 @@ def test_err_estimate_bounds_true_error():
             assert abs(ev.value - he_oracle(r, z)) <= ev.err_estimate, (r, z)
 
     for s in (0.01, 0.5, 1.5, 3.0, 7.0, 4001.0):
-        v, err, _ = alternating_sum(lambda k: k ** -s, SumControl(max_terms=4096))
+        v, err, _ = alternating_sum(lambda k: k ** -s)
         assert abs(v.real - float(mp.altzeta(s))) <= err, s
