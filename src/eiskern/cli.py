@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import conj_bernoulli as cb
@@ -331,15 +330,11 @@ def cmd_plotdata(ns) -> int:
             lo, hi = om.omega_bounds(x)
             rows.append([x, om.omega_digamma(x).real, lo, hi])
         return _csv_out(rows, ns)
-    lo_c, hi_c, _ = om.omega_asymptotic_envelope(500.0)
     rows = [["x", "sign_lower", "log_abs_lower", "sign_upper", "log_abs_upper",
              "sign_approx", "log_abs_approx"]]
     for i in range(401):
         x = (50000 + i) / 100.0
-        log_lower = 0.5 * x + math.log(-lo_c)
-        log_upper = 0.5 * x + math.log(hi_c)
-        log_sinh = 0.5 * x + math.log1p(-math.exp(-x)) - math.log(2.0)
-        log_approx = math.log(hi_c) + log_sinh
+        log_lower, log_upper, log_approx = om.omega_log_envelope(x)
         rows.append([x, -1.0, log_lower, 1.0, log_upper, 1.0, log_approx])
     return _csv_out(rows, ns)
 

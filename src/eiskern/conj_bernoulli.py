@@ -16,8 +16,8 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, NonConvergence
-from .numkern import (PI, as_complex, bernoulli_number, bernoulli_poly, coth,
-                      digamma, dirichlet_eta, riemann_zeta)
+from .numkern import (PI, as_complex, bernoulli_poly, coth, digamma, dirichlet_eta,
+                      eta_odd, riemann_zeta)
 from .summation import REL_TOL, power_tail, wynn_epsilon
 
 _TWO_PI = 2.0 * PI
@@ -171,8 +171,7 @@ def zeta_even_euler(m: int) -> float:
     """Euler: zeta(2m) = (-1)^(m+1) 2^(2m-1) pi^(2m) B_(2m) / (2m)!."""
     if m < 1:
         raise DomainError("even-zeta representation needs m >= 1")
-    b = float(bernoulli_number(2 * m))
-    return (-1.0) ** (m + 1) * 2.0 ** (2 * m - 1) * PI ** (2 * m) * b / math.factorial(2 * m)
+    return riemann_zeta(2.0 * m)  # its even-integer branch is this closed form
 
 
 def fractional_bernoulli(alpha: float, x: float) -> float:
@@ -224,7 +223,7 @@ def conjecture_double_sum(j: int, z: float) -> ConjectureCheck:
         raise DomainError("conjecture checks run on 0 < z < 1")
     total = 0.0
     for k in range(j + 1):
-        inner = sum((-1.0) ** n * dirichlet_eta(float(2 * n + 1))
+        inner = sum((-1.0) ** n * eta_odd(n)
                     / (PI ** (2 * n) * math.factorial(2 * (k - n) + 1))
                     for n in range(k + 1))
         total += bernoulli_poly(2 * j - 2 * k, z) / (4.0 ** k * math.factorial(2 * j - 2 * k)) * inner

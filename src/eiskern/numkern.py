@@ -312,10 +312,10 @@ def zeta_odd_series(z, variant: str = "plain") -> Evaluation:
 
     if variant == "plain":
         closed = -0.5 * (digamma(1.0 + z) + digamma(1.0 - z)) - EULER_GAMMA
-    else:
+    elif variant == "alternating":
         closed = 0.5 * (digamma(1.0 + 1j * z) + digamma(1.0 - 1j * z)) + EULER_GAMMA
-        if variant == "real_part":
-            closed = complex(EULER_GAMMA + digamma(1.0 + 1j * z).real)
+    else:
+        closed = complex(EULER_GAMMA + digamma(1.0 + 1j * z).real)
 
     series = 0.0 + 0.0j
     term_bound = 1.0

@@ -25,7 +25,10 @@ from .summation import REL_TOL, alternating_sum
 _TWO_PI = 2.0 * PI
 _HEAD = 1e-3  # analytic head panel below which the integrand uses its series
 _ZETA3 = riemann_zeta(3.0)  # shared by the bounds and the envelope
+_ENVELOPE_LO = math.log(_ZETA3 / 3.0) / _TWO_PI
+_ENVELOPE_HI = math.log(3.0 / _ZETA3) / _TWO_PI
 _LOG_SPACE_X = 1400.0  # sinh(x/2) overflows past x ~ 1420.9; beyond this, log space
+_CLOSED_MOMENT_K = 5  # largest k for which the closed moment route keeps 11 digits
 
 
 def _sinh_half_over_pi(ax: float, factor: float) -> float:
@@ -123,8 +126,8 @@ def omega_partial_fraction(z) -> Evaluation:
 # ---------------------------------------------------------------------------
 # moments and the Taylor routes
 
-# Cached up to the largest k asked for: omega_taylor stops at k < 400, the
-# closed moment route adds the caller's k.
+# Both coefficient tables are cached up to the largest k that omega_taylor
+# asks for (k < 400); the closed moment route adds k <= _CLOSED_MOMENT_K.
 @functools.cache
 def _taylor_coefficient(k: int) -> float:
     # coefficient of z^(2k+1): 4^(-k) sum_{n<=k} (-1)^n eta(2n+1) / (pi^(2n+1) (2(k-n)+1)!)
@@ -134,16 +137,27 @@ def _taylor_coefficient(k: int) -> float:
     return s / 4.0 ** k
 
 
+@functools.cache
+def _moment_coefficient(k: int) -> float:
+    # the same coefficient Omega_(2k+1)/(2k+1)! from the Bernoulli series
+    return omega_moment(k, "series") / math.factorial(2 * k + 1)
+
+
 def omega_moment(k: int, route: str = "closed") -> float:
     """Odd moment Omega_(2k+1) = 2 int_0^(1/2) u^(2k+1) cot(pi u) du.
 
-    route "closed": the finite eta combination (2k+1)!/4^k * sum_n ...;
+    route "closed": the finite eta combination (2k+1)!/4^k * sum_n ..., k <= 5;
+    its alternating sum cancels (relative error 7.9e-12 at k = 5, 1.5e-7 at
+    k = 8), so larger k raise DomainError;
     route "quadrature": the defining integral;
     route "series": (4^(-k)/pi)[1/(2k+1) + sum_n (-1)^n B_2n pi^(2n)/((2n)!(2k+2n+1))].
     """
     if k < 0:
         raise DomainError("moment index must be >= 0")
     if route == "closed":
+        if k > _CLOSED_MOMENT_K:
+            raise DomainError(f"closed moment route requires k <= {_CLOSED_MOMENT_K} "
+                              "(it cancels to few digits beyond); use route 'series'")
         return math.factorial(2 * k + 1) * _taylor_coefficient(k)
     if route == "quadrature":
         def f(u: float) -> complex:
@@ -168,10 +182,11 @@ def omega_moment(k: int, route: str = "closed") -> float:
 def omega_taylor(z, variant: str = "eta") -> Evaluation:
     """Taylor routes on |z| < 2pi.
 
-    variant "moments": sum_k Omega_(2k+1) z^(2k+1)/(2k+1)! with closed-form
-    moments; variant "eta": the rearranged double sum with explicit eta
-    coefficients.  The two coefficient sets are algebraically identical,
-    which the moment tests pin down numerically.
+    variant "moments": sum_k Omega_(2k+1) z^(2k+1)/(2k+1)! with the moments
+    from their Bernoulli series; variant "eta": the rearranged double sum with
+    explicit eta coefficients.  The two coefficient sets are computed
+    independently (Bernoulli numbers against eta(2n+1)), so their agreement
+    is a check of both.
     """
     if variant not in ("moments", "eta"):
         raise DomainError(f"unknown taylor variant {variant!r}")
@@ -184,13 +199,10 @@ def omega_taylor(z, variant: str = "eta") -> Evaluation:
     zp = z
     z2 = z * z
     ratio = abs(z2) / (4.0 * PI * PI)
+    coefficient = _moment_coefficient if variant == "moments" else _taylor_coefficient
     k = 0
     while k < 400:
-        if variant == "moments":
-            coeff = omega_moment(k, "closed") / math.factorial(2 * k + 1)
-        else:
-            coeff = _taylor_coefficient(k)
-        t = coeff * zp
+        t = coefficient(k) * zp
         total += t
         zp *= z2
         k += 1
@@ -235,10 +247,19 @@ def omega_asymptotic_envelope(x: float) -> tuple[float, float, float]:
     x = float(x)
     if x < 10.0:
         raise DomainError("envelope check is defined for x >= 10")
-    lo_coef = math.log(_ZETA3 / 3.0) / _TWO_PI
-    hi_coef = math.log(3.0 / _ZETA3) / _TWO_PI
     ratio = -math.expm1(-x) / (2.0 * PI) * _real_brace(x)
-    return lo_coef, hi_coef, ratio
+    return _ENVELOPE_LO, _ENVELOPE_HI, ratio
+
+
+def omega_log_envelope(x: float) -> tuple[float, float, float]:
+    """Logs of |lower| and upper envelope, e^(x/2) times each coefficient, and
+    of the approximant hi*sinh(x/2), overflow-free at any large x."""
+    x = float(x)
+    if x < 10.0:
+        raise DomainError("envelope check is defined for x >= 10")
+    log_hi = math.log(_ENVELOPE_HI)
+    return (0.5 * x + math.log(-_ENVELOPE_LO), 0.5 * x + log_hi,
+            log_hi + 0.5 * x + math.log1p(-math.exp(-x)) - math.log(2.0))
 
 
 def omega_ode_residual(x: float, h: float) -> float:

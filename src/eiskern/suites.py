@@ -5,6 +5,10 @@ a configurable grid; run_suites builds its CheckSuite, times it and counts
 passes and fails.  Records carry both discrepancies, the tolerance and policy
 that decided the pass flag, and an anchor string naming the identity being
 instantiated.  The suites in REPORT_ONLY never affect exit codes.
+
+Each gating record compares two code paths that differ in arithmetic, not
+only in order, sign or conjugation: a check whose sides run the same
+arithmetic reads 0 on every input and cannot fail.
 """
 from __future__ import annotations
 
@@ -191,28 +195,28 @@ def _fmt(z: complex) -> str:
 # ---------------------------------------------------------------------------
 # suites
 
+def _unit_strip_draws(rng: random.Random, left: int, n: int = 200) -> list[complex]:
+    """n points with left <= Re z < left + 1 and |Im z| <= 5, 0.1 off both integers."""
+    pts = []
+    while len(pts) < n:
+        z = complex(rng.uniform(left, left + 1), rng.uniform(-5, 5))
+        if min(abs(z - left), abs(z - left - 1)) >= 0.1:
+            pts.append(z)
+    return pts
+
+
 def run_numkern_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
     rng = random.Random(cfg.seed + 3)
 
-    count = 0
-    while count < 200:
-        z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if min(abs(z - n) for n in range(-6, 7)) < 0.1:
-            continue
-        count += 1
-        lhs = nk.digamma(z + 1)
-        rhs = nk.digamma(z) + 1.0 / z
-        rec.check(f"recurrence z={_fmt(z)}", lhs, rhs, 1e-12, "abs_or_rel",
-                  "digamma recurrence psi(z+1) = psi(z) + 1/z")
-        lhs = nk.digamma(1.0 - z) - nk.digamma(z)
-        rhs = PI * nk.cot(PI * z)
-        rec.check(f"reflection z={_fmt(z)}", lhs, rhs, 1e-11, "abs_or_rel",
+    # digamma reflects for Re z < 0: here psi(z) is reflected and psi(z+1) is not
+    for z in _unit_strip_draws(rng, -1):
+        rec.check(f"recurrence z={_fmt(z)}", nk.digamma(z + 1), nk.digamma(z) + 1.0 / z,
+                  1e-12, "abs_or_rel", "digamma recurrence psi(z+1) = psi(z) + 1/z")
+    # here neither psi(z) nor psi(1-z) is reflected, so the cotangent is independent
+    for z in _unit_strip_draws(rng, 0):
+        rec.check(f"reflection z={_fmt(z)}", nk.digamma(1.0 - z) - nk.digamma(z),
+                  PI * nk.cot(PI * z), 1e-11, "abs_or_rel",
                   "digamma reflection against pi*cot(pi z)")
-        if count <= 50:
-            lhs = nk.digamma(z.conjugate())
-            rhs = nk.digamma(z).conjugate()
-            rec.check(f"conjugate z={_fmt(z)}", lhs, rhs, 1e-13, "abs_or_rel",
-                      "digamma mirror symmetry psi(conj z) = conj psi(z)")
 
     h = 1e-5
     pts = [complex(1.1 + 0.45 * i, 0.3 * ((i % 3) - 1)) for i in range(20)]
@@ -227,9 +231,6 @@ def run_numkern_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
         rec.check(f"eta/zeta s={s}", nk.dirichlet_eta(s),
                   -math.expm1((1 - s) * LOG2) * nk.riemann_zeta(s), 1e-12, "rel",
                   "eta(s) = (1 - 2^(1-s)) zeta(s)")
-        rec.check(f"lambda/zeta s={s}", nk.dirichlet_lambda(max(s, 1.5)),
-                  -math.expm1(-max(s, 1.5) * LOG2) * nk.riemann_zeta(max(s, 1.5)),
-                  1e-12, "rel", "lambda(s) = (1 - 2^(-s)) zeta(s)")
 
     # dirichlet_eta, not riemann_zeta: zeta at even integers is computed from B_2m
     for m in range(1, 11):
@@ -279,9 +280,6 @@ def run_eisenstein_properties(rec: CheckSuite, cfg: SuiteConfig) -> None:
             b = eis.eisenstein_direct(r, z).value
             rec.check(f"periodicity r={r} z={_fmt(z)}", a, b, 1e-10, "abs_or_rel",
                       "one-periodicity of the Eisenstein series")
-            a = eis.eisenstein_direct(r, -z).value
-            rec.check(f"parity r={r} z={_fmt(z)}", a, (-1.0) ** r * b, 1e-10,
-                      "abs_or_rel", "parity eps_r(-z) = (-1)^r eps_r(z)")
     h = 1e-5
     for z in pts[:6]:
         for r in range(1, 7):
@@ -364,12 +362,6 @@ def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
                       he.he_direct(r, x).value, 1e-9, "abs_or_rel",
                       "real-axis Re/Im split of the HE closed form")
     for x in (0.5, 1.0, 1.3):
-        a = he.he_via_eisenstein(1, x)
-        b = he.he_via_eisenstein(1, x, form="coth")
-        rec.check(f"coth continuation x={x}", a, b, 1e-12, "abs",
-                  "Eisenstein vs coth continuation on the imaginary axis")
-        rec.check(f"via-eisenstein x={x}", a, he.he_closed(1, x), 1e-9, "abs_or_rel",
-                  "HE through the classical Eisenstein series")
         for r in (2, 3):
             rec.check(f"via-eisenstein r={r} x={x}", he.he_via_eisenstein(r, x),
                       he.he_direct(r, x).value, 1e-8, "abs_or_rel",
@@ -379,14 +371,6 @@ def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
         s = 1.0 / z + sum((-1.0) ** k * 2.0 * z / (z * z + k * k) for k in range(1, n + 1))
         rec.check(f"sinh expansion z={_fmt(complex(z))}", s, PI / cmath.sinh(PI * z),
                   1e-8, "abs", "alternating partial fractions of pi/sinh(pi z)")
-    for x in (0.4, 1.0, 2.2):
-        for r in (1, 2, 3):
-            v = he.he_real(r, x)
-            rec.check(f"imaginary-only r={r} x={x}", complex(v.real), 0.0, 1e-12,
-                      "abs", "HE values on the real axis are purely imaginary")
-            v = he.he_direct(r, x).value
-            rec.check(f"imaginary-only direct r={r} x={x}", complex(v.real), 0.0,
-                      1e-12, "abs", "HE values on the real axis are purely imaginary")
 
 
 def run_omega_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
@@ -415,23 +399,12 @@ def run_omega_symmetry(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for x in grid:
         for y in grid:
             z = complex(x, y)
+            pf = om.omega_partial_fraction(z).value
             rec.check(f"mirror z={_fmt(z)}", om.omega_digamma(z.conjugate()),
-                      om.omega_digamma(z).conjugate(), 1e-12, "abs",
+                      pf.conjugate(), 1e-12, "abs",
                       "mirror symmetry Omega(conj z) = conj Omega(z)")
-            rec.check(f"oddness z={_fmt(z)}", om.omega_digamma(-z),
-                      -om.omega_digamma(z), 1e-12, "abs",
+            rec.check(f"oddness z={_fmt(z)}", om.omega_digamma(-z), -pf, 1e-12, "abs",
                       "oddness of the Omega function")
-            a = om.omega_digamma(complex(x, y))
-            b = om.omega_digamma(complex(x, -y))
-            rec.check(f"reflex-re z={_fmt(z)}", complex(a.real), complex(b.real),
-                      1e-12, "abs", "reflexivity of Re Omega across the real axis")
-            rec.check(f"reflex-im z={_fmt(z)}", complex(a.imag), complex(-b.imag),
-                      1e-12, "abs", "reflexivity of Im Omega across the real axis")
-    for x in grid:
-        rec.check(f"real-line x={x}", complex(om.omega_digamma(x).imag), 0.0,
-                  1e-12, "abs", "Omega is real on the real axis")
-        rec.check(f"imag-line y={x}", complex(om.omega_quadrature(1j * x).value.real),
-                  0.0, 1e-12, "abs", "Omega is purely imaginary on the imaginary axis")
 
 
 def run_omega_moments(rec: CheckSuite, cfg: SuiteConfig) -> None:
@@ -472,13 +445,11 @@ def run_omega_asymptotic(rec: CheckSuite, cfg: SuiteConfig) -> None:
                         "large-x envelope membership of Omega/e^(x/2)")
         rec.check(f"x={x} measured ratio", complex(ratio), complex(hi), 1e9,
                   "report", "measured decay ratio, reported without assertion")
-    lo, hi, _ = om.omega_asymptotic_envelope(500.0)
+    _, hi, _ = om.omega_asymptotic_envelope(500.0)
     rec.check("caption constant", complex(hi), 0.146, 5e-4, "abs",
               "upper envelope coefficient printed as 0.146")
     for x in (500.0, 502.0, 504.0):
-        log_lower = 0.5 * x + math.log(-lo)
-        log_upper = 0.5 * x + math.log(hi)
-        log_approx = math.log(hi) + 0.5 * x + math.log1p(-math.exp(-x)) - LOG2
+        log_lower, log_upper, log_approx = om.omega_log_envelope(x)
         rec.lower_bound(f"x={x} log-space order", log_upper - log_approx, 0.0,
                         "log-space ordering of envelope and approximant")
         rec.check(f"x={x} log-space report", complex(log_approx),

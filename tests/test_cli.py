@@ -92,6 +92,15 @@ def test_eval_omega_complex_past_re_1400_exits_2(capsys):
     assert "|Re z| <= 1400" in err
 
 
+def test_eval_closed_moment_past_k_5_exits_2(capsys):
+    rc, out, err = run(["eval", "moment", "20"], capsys)
+    assert rc == 2 and out == ""
+    assert "use route 'series'" in err
+    rc, out, _ = run(["eval", "moment", "20", "--route", "series", "--json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["value"]["re"] == pytest.approx(3.9651845345949627e-16, rel=1e-13)
+
+
 def test_eval_he_real_axis_routes_reject_complex_z(capsys):
     rc, out, _ = run(["eval", "he", "1", "0.5+0.3i", "--json"], capsys)
     assert rc == 0

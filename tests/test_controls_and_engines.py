@@ -1,9 +1,11 @@
 """The result record, the quadrature rule, engine guards at the fixed
-budgets and reproducible suite runs."""
+budgets, reproducible suite runs, and no check that holds by construction."""
 from __future__ import annotations
 
 import json
 import math
+import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from eiskern import (Evaluation, NonConvergence, PoleError, QuadratureFailure,
                      eisenstein_direct, eisenstein_integral, mathieu_E,
                      omega_pv_hilbert, omega_quadrature)
 from eiskern.quadrature import _WS, _XS, adaptive_quad
-from eiskern.suites import REPORT_ONLY, SUITES, SuiteConfig, run_suites
+from eiskern.suites import REPORT_ONLY, SuiteConfig, run_suites
 
 
 def test_evaluation_diagnostics_default():
@@ -67,11 +69,30 @@ def test_run_suites_reproducible(monkeypatch):
     assert a == b
 
 
-def test_run_suites_owns_report_only_and_timing(monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-    results = run_suites(SuiteConfig(), list(SUITES))
-    assert {s.name for s in results if s.report_only} == REPORT_ONLY
-    for s in results:
+def test_run_suites_owns_report_only_and_timing(all_suites):
+    assert {s.name for s in all_suites if s.report_only} == REPORT_ONLY
+    for s in all_suites:
         assert s.wall_time_ms == 0.0
         assert s.pass_count == sum(r.passed for r in s.records)
         assert s.pass_count + s.fail_count == len(s.records) > 0
+
+
+# a real a, or a complex a+bi as the labels print it
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
+                     r"(?:[-+](?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?i)?")
+
+
+def test_no_gating_family_holds_by_construction(all_suites):
+    # A family is a label with its numbers replaced by #.  When every record of
+    # a family has discrepancy exactly 0, its two sides run the same arithmetic
+    # and the check cannot fail.
+    families = defaultdict(list)
+    for s in all_suites:
+        if s.report_only:
+            continue
+        for r in s.records:
+            if r.policy in ("abs", "rel", "abs_or_rel"):
+                families[s.name, _NUMBER.sub("#", r.inputs)].append(r.abs_disc)
+    exact = sorted(f for f, discs in families.items()
+                   if len(discs) >= 3 and all(d == 0.0 for d in discs))
+    assert exact == []

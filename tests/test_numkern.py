@@ -18,6 +18,7 @@ from eiskern import (EULER_GAMMA, DomainError, PoleError, bernoulli_number,
                      bernoulli_poly, digamma, digamma_realpart_integral,
                      dirichlet_eta, dirichlet_lambda, gamma, pochhammer,
                      polygamma, riemann_zeta, zeta_odd_series)
+from eiskern import numkern as nk
 
 PI = math.pi
 LOG2 = math.log(2.0)
@@ -284,6 +285,15 @@ def test_zeta_odd_series_alternating_matches_real_part():
     b = zeta_odd_series(0.5, "real_part")
     assert abs(a.value - b.value) < 1e-13
     assert a.value.real == pytest.approx(0.24832930767207, abs=1e-12)
+
+
+def test_zeta_odd_series_real_part_calls_digamma_once(monkeypatch):
+    calls = []
+    digamma_ = nk.digamma
+    monkeypatch.setattr(nk, "digamma", lambda z: calls.append(z) or digamma_(z))
+    ev = zeta_odd_series(0.5, "real_part")
+    assert calls == [1 + 0.5j]
+    assert ev.value == complex(EULER_GAMMA + digamma_(1 + 0.5j).real)
 
 
 def test_zeta_odd_series_domain():

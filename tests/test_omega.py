@@ -17,6 +17,7 @@ from eiskern import (DomainError, StepError, dirichlet_eta,
                      omega_moment, omega_ode_residual, omega_partial_fraction,
                      omega_pv_hilbert, omega_quadrature, omega_taylor,
                      riemann_zeta)
+from eiskern.omega import _moment_coefficient
 
 PI = math.pi
 LOG2 = math.log(2.0)
@@ -130,6 +131,34 @@ def test_moment_examples():
     om5 = (LOG2 / PI - 20.0 * dirichlet_eta(3.0) / PI ** 3
            + 120.0 * dirichlet_eta(5.0) / PI ** 5) / 16.0
     assert omega_moment(2, "closed") == pytest.approx(om5, abs=1e-16)
+
+
+@pytest.mark.parametrize("k", [6, 8, 11, 15, 20])
+def test_closed_moment_refuses_k_past_5(k):
+    # the eta combination cancels: 1.5e-7 relative error at k = 8, wrong sign at 15
+    with pytest.raises(DomainError, match="'series'"):
+        omega_moment(k, "closed")
+    assert omega_moment(k, "series") > 0.0
+
+
+def test_taylor_moments_from_the_bernoulli_series():
+    mp = pytest.importorskip("mpmath")
+
+    @mp.workdps(50)
+    def coefficient(k):  # Omega_(2k+1)/(2k+1)! from the Bernoulli series at 50 digits
+        s = mp.mpf(1) / (2 * k + 1)
+        for n in range(1, 120):
+            s += (-1) ** n * mp.bernoulli(2 * n) * mp.pi ** (2 * n) / (
+                mp.factorial(2 * n) * (2 * k + 2 * n + 1))
+        return s / (4 ** k * mp.pi * mp.factorial(2 * k + 1))
+
+    for k in range(41):
+        want = coefficient(k)
+        assert abs((_moment_coefficient(k) - want) / want) <= 2e-14
+    z = 3.0 + 1.0j
+    a, b = omega_taylor(z, "moments").value, omega_taylor(z, "eta").value
+    assert a != b  # two coefficient sets, not one
+    assert abs(a - b) <= 1e-13 * abs(a)
 
 
 @pytest.mark.parametrize("k", range(6))
