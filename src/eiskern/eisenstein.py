@@ -20,6 +20,8 @@ from .summation import REL_TOL, richardson_limit
 
 _EPS = sys.float_info.epsilon
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
+_DIRECT_STEPS = tuple(round(8 * 1.5 ** j) for j in range(19))  # 8, 12, 18, ..., 11823 <= 16384
+_DIRECT_TOL = 3e-13  # stopping at REL_TOL, ratio-1.5 steps lose digits on the strip grid
 
 
 def _guard_integer(z: complex, guard: float = INTEGER_GUARD) -> None:
@@ -37,12 +39,10 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     """Symmetric partial sums of the defining series.
 
     r = 1 uses the paired-term form 1/z + sum_k 2z/(z^2 - k^2) whose tail is
-    O(1/N); r >= 2 pairs (z+k)^(-r) + (z-k)^(-r).  The partial sums at
-    N = 8*2^j, j <= 11 (at most 16384 terms) are Richardson-extrapolated
-    until the tableau diagonal moves by at most REL_TOL; err_estimate is that
-    last correction plus the rounding floor N*eps*|value|.  NonConvergence
-    when that correction at 16384 terms still exceeds
-    max(REL_TOL*|value|, 1e-14*max(1, |value|)).
+    O(1/N); r >= 2 pairs (z+k)^(-r) + (z-k)^(-r).  Richardson in 1/N over N =
+    round(8*1.5^j) = 8, 12, ..., 11823 stops once the diagonal moves <= 3e-13*|value|.
+    NonConvergence (last estimate in `partial`) when 11823 terms miss max(REL_TOL*|value|,
+    1e-14*max(1, |value|)): from |Im z| = 90 (r = 2), 125 (r = 1, 3), 200 (r = 4).
     """
     _require_order(r)
     z = as_complex(z)
@@ -56,12 +56,13 @@ def eisenstein_direct(r: int, z) -> Evaluation:
         term = lambda k: (z + k) ** (-r) + (z - k) ** (-r)
         first = z ** (-r)
 
-    value, err, used = richardson_limit(term, 8, 11, first=first, rel_tol=REL_TOL)
-    # err includes the rounding floor; convergence is judged on the truncation part
+    value, err, used = richardson_limit(term, _DIRECT_STEPS, first=first, rel_tol=_DIRECT_TOL)
+    # err includes the rounding floors; the N*eps*|value| one is not held against it
     tol = max(REL_TOL * abs(value), 1e-14 * max(1.0, abs(value)))
+    ev = Evaluation(value, err, used, "direct")
     if err > tol + used * _EPS * abs(value):
-        raise NonConvergence(f"eisenstein_direct(r={r}): err {err:.2e} after {used} terms")
-    return Evaluation(value, err, used, "direct")
+        raise NonConvergence(f"eisenstein_direct(r={r}): err {err:.2e} after {used} terms", ev)
+    return ev
 
 
 def eisenstein_closed(r: int, z) -> complex:

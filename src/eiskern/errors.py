@@ -1,4 +1,5 @@
 """Exception types shared by every evaluator in the package."""
+from .controls import Evaluation
 
 
 class EiskernError(Exception):
@@ -14,7 +15,11 @@ class DomainError(EiskernError):
 
 
 class NonConvergence(EiskernError):
-    """A series engine exhausted its term budget before reaching the tolerance."""
+    """A series engine ran out of terms before its tolerance; `partial` is its last Evaluation."""
+
+    def __init__(self, message: str, partial: Evaluation | None = None):
+        super().__init__(message)
+        self.partial = partial
 
 
 class QuadratureFailure(EiskernError):

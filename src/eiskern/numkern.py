@@ -47,8 +47,10 @@ def bernoulli_number(n: int) -> Fraction:
         raise ValueError("Bernoulli index must be >= 0")
     if n == 0:
         return Fraction(1)
-    # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1; ascending k keeps the recursion shallow
-    return -sum(math.comb(n + 1, k) * bernoulli_number(k) for k in range(n)) / (n + 1)
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    # sum_{k=0}^{n} C(n+1, k) B_k = 0 over the nonzero B_k; ascending k keeps recursion shallow
+    return -sum(math.comb(n + 1, k) * bernoulli_number(k) for k in (0, 1, *range(2, n, 2))) / (n + 1)
 
 
 def bernoulli_poly(n: int, x: float) -> float:

@@ -1,7 +1,7 @@
-"""Series acceleration: Richardson; for alternating sums CRVZ (Cohen-Rodriguez
-Villegas-Zagier, Exp. Math. 9, 2000) with the epsilon algorithm as fallback.
-Reported errors add a rounding floor to the truncation estimate, which alone
-decides convergence.  All are linear (or rational) in the partial sums."""
+"""Series acceleration: Richardson in 1/N on any step sequence; for alternating
+sums CRVZ (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000) with the epsilon
+algorithm as fallback.  Reported errors add a rounding floor to the truncation
+estimate, which alone decides convergence.  All are linear in the partial sums."""
 from __future__ import annotations
 
 import math
@@ -9,39 +9,39 @@ import sys
 from itertools import accumulate
 from typing import Callable, Sequence
 
+from .controls import Evaluation
 from .errors import NonConvergence
 
 _EPS = sys.float_info.epsilon
 REL_TOL = 1e-12  # relative truncation target of every series engine and power-series loop
 
 
-def richardson_limit(term: Callable[[int], complex], n0: int, levels: int,
+def richardson_limit(term: Callable[[int], complex], ns: Sequence[int],
                      first: complex = 0.0, rel_tol: float = 0.0) -> tuple[complex, float, int]:
-    """Extrapolate S = first + sum_{k>=1} term(k) from partial sums at n0*2^j.
+    """Extrapolate S = first + sum_{k>=1} term(k) from partial sums at N in ns.
 
-    Assumes the tail of the partial sums expands in powers of 1/N, which
-    holds for symmetric sums of rational terms; table stage m removes the
-    1/N^m term.  Stops after the first row j >= 1 whose diagonal correction
-    |R[j][j] - R[j-1][j-1]| is at most rel_tol*|R[j][j]| (rel_tol = 0: full
-    tableau).  Returns (value, err_estimate, largest N used); err_estimate is
-    the last diagonal correction plus the rounding floor N*eps*|value|.
+    Neville-Aitken table in h = 1/N over the increasing steps ns (Bulirsch-Stoer
+    1964; Sidi 2003, ch. 1-2): stage m removes the h^m term of the tail, as for
+    symmetric sums of rational terms.  Each block of terms enters the running
+    sum in one exactly rounded fsum.  Stops after the first row j >= 1 whose
+    diagonal correction is at most rel_tol*|R[j][j]| (0: full table).  Returns
+    (value, err_estimate = that correction + N*eps*|value| + eps*sum|t_k|, N).
     """
-    acc = complex(first)
-    k = 1
-    table: list[complex] = []          # table[m] = R[j][m] of the last row
-    for j in range(levels + 1):
-        n_max = n0 * 2 ** j
-        while k <= n_max:
-            acc += term(k)
-            k += 1
+    acc, mass = complex(first), abs(first)  # mass = |first| + sum |t_k|
+    table: list[complex] = []               # table[m] = R[j-1][m] of the last row
+    for j, n in enumerate(ns):
+        block = [term(k) for k in range(ns[j - 1] + 1 if j else 1, n + 1)]
+        acc = complex(math.fsum([acc.real, *(t.real for t in block)]),
+                      math.fsum([acc.imag, *(t.imag for t in block)]))
+        mass += sum(map(abs, block))
         row = [acc]
         for m in range(1, j + 1):
-            row.append(row[m - 1] + (row[m - 1] - table[m - 1]) / (2.0 ** m - 1.0))
+            row.append(row[m - 1] + (row[m - 1] - table[m - 1]) / (n / ns[j - m] - 1.0))
         corr = abs(row[-1] - table[-1]) if j else abs(acc)
         table = row
         if j and corr <= rel_tol * abs(row[-1]):
             break
-    return table[-1], corr + n_max * _EPS * abs(table[-1]), n_max
+    return table[-1], corr + n * _EPS * abs(table[-1]) + _EPS * mass, n
 
 
 def _crvz(terms: Sequence[complex], n: int) -> complex:
@@ -61,8 +61,8 @@ def alternating_sum(term: Callable[[int], complex]) -> tuple[complex, float, int
 
     CRVZ on 32 terms with truncation error |CRVZ_32 - CRVZ_24|; if that
     misses REL_TOL, the epsilon algorithm on blocks of 128, 512, 2048 terms
-    until one meets it (NonConvergence when even 2048 terms miss 128*REL_TOL).
-    The error adds the rounding floor sqrt(n)*eps*sum|t_k|.
+    until one meets it (NonConvergence, last estimate in `partial`, when even
+    2048 terms miss 128*REL_TOL).  The error adds the floor sqrt(n)*eps*sum|t_k|.
     """
     converged = lambda v, e, mult=1.0: e <= max(mult * REL_TOL * abs(v), 1e-16)
     terms = [term(k) for k in range(1, 33)]
@@ -76,9 +76,11 @@ def alternating_sum(term: Callable[[int], complex]) -> tuple[complex, float, int
             value, trunc = wynn_epsilon(partials[-64:])
             if converged(value, trunc):
                 break
-        if not converged(value, trunc, 128.0):  # best effort: a generous multiple
-            raise NonConvergence("alternating series: acceleration did not reach REL_TOL")
-    return value, trunc + math.sqrt(len(terms)) * _EPS * sum(map(abs, terms)), len(terms)
+    err = trunc + math.sqrt(len(terms)) * _EPS * sum(map(abs, terms))
+    if not converged(value, trunc, 128.0):  # best effort: a generous multiple
+        raise NonConvergence("alternating series: acceleration did not reach REL_TOL",
+                             Evaluation(value, err, len(terms), "alternating"))
+    return value, err, len(terms)
 
 
 def wynn_epsilon(partials: Sequence[complex]) -> tuple[complex, float]:

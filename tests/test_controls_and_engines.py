@@ -49,9 +49,12 @@ def test_adaptive_quad_failure_on_depth():
 
 
 def test_direct_nonconvergence_far_from_real_axis():
-    # the tail of sum (z+k)^-2 only settles once N >> |Im z|; 16384 terms are too few
-    with pytest.raises(NonConvergence):
-        eisenstein_direct(2, 0.3 + 30j)
+    # the tail of sum (z+k)^-2 only settles once N >> |Im z|; 11823 terms are too few
+    with pytest.raises(NonConvergence) as info:
+        eisenstein_direct(2, 0.3 + 300j)
+    last = info.value.partial
+    assert isinstance(last, Evaluation) and last.route == "direct"
+    assert last.terms_used == 11823 and last.err_estimate > 1e-14
 
 
 def test_integral_pole_guard():

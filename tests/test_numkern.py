@@ -227,6 +227,12 @@ def test_bernoulli_numbers():
     assert all(bernoulli_number(2 * m + 1) == 0 for m in range(1, 12))
 
 
+def test_bernoulli_numbers_match_mpmath():
+    mp = pytest.importorskip("mpmath")
+    for n in range(131):
+        assert bernoulli_number(n) == Fraction(*mp.bernfrac(n)), n
+
+
 def test_bernoulli_recurrence_closure_exact():
     for n in range(2, 21):
         total = sum(Fraction(math.comb(n, k)) * bernoulli_number(k) for k in range(n))

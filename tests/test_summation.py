@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from eiskern.summation import (alternating_sum, power_tail, richardson_limit,
+from eiskern import Evaluation, NonConvergence
+from eiskern.summation import (REL_TOL, alternating_sum, power_tail, richardson_limit,
                                wynn_epsilon)
 
 LOG2 = math.log(2.0)
@@ -55,18 +57,34 @@ def test_dirichlet_eta_terms_against_mpmath():
 
 
 def test_richardson_limit_stops_at_convergence():
-    # the full tableau would sum 16*2^8 terms; the diagonal settles at 16*2^6
-    v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, 16, 8, rel_tol=1e-12)
+    # the full doubling table would sum 16*2^8 terms; the diagonal settles at 16*2^6
+    doubling = [16 * 2 ** j for j in range(9)]
+    v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, doubling, rel_tol=1e-12)
     assert n <= 16 * 2 ** 6
     assert v.real == pytest.approx(math.pi ** 2 / 6.0, abs=1e-11)
     assert abs(v.real - math.pi ** 2 / 6.0) <= err
+    # steps of ratio 1.5 reach the same tolerance with fewer terms
+    v, err, n15 = richardson_limit(lambda k: 1.0 / k ** 2, [round(8 * 1.5 ** j) for j in range(19)],
+                                   rel_tol=1e-12)
+    assert n15 < n
+    assert abs(v.real - math.pi ** 2 / 6.0) <= min(err, 1e-12 * math.pi ** 2 / 6.0)
 
 
 def test_richardson_limit_basel():
     # sum 1/k^2 with tail ~ 1/N: Richardson recovers pi^2/6 from few terms
-    v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, 16, 6)
+    v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, [16 * 2 ** j for j in range(7)])
     assert v.real == pytest.approx(math.pi ** 2 / 6.0, abs=1e-11)
     assert err < 1e-9 and n == 16 * 2 ** 6
+
+
+def test_alternating_sum_nonconvergence_keeps_last_estimate():
+    # random moduli defeat both CRVZ and the epsilon algorithm
+    term = lambda k: random.Random(k).random() / k
+    with pytest.raises(NonConvergence) as info:
+        alternating_sum(term)
+    last = info.value.partial
+    assert isinstance(last, Evaluation) and last.terms_used == 2048
+    assert math.isfinite(abs(last.value)) and last.err_estimate > 128 * REL_TOL * abs(last.value)
 
 
 def test_wynn_epsilon_geometric():
@@ -123,10 +141,12 @@ def test_err_estimate_bounds_true_error():
             return complex(mp.pi * mp.cot(mp.pi * z))
         return complex((mp.psi(r - 1, 1 - z) + (-1) ** r * mp.psi(r - 1, z)) / mp.factorial(r - 1))
 
-    for z in strip_grid(SuiteConfig()):
-        for r in range(1, 7):
-            ev = eisenstein_direct(r, z)
-            assert abs(ev.value - eps_oracle(r, z)) <= ev.err_estimate, (r, z)
+    grid = [(r, z) for z in strip_grid(SuiteConfig()) for r in range(1, 7)]
+    # far from the real axis the value is tiny beside its terms: the cancellation floor
+    far = [(r, z) for z in (0.3 + 10j, 0.3 + 30j, 0.2 + 15j) for r in (2, 3)]
+    for r, z in grid + far:
+        ev = eisenstein_direct(r, z)
+        assert abs(ev.value - eps_oracle(r, z)) <= ev.err_estimate, (r, z)
 
     @mp.workdps(30)
     def he_oracle(r, z):
