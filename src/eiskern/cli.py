@@ -266,12 +266,7 @@ def _parse_verify_config(ns) -> tuple[SuiteConfig, list[str]]:
 def cmd_verify(ns) -> int:
     cfg, names = _parse_verify_config(ns)
     results = run_suites(cfg, names)
-    payload = json.dumps([s.to_json() for s in results], indent=1) + "\n"
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_out(json.dumps([s.to_json() for s in results], indent=1) + "\n", ns)
     failed = False
     for s in results:
         marker = " (report-only)" if s.report_only else ""
@@ -284,13 +279,16 @@ def cmd_verify(ns) -> int:
 # ---------------------------------------------------------------------------
 # tables and figure data
 
-def _csv_out(rows: list[list], ns) -> int:
-    text = "\n".join(",".join(_cell(c) for c in row) for row in rows) + "\n"
+def _write_out(text: str, ns) -> None:
     if getattr(ns, "out", None):
         with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_out(rows: list[list], ns) -> int:
+    _write_out("\n".join(",".join(_cell(c) for c in row) for row in rows) + "\n", ns)
     return 0
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 from .controls import Evaluation
 from .errors import NonConvergence, PoleError, StripError, UnsupportedOrder
@@ -18,7 +17,6 @@ from .numkern import PI, as_complex, cot, digamma, polygamma
 from .quadrature import ABS_TOL, quad_segments
 from .summation import REL_TOL, richardson_limit
 
-_EPS = sys.float_info.epsilon
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
 _DIRECT_STEPS = tuple(round(8 * 1.5 ** j) for j in range(19))  # 8, 12, 18, ..., 11823 <= 16384
 _DIRECT_TOL = 3e-13  # stopping at REL_TOL, ratio-1.5 steps lose digits on the strip grid
@@ -35,33 +33,47 @@ def _require_order(r: int) -> None:
         raise UnsupportedOrder("order r must be a positive integer")
 
 
+def _rounded_pair(z: complex, k: int, r: int) -> complex:
+    """(z+k)^(-r) + (z-k)^(-r), or z^(-r) for k = 0, rounded once from exact integers;
+    past r = 8, where that work outweighs the series, from float powers."""
+    if r > 8:
+        return (z + k) ** (-r) + (z - k) ** (-r) if k else z ** (-r)
+    (p, q), (s, t) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(q, t)  # both powers of two: z = (x + iy)/d, (z +- k)^(-r) = d^r conj(a + iy)^r / n
+    x, y, re, im, den = p * (d // q), s * (d // t), 0, 0, 1
+    for a in ((x + k * d, x - k * d) if k else (x,)):
+        u, v, n = d ** r, 0, (a * a + y * y) ** r
+        for _ in range(r):
+            u, v = u * a + v * y, v * a - u * y
+        re, im, den = re * n + u * den, im * n + v * den, den * n
+    return complex(re / den, im / den)
+
+
 def eisenstein_direct(r: int, z) -> Evaluation:
     """Symmetric partial sums of the defining series.
 
-    r = 1 uses the paired-term form 1/z + sum_k 2z/(z^2 - k^2) whose tail is
-    O(1/N); r >= 2 pairs (z+k)^(-r) + (z-k)^(-r).  Richardson in 1/N over N =
-    round(8*1.5^j) = 8, 12, ..., 11823 stops once the diagonal moves <= 3e-13*|value|.
-    NonConvergence (last estimate in `partial`) when 11823 terms miss max(REL_TOL*|value|,
-    1e-14*max(1, |value|)): from |Im z| = 90 (r = 2), 125 (r = 1, 3), 200 (r = 4).
+    r = 1 uses the paired form 1/z + sum_k 2z/(z^2 - k^2), tail O(1/N); r >= 2 pairs
+    (z+k)^(-r) + (z-k)^(-r).  Terms k <= 2, which carry most rounding where the value is
+    small beside them, are rounded once from exact integers (r <= 8).  Richardson in 1/N
+    over N = round(8*1.5^j) = 8, 12, ..., 11823 stops once its diagonal moves <= 3e-13*|value|.
+    NonConvergence (last estimate in `partial`) when the correction at 11823 terms exceeds
+    max(REL_TOL*|value|, 1e-14*max(1, |value|)): first at |Im z| = 90 (r=2), 125 (r=1, 3), 200 (r=4).
     """
     _require_order(r)
     z = as_complex(z)
     _guard_integer(z)
 
+    lead = [_rounded_pair(z, k, r) for k in range(3)]
     if r == 1:
         z2 = z * z
-        term = lambda k: 2.0 * z / (z2 - k * k)
-        first = 1.0 / z
+        term = lambda k: 2.0 * z / (z2 - k * k) if k > 2 else lead[k]
     else:
-        term = lambda k: (z + k) ** (-r) + (z - k) ** (-r)
-        first = z ** (-r)
+        term = lambda k: (z + k) ** (-r) + (z - k) ** (-r) if k > 2 else lead[k]
 
-    value, err, used = richardson_limit(term, _DIRECT_STEPS, first=first, rel_tol=_DIRECT_TOL)
-    # err includes the rounding floors; the N*eps*|value| one is not held against it
-    tol = max(REL_TOL * abs(value), 1e-14 * max(1.0, abs(value)))
+    value, err, used, corr = richardson_limit(term, _DIRECT_STEPS, first=lead[0], rel_tol=_DIRECT_TOL)
     ev = Evaluation(value, err, used, "direct")
-    if err > tol + used * _EPS * abs(value):
-        raise NonConvergence(f"eisenstein_direct(r={r}): err {err:.2e} after {used} terms", ev)
+    if corr > max(REL_TOL * abs(value), 1e-14 * max(1.0, abs(value))):
+        raise NonConvergence(f"eisenstein_direct(r={r}): correction {corr:.2e} after {used} terms", ev)
     return ev
 
 
@@ -99,10 +111,6 @@ def eisenstein_polygamma(r: int, z) -> complex:
         return digamma(1.0 - z) - digamma(z)
     g = math.factorial(r - 1)
     return (polygamma(r - 1, 1.0 - z) + (-1.0) ** r * polygamma(r - 1, z)) / g
-
-
-def _strip_reduce(z: complex) -> complex:
-    return z - math.floor(z.real)
 
 
 def _integrand_factory(r: int, zeta: complex, form: str):
@@ -155,7 +163,7 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
         raise ValueError("form must be 'exponential' or 'hyperbolic'")
     z = as_complex(z)
     _guard_integer(z)
-    zeta = _strip_reduce(z)
+    zeta = z - math.floor(z.real)  # strip reduction
     if zeta.real == 0.0 and z.imag == 0.0:
         raise StripError("strip reduction landed on the pole line Re zeta = 0 with real z")
     # Fold Re zeta > 1/2 through eps_r(w) = (-1)^r eps_r(1-w): the integrand's

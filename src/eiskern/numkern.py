@@ -45,10 +45,8 @@ def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention); B_(2m+1) = 0 for m >= 1."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n % 2:
-        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    if n < 2 or n % 2:
+        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(n, Fraction(0))
     # sum_{k=0}^{n} C(n+1, k) B_k = 0 over the nonzero B_k; ascending k keeps recursion shallow
     return -sum(math.comb(n + 1, k) * bernoulli_number(k) for k in (0, 1, *range(2, n, 2))) / (n + 1)
 

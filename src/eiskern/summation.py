@@ -17,15 +17,15 @@ REL_TOL = 1e-12  # relative truncation target of every series engine and power-s
 
 
 def richardson_limit(term: Callable[[int], complex], ns: Sequence[int],
-                     first: complex = 0.0, rel_tol: float = 0.0) -> tuple[complex, float, int]:
+                     first: complex = 0.0, rel_tol: float = 0.0) -> tuple[complex, float, int, float]:
     """Extrapolate S = first + sum_{k>=1} term(k) from partial sums at N in ns.
 
     Neville-Aitken table in h = 1/N over the increasing steps ns (Bulirsch-Stoer
     1964; Sidi 2003, ch. 1-2): stage m removes the h^m term of the tail, as for
-    symmetric sums of rational terms.  Each block of terms enters the running
-    sum in one exactly rounded fsum.  Stops after the first row j >= 1 whose
-    diagonal correction is at most rel_tol*|R[j][j]| (0: full table).  Returns
-    (value, err_estimate = that correction + N*eps*|value| + eps*sum|t_k|, N).
+    symmetric sums of rational terms; each block of terms enters the running sum in
+    one exactly rounded fsum.  Stops after the first row j >= 1 whose diagonal
+    correction corr is at most rel_tol*|R[j][j]| (0: full table).  Returns (value,
+    err_estimate = corr + N*eps*|value| + eps*sum|t_k|, N, corr); corr decides convergence.
     """
     acc, mass = complex(first), abs(first)  # mass = |first| + sum |t_k|
     table: list[complex] = []               # table[m] = R[j-1][m] of the last row
@@ -41,7 +41,7 @@ def richardson_limit(term: Callable[[int], complex], ns: Sequence[int],
         table = row
         if j and corr <= rel_tol * abs(row[-1]):
             break
-    return table[-1], corr + n * _EPS * abs(table[-1]) + _EPS * mass, n
+    return table[-1], corr + n * _EPS * abs(table[-1]) + _EPS * mass, n, corr
 
 
 def _crvz(terms: Sequence[complex], n: int) -> complex:

@@ -59,22 +59,23 @@ def test_dirichlet_eta_terms_against_mpmath():
 def test_richardson_limit_stops_at_convergence():
     # the full doubling table would sum 16*2^8 terms; the diagonal settles at 16*2^6
     doubling = [16 * 2 ** j for j in range(9)]
-    v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, doubling, rel_tol=1e-12)
+    v, err, n, _ = richardson_limit(lambda k: 1.0 / k ** 2, doubling, rel_tol=1e-12)
     assert n <= 16 * 2 ** 6
     assert v.real == pytest.approx(math.pi ** 2 / 6.0, abs=1e-11)
     assert abs(v.real - math.pi ** 2 / 6.0) <= err
     # steps of ratio 1.5 reach the same tolerance with fewer terms
-    v, err, n15 = richardson_limit(lambda k: 1.0 / k ** 2, [round(8 * 1.5 ** j) for j in range(19)],
-                                   rel_tol=1e-12)
+    v, err, n15, _ = richardson_limit(lambda k: 1.0 / k ** 2, [round(8 * 1.5 ** j) for j in range(19)],
+                                      rel_tol=1e-12)
     assert n15 < n
     assert abs(v.real - math.pi ** 2 / 6.0) <= min(err, 1e-12 * math.pi ** 2 / 6.0)
 
 
 def test_richardson_limit_basel():
     # sum 1/k^2 with tail ~ 1/N: Richardson recovers pi^2/6 from few terms
-    v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, [16 * 2 ** j for j in range(7)])
+    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2, [16 * 2 ** j for j in range(7)])
     assert v.real == pytest.approx(math.pi ** 2 / 6.0, abs=1e-11)
     assert err < 1e-9 and n == 16 * 2 ** 6
+    assert 0.0 < corr < err  # err adds the rounding floors to the last correction
 
 
 def test_alternating_sum_nonconvergence_keeps_last_estimate():
