@@ -11,7 +11,6 @@ configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import conj_bernoulli as cb
@@ -21,7 +20,6 @@ from . import numkern as nk
 from . import omega as om
 from .controls import Evaluation
 from .errors import ConfigError, EiskernError
-from .suites import SUITES, GridSpec, SuiteConfig, run_suites
 
 
 def _fmt17(v: float) -> str:
@@ -193,6 +191,11 @@ REGISTRY = {
 }
 
 
+def _print_json(obj) -> None:
+    import json  # only --json output loads it
+    print(json.dumps(obj))
+
+
 def cmd_eval(ns) -> int:
     if ns.fn == "conjecture":
         if len(ns.args) != 2:
@@ -200,8 +203,8 @@ def cmd_eval(ns) -> int:
             return 2
         c = cb.conjecture_double_sum(_parse_int(ns.args[0]), _parse_real(ns.args[1]))
         if ns.json:
-            print(json.dumps({"fn": "conjecture", "double_sum": c.double_sum,
-                              "fourier": c.fourier, "discrepancy": c.discrepancy}))
+            _print_json({"fn": "conjecture", "double_sum": c.double_sum,
+                         "fourier": c.fourier, "discrepancy": c.discrepancy})
         else:
             print(f"double_sum={_fmt17(c.double_sum)} fourier={_fmt17(c.fourier)} "
                   f"discrepancy={c.discrepancy:.3e}")
@@ -217,10 +220,9 @@ def cmd_eval(ns) -> int:
     ev = fn(ns.args, ns.route)
     v = ev.value
     if ns.json:
-        print(json.dumps({"fn": ns.fn, "args": ns.args,
-                          "value": {"re": v.real, "im": v.imag},
-                          "err_estimate": ev.err_estimate, "route": ev.route,
-                          "terms_used": ev.terms_used}))
+        _print_json({"fn": ns.fn, "args": ns.args, "value": {"re": v.real, "im": v.imag},
+                     "err_estimate": ev.err_estimate, "route": ev.route,
+                     "terms_used": ev.terms_used})
     else:
         re = v.real + 0.0  # normalize negative zero for display
         shown = _fmt17(re) if v.imag == 0 else f"{_fmt17(re)}{v.imag:+.17g}i"
@@ -230,9 +232,10 @@ def cmd_eval(ns) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: the suites are imported here, so other commands never load them
 
-def _parse_verify_config(ns) -> tuple[SuiteConfig, list[str]]:
+def _parse_verify_config(ns):
+    from .suites import SUITES, GridSpec, SuiteConfig
     overrides = {}
     for item in ns.tol:
         if "=" not in item:
@@ -264,9 +267,10 @@ def _parse_verify_config(ns) -> tuple[SuiteConfig, list[str]]:
 
 
 def cmd_verify(ns) -> int:
+    from .suites import report_text, run_suites
     cfg, names = _parse_verify_config(ns)
     results = run_suites(cfg, names)
-    _write_out(json.dumps([s.to_json() for s in results], indent=1) + "\n", ns)
+    _write_out(report_text(results), ns)
     failed = False
     for s in results:
         marker = " (report-only)" if s.report_only else ""

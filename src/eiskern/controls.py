@@ -5,11 +5,11 @@ package; only finite values are admitted into any operation's domain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 
-@dataclass
-class Evaluation:
+class Evaluation(NamedTuple):
     """Value plus an a posteriori error estimate and route diagnostics.
 
     err_estimate is, for the series engines, the last-term (or last
@@ -22,5 +22,4 @@ class Evaluation:
     err_estimate: float
     terms_used: int
     route: str
-    diagnostics: dict = field(default_factory=dict)
-
+    diagnostics: Mapping = MappingProxyType({})

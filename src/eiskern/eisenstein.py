@@ -55,9 +55,11 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     r = 1 uses the paired form 1/z + sum_k 2z/(z^2 - k^2), tail O(1/N); r >= 2 pairs
     (z+k)^(-r) + (z-k)^(-r).  Terms k <= 2, which carry most rounding where the value is
     small beside them, are rounded once from exact integers (r <= 8).  Richardson in 1/N
-    over N = round(8*1.5^j) = 8, 12, ..., 11823 stops once its diagonal moves <= 3e-13*|value|.
-    NonConvergence (last estimate in `partial`) when the correction at 11823 terms exceeds
-    max(REL_TOL*|value|, 1e-14*max(1, |value|)): first at |Im z| = 90 (r=2), 125 (r=1, 3), 200 (r=4).
+    over N = round(8*1.5^j) = 8, 12, ..., 11823 stops once its diagonal moves <= 3e-13*|value|
+    or within the rounding floor eps*sum|t_k| (so eps_odd(1/2) = 0 stops at 308 terms).
+    NonConvergence (last estimate in `partial`) when the correction at 11823 terms exceeds that
+    floor and max(REL_TOL*|value|, 1e-14*max(1, |value|)): first at |Im z| = 90 (r=2), 125 (r=1, 3),
+    200 (r=4).
     """
     _require_order(r)
     z = as_complex(z)

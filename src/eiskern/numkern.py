@@ -216,10 +216,16 @@ def polygamma(r: int, z) -> complex:
         w += 1.0
     inv = 1.0 / w
     s = math.factorial(r - 1) * inv ** r + 0.5 * rfact * inv ** (r + 1)
-    for j in range(1, 11):
-        c = float(bernoulli_number(2 * j)) * math.factorial(2 * j + r - 1) / math.factorial(2 * j)
+    for j, c in enumerate(_polygamma_asy(r), 1):
         s += c * inv ** (2 * j + r)
     return (-1.0) ** (r - 1) * s + acc
+
+
+@functools.cache
+def _polygamma_asy(r: int) -> tuple[float, ...]:
+    """The ten asymptotic coefficients B_2j (2j+r-1)!/(2j)! of psi_r, one tuple per order."""
+    return tuple(float(bernoulli_number(2 * j)) * math.factorial(2 * j + r - 1) / math.factorial(2 * j)
+                 for j in range(1, 11))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import conj_bernoulli as cb
 from . import eisenstein as eis
@@ -30,8 +32,7 @@ LOG2 = math.log(2.0)
 PI = math.pi
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     re_min: float = 0.1
     re_max: float = 0.9
     im_min: float = -1.5
@@ -39,15 +40,13 @@ class GridSpec:
     step: float = 0.4
 
 
-@dataclass
-class SuiteConfig:
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    grid: GridSpec = field(default_factory=GridSpec)
+class SuiteConfig(NamedTuple):
+    tolerance_overrides: Mapping[str, float] = MappingProxyType({})
+    grid: GridSpec = GridSpec()
     seed: int = 20260808
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     suite: str
     inputs: str
     lhs: complex
@@ -73,17 +72,17 @@ class CheckRecord:
         }
 
 
-@dataclass
 class CheckSuite:
     """The records of one suite; run_suites fills in counts and timing."""
 
-    name: str
-    override: float | None = None       # the --tol value replacing each gating tolerance
-    records: list[CheckRecord] = field(default_factory=list)
-    pass_count: int = 0
-    fail_count: int = 0
-    wall_time_ms: float = 0.0
-    report_only: bool = False
+    def __init__(self, name: str, override: float | None = None, report_only: bool = False):
+        self.name = name
+        self.override = override    # the --tol value replacing each gating tolerance
+        self.records: list[CheckRecord] = []
+        self.pass_count = 0
+        self.fail_count = 0
+        self.wall_time_ms = 0.0
+        self.report_only = report_only
 
     def to_json(self) -> dict:
         return {
@@ -125,6 +124,65 @@ class CheckSuite:
             self.name, inputs, complex(value), complex(threshold),
             violation, violation / max(abs(threshold), 1e-300), tol,
             violation <= tol, "lower_bound", anchor))
+
+
+# ---------------------------------------------------------------------------
+# the report: json.dumps([s.to_json() for s in suites], indent=1) + "\n", from templates
+
+_RECORD = """   {
+    "inputs": %s,
+    "lhs": {
+     "re": %s,
+     "im": %s
+    },
+    "rhs": {
+     "re": %s,
+     "im": %s
+    },
+    "abs_disc": %s,
+    "rel_disc": %s,
+    "tol": %s,
+    "pass": %s,
+    "policy": %s,
+    "paper_anchor": %s
+   }"""
+
+_SUITE = """ {
+  "suite": %s,
+  "records": %s,
+  "pass_count": %d,
+  "fail_count": %d,
+  "wall_time_ms": %s,
+  "report_only": %s
+ }"""
+
+
+def _json_num(x: float) -> str:
+    """A number as json spells it: repr, with NaN, Infinity and -Infinity."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _json_bool(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def report_text(suites: list[CheckSuite]) -> str:
+    """The verify report, byte for byte json.dumps([s.to_json() ...], indent=1) + "\n"
+    without json's pure-Python indenting encoder."""
+    blocks = []
+    for s in suites:
+        records = [_RECORD % (
+            _json_str(r.inputs), _json_num(r.lhs.real), _json_num(r.lhs.imag),
+            _json_num(r.rhs.real), _json_num(r.rhs.imag), _json_num(r.abs_disc),
+            _json_num(r.rel_disc), _json_num(r.tol), _json_bool(r.passed),
+            _json_str(r.policy), _json_str(r.paper_anchor))
+            for r in sorted(s.records, key=lambda r: r.inputs)]
+        listed = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+        blocks.append(_SUITE % (_json_str(s.name), listed, s.pass_count, s.fail_count,
+                                _json_num(s.wall_time_ms), _json_bool(s.report_only)))
+    return ("[\n" + ",\n".join(blocks) + "\n]" if blocks else "[]") + "\n"
 
 
 # ---------------------------------------------------------------------------

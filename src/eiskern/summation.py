@@ -1,7 +1,8 @@
 """Series acceleration: Richardson in 1/N on any step sequence; for alternating
 sums CRVZ (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000) with the epsilon
 algorithm as fallback.  Reported errors add a rounding floor to the truncation
-estimate, which alone decides convergence.  All are linear in the partial sums."""
+estimate, which decides convergence; a Richardson correction within its floor
+eps*sum|t_k| counts as converged.  All are linear in the partial sums."""
 from __future__ import annotations
 
 import math
@@ -24,8 +25,10 @@ def richardson_limit(term: Callable[[int], complex], ns: Sequence[int],
     1964; Sidi 2003, ch. 1-2): stage m removes the h^m term of the tail, as for
     symmetric sums of rational terms; each block of terms enters the running sum in
     one exactly rounded fsum.  Stops after the first row j >= 1 whose diagonal
-    correction corr is at most rel_tol*|R[j][j]| (0: full table).  Returns (value,
-    err_estimate = corr + N*eps*|value| + eps*sum|t_k|, N, corr); corr decides convergence.
+    correction corr is at most rel_tol*|R[j][j]| (0: full table) or within the
+    rounding floor eps*sum|t_k|, which settles sums whose value cancels to about 0.
+    Returns (value, err_estimate = corr + N*eps*|value| + eps*sum|t_k|, N, corr), with
+    corr read as 0 once within that floor; corr decides convergence.
     """
     acc, mass = complex(first), abs(first)  # mass = |first| + sum |t_k|
     table: list[complex] = []               # table[m] = R[j-1][m] of the last row
@@ -38,10 +41,11 @@ def richardson_limit(term: Callable[[int], complex], ns: Sequence[int],
         for m in range(1, j + 1):
             row.append(row[m - 1] + (row[m - 1] - table[m - 1]) / (n / ns[j - m] - 1.0))
         corr = abs(row[-1] - table[-1]) if j else abs(acc)
+        settled = corr <= _EPS * mass
         table = row
-        if j and corr <= rel_tol * abs(row[-1]):
+        if j and (settled or corr <= rel_tol * abs(row[-1])):
             break
-    return table[-1], corr + n * _EPS * abs(table[-1]) + _EPS * mass, n, corr
+    return table[-1], corr + n * _EPS * abs(table[-1]) + _EPS * mass, n, 0.0 if settled else corr
 
 
 def _crvz(terms: Sequence[complex], n: int) -> complex:

@@ -23,10 +23,14 @@ def run(argv, capsys):
 
 
 def test_cli_import_is_numpy_free():
+    # -S: no site hooks add modules; only verify loads the suites, nothing loads dataclasses
     src = os.path.dirname(os.path.dirname(eiskern.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, eiskern.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, eiskern; assert 'dataclasses' not in sys.modules;"
+            "import eiskern.cli; loaded = {'numpy', 'eiskern.suites', 'dataclasses'} & set(sys.modules);"
+            "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

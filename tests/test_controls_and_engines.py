@@ -14,7 +14,7 @@ from eiskern import (Evaluation, NonConvergence, PoleError, QuadratureFailure,
                      eisenstein_direct, eisenstein_integral, mathieu_E,
                      omega_pv_hilbert, omega_quadrature)
 from eiskern.quadrature import _WS, _XS, adaptive_quad
-from eiskern.suites import REPORT_ONLY, SuiteConfig, run_suites
+from eiskern.suites import REPORT_ONLY, CheckSuite, SuiteConfig, report_text, run_suites
 
 
 def test_evaluation_diagnostics_default():
@@ -70,6 +70,22 @@ def test_run_suites_reproducible(monkeypatch):
     a = json.dumps([s.to_json() for s in first])
     b = json.dumps([s.to_json() for s in second])
     assert a == b
+
+
+def test_report_text_matches_json_dumps(all_suites):
+    reference = lambda suites: json.dumps([s.to_json() for s in suites], indent=1) + "\n"
+    assert report_text(all_suites) == reference(all_suites)
+    odd = CheckSuite("synthétique", override=1e-3)
+    inf, nan = math.inf, math.nan
+    odd.check('quote " backslash \\ tab \t z=0.5', complex(nan, inf), complex(-inf, 0.0),
+              1e-12, "abs", "résumé of \u03b5_r at ½ \U0001d70b")
+    odd.check("finite", 1e300 + 1e-300j, -2.5e-17, 1e-12, "abs_or_rel", "plain")
+    odd.check("report", 3, -0.0, 1e9, "report", "reported")
+    odd.lower_bound("bound", -inf, 0.0, "lower bound at -inf")
+    odd.pass_count, odd.fail_count, odd.wall_time_ms = 3, 1, 1.5e-07
+    empty = CheckSuite("empty", report_only=True)
+    for suites in ([odd, empty], [empty], [empty, odd], []):
+        assert report_text(suites) == reference(suites)
 
 
 def test_run_suites_owns_report_only_and_timing(all_suites):

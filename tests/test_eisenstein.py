@@ -38,6 +38,11 @@ def jittered_grid(n=20, seed=20260808):
 
 def test_direct_examples():
     assert abs(eisenstein_direct(1, 0.5).value) < 1e-12
+    # at zeros of the odd orders the correction settles within the rounding floor of
+    # the terms; a stop relative to |value| alone would run to the 11823-term cap
+    for r in (1, 3, 5, 7):
+        ev = eisenstein_direct(r, 0.5)
+        assert ev.terms_used <= 692 and abs(ev.value) <= ev.err_estimate
     assert eisenstein_direct(2, 0.5).value.real == pytest.approx(PI ** 2, rel=1e-12)
     # eps_4(1/2) = 2^4 * 2 * lambda(4) with lambda(4) = pi^4/96
     assert eisenstein_direct(4, 0.5).value.real == pytest.approx(PI ** 4 / 3.0, rel=1e-12)
