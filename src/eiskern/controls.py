@@ -14,8 +14,8 @@ class Evaluation(NamedTuple):
 
     err_estimate is, for the series engines, the last-term (or last
     extrapolation correction) estimate plus a rounding floor; for quadrature
-    the accumulated two-level panel difference, which has no rounding floor
-    and so can underclaim where rounding dominates.
+    the accumulated |K21 - G10| of the accepted panels plus the rounding floor
+    eps*|half-width|*sum w_K|f| of each.
     """
 
     value: complex

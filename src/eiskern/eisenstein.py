@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .controls import Evaluation
-from .errors import NonConvergence, PoleError, StripError, UnsupportedOrder
+from .errors import DomainError, NonConvergence, PoleError, StripError, UnsupportedOrder
 from .numkern import PI, as_complex, cot, digamma, polygamma
 from .quadrature import ABS_TOL, quad_segments
 from .summation import REL_TOL, richardson_limit
 
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
 _DIRECT_STEPS = tuple(round(8 * 1.5 ** j) for j in range(19))  # 8, 12, 18, ..., 11823 <= 16384
+_EPS = sys.float_info.epsilon
+_POWER_ORDERS = 20  # T^19 and 19! are far inside the double range
 _DIRECT_TOL = 3e-13  # stopping at REL_TOL, ratio-1.5 steps lose digits on the strip grid
 
 
@@ -116,36 +119,47 @@ def eisenstein_polygamma(r: int, z) -> complex:
 
 
 def _integrand_factory(r: int, zeta: complex, form: str):
-    """Integrand t^(r-1)/(e^t - 1) * (e^(-zeta*t) + (-1)^r e^(zeta*t)), overflow-safe.
+    """Integrand t^(r-1)/((r-1)! (e^t - 1)) * (e^(-zeta*t) + (-1)^r e^(zeta*t)), overflow-safe.
 
-    Both exponents are regrouped through e^(-t) so every exponential has a
-    non-positive real part for Re zeta in [0, 1); the hyperbolic form keeps
-    the cosh/sinh split explicit and switches to exponential halves once
-    |Re zeta|*t could overflow.
+    Through r = _POWER_ORDERS the weight t^(r-1)/(r-1)! is a plain power over
+    a double factorial.  Past it the weight enters each exponential as
+    exp((r-1) log t - lgamma(r)), so no factor overflows while the integrand
+    is a double; the log costs about eps*|log t| relative near t = 0, which is
+    why low orders keep the power.  Both exponents are regrouped through e^(-t)
+    so every exponential has a non-positive real part for Re zeta in [0, 1);
+    the hyperbolic form keeps the cosh/sinh split explicit and switches to
+    exponential halves once |Re zeta|*t could overflow.
     """
     even = (r % 2 == 0)
+    power = r <= _POWER_ORDERS
+    g = float(math.factorial(r - 1)) if power else 1.0
+    log_fact = math.lgamma(r)
+    plus, minus, sign, abs_zeta = -(1.0 + zeta), -(1.0 - zeta), (-1.0) ** r, abs(zeta)
 
     def exponential(t: float) -> complex:
         if t == 0.0:
             t = 1e-300
         den = -math.expm1(-t)  # 1 - e^-t, exact for small t
-        if (not even) and abs(zeta) * t < 0.5:
-            num = -2.0 * math.exp(-t) * cmath.sinh(zeta * t)
+        # t^(r-1)/(r-1)! = w * e^q
+        w, q = (t ** (r - 1) / g, 0.0) if power else (1.0, (r - 1) * math.log(t) - log_fact)
+        if (not even) and abs_zeta * t < 0.5:
+            num = -2.0 * math.exp(q - t) * cmath.sinh(zeta * t)
         else:
-            num = cmath.exp(-(1.0 + zeta) * t) + (-1.0) ** r * cmath.exp(-(1.0 - zeta) * t)
-        return t ** (r - 1) * num / den
+            num = cmath.exp(q + plus * t) + sign * cmath.exp(q + minus * t)
+        return w * num / den
 
     def hyperbolic(t: float) -> complex:
         if t == 0.0:
             t = 1e-300
         den = -math.expm1(-t)
+        w, q = (t ** (r - 1) / g, 0.0) if power else (1.0, (r - 1) * math.log(t) - log_fact)
         if abs(zeta.real) * t > 600.0:
-            num = cmath.exp(-(1.0 + zeta) * t) + (-1.0) ** r * cmath.exp(-(1.0 - zeta) * t)
+            num = cmath.exp(q + plus * t) + sign * cmath.exp(q + minus * t)
         elif even:
-            num = 2.0 * math.exp(-t) * cmath.cosh(zeta * t)
+            num = 2.0 * math.exp(q - t) * cmath.cosh(zeta * t)
         else:
-            num = -2.0 * math.exp(-t) * cmath.sinh(zeta * t)
-        return t ** (r - 1) * num / den
+            num = -2.0 * math.exp(q - t) * cmath.sinh(zeta * t)
+        return w * num / den
 
     return hyperbolic if form == "hyperbolic" else exponential
 
@@ -157,8 +171,12 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
                (e^(-zeta t) + (-1)^r e^(zeta t)) dt,   zeta = z - floor(Re z).
 
     The hyperbolic form replaces the bracket by 2cosh(zeta t) (r even) or
-    -2sinh(zeta t) (r odd).  The tail is truncated where the bound
-    t^(r-1) e^((|Re zeta|-1) t) falls below the quadrature tolerance.
+    -2sinh(zeta t) (r odd).  The tail is truncated where (r-1)! times its
+    bound (_log_tail_bound, in log space) falls below the quadrature
+    tolerance.  err_estimate adds the quadrature error, that bound
+    and the rounding floor eps*((1 + r|log zeta|)|zeta^(-r)| + |value|).
+    DomainError where the value, zeta^(-r) or the integrand's peak is not a
+    double.
     """
     _require_order(r)
     if form not in ("exponential", "hyperbolic"):
@@ -177,13 +195,33 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
         sign = (-1.0) ** r
 
     f = _integrand_factory(r, zeta, form)
-    g = math.factorial(r - 1)
     rate = 1.0 - abs(zeta.real)  # decay of the slower exponential
     T = _tail_cutoff(r, rate)
-    value, err, panels = quad_segments(f, 0.0, T)
-    tail_bound = 2.0 * T ** (r - 1) * math.exp(-rate * T) / rate
-    total = sign * (zeta ** (-r) + value / g)
-    return Evaluation(total, err / g + tail_bound / g, panels, f"integral-{form}")
+    try:
+        head = zeta ** (-r)
+        value, err, panels = quad_segments(f, 0.0, T)
+        total = sign * (head + value)
+    except OverflowError:
+        total = math.inf
+    if not cmath.isfinite(total):
+        raise DomainError(f"integral route needs eps_{r}, zeta^(-{r}) and (1 - |Re zeta|)^(-{r}) "
+                          f"to be doubles; zeta = {zeta}")
+    # zeta^(-r) is rounded with relative error up to about eps*r*|log zeta| (CPython
+    # powers past r = 100 through exp(r log zeta))
+    head_floor = (1.0 + r * abs(cmath.log(zeta))) * abs(head)
+    err += math.exp(_log_tail_bound(r, rate, T) - math.lgamma(r)) + _EPS * (head_floor + abs(total))
+    return Evaluation(total, err, panels, f"integral-{form}")
+
+
+def _log_tail_bound(r: int, rate: float, T: float) -> float:
+    # t^(r-1) e^(-rate t) is log-concave, so past T it stays below its tangent
+    # exponential e^(-slope (t-T)): (r-1)! times the integral's tail over
+    # [T, oo) is at most 2 T^(r-1) e^(-rate T) / (slope (1 - e^-T)),
+    # slope = rate - (r-1)/T
+    slope = rate - (r - 1) / T
+    if slope <= 0.0:
+        return math.inf
+    return math.log(2.0 / (slope * -math.expm1(-T))) + (r - 1) * math.log(T) - rate * T
 
 
 def _tail_cutoff(r: int, rate: float) -> float:
@@ -191,8 +229,7 @@ def _tail_cutoff(r: int, rate: float) -> float:
         raise StripError("strip reduction produced |Re zeta| >= 1")
     T = max(30.0 / rate, 8.0)
     for _ in range(40):
-        bound = 2.0 * T ** (r - 1) * math.exp(-rate * T) / rate
-        if bound < 0.05 * ABS_TOL:
+        if _log_tail_bound(r, rate, T) < math.log(0.05 * ABS_TOL):
             break
         T *= 1.5
     return T

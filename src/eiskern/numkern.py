@@ -201,12 +201,24 @@ def digamma(z) -> complex:
 def polygamma(r: int, z) -> complex:
     """Polygamma psi_r(z), r >= 1; shift-then-asymptotic scheme.
 
-    psi_r(z) = (-1)^(r+1) r! sum_{k>=0} (z+k)^(-(r+1)).
+    psi_r(z) = (-1)^(r+1) r! sum_{k>=0} (z+k)^(-(r+1)).  DomainError where a term
+    of that r!-scaled sum is not a double: near 0 at high order, and at every z
+    from r = 151, where the asymptotic coefficients overflow.
     """
     if r < 1:
         raise DomainError("polygamma order must be >= 1 (use digamma for r = 0)")
     z = as_complex(z)
     _guard_nonpositive_integer(z, "polygamma")
+    try:
+        value = _polygamma_shifted(r, z)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"polygamma({r}, {z}): a term of its r!-scaled series is not a double")
+    return value
+
+
+def _polygamma_shifted(r: int, z: complex) -> complex:
     rfact = math.factorial(r)
     shift_coeff = (-1.0) ** (r + 1) * rfact
     acc = 0.0 + 0.0j

@@ -96,6 +96,14 @@ def test_eval_omega_complex_past_re_1400_exits_2(capsys):
     assert "|Re z| <= 1400" in err
 
 
+def test_eval_epsilon_at_large_order(capsys):
+    rc, out, _ = run(["eval", "epsilon", "103", "0.3+0.4i", "--route", "integral"], capsys)
+    assert rc == 0 and "route=integral-exponential" in out
+    rc, out, err = run(["eval", "epsilon", "200", "0.3+0.4i"], capsys)  # default route: polygamma
+    assert rc == 2 and out == ""
+    assert "not a double" in err
+
+
 def test_eval_closed_moment_past_k_5_exits_2(capsys):
     rc, out, err = run(["eval", "moment", "20"], capsys)
     assert rc == 2 and out == ""

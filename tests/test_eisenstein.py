@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from eiskern import (PoleError, UnsupportedOrder,
+from eiskern import (DomainError, PoleError, UnsupportedOrder,
                      eisenstein_closed, eisenstein_direct, eisenstein_integral,
                      eisenstein_polygamma, product_identity_residual)
 
@@ -192,3 +192,48 @@ def test_direct_route_stops_early_and_is_accurate():
             worst = max(worst, abs(ev.value - want) / abs(want))
     assert worst <= 5e-14
 
+
+
+def test_integral_route_work_guard(monkeypatch):
+    # every panel is one G10/K21 application, 21 integrand calls; the default
+    # strip grid needs about 250 calls per value (406.5 with the two-level rule)
+    from eiskern import eisenstein as eis
+    from eiskern.suites import SuiteConfig, strip_grid
+    calls = 0
+    factory = eis._integrand_factory
+
+    def counting(*args):
+        f = factory(*args)
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return f(t)
+        return counted
+
+    monkeypatch.setattr(eis, "_integrand_factory", counting)
+    grid = [(r, z) for z in strip_grid(SuiteConfig()) for r in range(1, 7)]
+    panels = sum(eisenstein_integral(r, z).terms_used for r, z in grid)
+    assert calls == 21 * panels
+    assert calls / len(grid) <= 300
+
+
+@pytest.mark.parametrize("r", [103, 150, 200])
+def test_large_order_value_or_typed_error(r):
+    z = 0.3 + 0.4j
+    want = eisenstein_direct(r, z).value
+    ev = eisenstein_integral(r, z)
+    assert abs(ev.value - want) <= 1e-12 * abs(want)
+    assert abs(ev.value - want) <= ev.err_estimate + 1e-14 * abs(want)
+    if r <= 151:  # the polygamma route's asymptotic coefficients hold (r+18)!
+        assert abs(eisenstein_polygamma(r, z) - want) <= 1e-12 * abs(want)
+    else:
+        with pytest.raises(DomainError, match="not a double"):
+            eisenstein_polygamma(r, z)
+
+
+def test_not_a_double_raises_typed_error():
+    with pytest.raises(DomainError, match="doubles"):
+        eisenstein_integral(400, 0.01 + 0.01j)  # |zeta^-400| = 1e768
+    with pytest.raises(DomainError, match="not a double"):
+        eisenstein_polygamma(150, 0.45 + 0.01j)  # 149! (0.45)^-150 = 1e312

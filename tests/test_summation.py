@@ -132,8 +132,9 @@ def test_wynn_epsilon_exact_limit_has_rounding_floor():
 
 def test_err_estimate_bounds_true_error():
     mp = pytest.importorskip("mpmath")
-    from eiskern import eisenstein_direct, he_direct
-    from eiskern.suites import SuiteConfig, strip_grid
+    from eiskern import (eisenstein_direct, eisenstein_integral, he_direct, omega_pv_hilbert,
+                         omega_quadrature)
+    from eiskern.suites import SuiteConfig, disc_sample, strip_grid
 
     @mp.workdps(30)
     def eps_oracle(r, z):
@@ -148,6 +149,23 @@ def test_err_estimate_bounds_true_error():
     for r, z in grid + far:
         ev = eisenstein_direct(r, z)
         assert abs(ev.value - eps_oracle(r, z)) <= ev.err_estimate, (r, z)
+    # the quadrature routes: panel errors, rounding floors and the tail bound
+    for r, z in grid:
+        want = eps_oracle(r, z)
+        for form in ("exponential", "hyperbolic"):
+            ev = eisenstein_integral(r, z, form)
+            assert abs(ev.value - want) <= ev.err_estimate, (r, z, form)
+
+    @mp.workdps(30)
+    def omega_oracle(z):
+        z = mp.mpc(z)
+        return complex(2 * mp.quad(lambda u: mp.sinh(z * u) * mp.cot(mp.pi * u), [0, 0.25, 0.5]))
+
+    for z in disc_sample(SuiteConfig(), n=8) + [1.0, 20.0]:
+        want = omega_oracle(z)
+        for route in (omega_quadrature, omega_pv_hilbert):
+            ev = route(z)
+            assert abs(ev.value - want) <= ev.err_estimate, (route.__name__, z)
 
     @mp.workdps(30)
     def he_oracle(r, z):
