@@ -113,7 +113,7 @@ def _eval_epsilon(args, route):
 
 def _eval_he(args, route):
     route = route or "closed"
-    real_axis = route in ("real", "eisenstein", "coth")
+    real_axis = route in ("real", "eisenstein")
     r, z = _parse_int(args[0]), (_parse_real if real_axis else _parse_complex)(args[1])
     if route == "closed":
         return _wrap(he.he_closed(r, z), "closed")
@@ -123,8 +123,8 @@ def _eval_he(args, route):
         return he.he_taylor(z)
     if route == "real":
         return _wrap(he.he_real(r, z), "real-axis")
-    if route in ("eisenstein", "coth"):
-        return _wrap(he.he_via_eisenstein(r, z, form=route), f"via-{route}")
+    if route == "eisenstein":
+        return _wrap(he.he_via_eisenstein(r, z), "via-eisenstein")
     raise ConfigError(f"unknown he route {route!r}")
 
 
@@ -156,7 +156,7 @@ def _eval_mathieu(args, route):
 
 REGISTRY = {
     "epsilon": (2, _eval_epsilon, "epsilon r z [--route direct|closed|polygamma|integral]"),
-    "he": (2, _eval_he, "he r z [--route closed|direct|taylor|real|eisenstein|coth]"),
+    "he": (2, _eval_he, "he r z [--route closed|direct|taylor|real|eisenstein]"),
     "omega": (1, _eval_omega,
               "omega z [--route quadrature|digamma|partial_fraction|taylor_moments|taylor_eta]"),
     "psi": (1, lambda a, _r: _wrap(nk.digamma(_parse_complex(a[0])), "digamma"), "psi z"),

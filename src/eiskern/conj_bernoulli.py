@@ -80,7 +80,7 @@ def conj_bernoulli_half(m: int, form: str = "eta") -> float:
         raise DomainError("index m must be >= 0")
     if form == "eta":
         return ((-1.0) ** (m + 1) * math.factorial(2 * m + 1)
-                * 2.0 ** (-2 * m) * PI ** (-2 * m - 1) * dirichlet_eta(float(2 * m + 1)))
+                * 2.0 ** (-2 * m) * PI ** (-2 * m - 1) * eta_odd(m))
     if form == "zeta":
         if m == 0:
             return -_LOG2 / PI

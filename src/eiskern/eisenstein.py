@@ -16,13 +16,11 @@ from .controls import Evaluation
 from .errors import DomainError, NonConvergence, PoleError, StripError, UnsupportedOrder
 from .numkern import PI, as_complex, cot, digamma, polygamma
 from .quadrature import ABS_TOL, quad_segments
-from .summation import REL_TOL, richardson_limit
+from .summation import RATIO_STEPS, RATIO_TOL, REL_TOL, richardson_limit
 
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
-_DIRECT_STEPS = tuple(round(8 * 1.5 ** j) for j in range(19))  # 8, 12, 18, ..., 11823 <= 16384
 _EPS = sys.float_info.epsilon
 _POWER_ORDERS = 20  # T^19 and 19! are far inside the double range
-_DIRECT_TOL = 3e-13  # stopping at REL_TOL, ratio-1.5 steps lose digits on the strip grid
 
 
 def _guard_integer(z: complex, guard: float = INTEGER_GUARD) -> None:
@@ -57,7 +55,8 @@ def eisenstein_direct(r: int, z) -> Evaluation:
 
     r = 1 uses the paired form 1/z + sum_k 2z/(z^2 - k^2), tail O(1/N); r >= 2 pairs
     (z+k)^(-r) + (z-k)^(-r).  Terms k <= 2, which carry most rounding where the value is
-    small beside them, are rounded once from exact integers (r <= 8).  Richardson in 1/N
+    small beside them, are rounded once from exact integers (r <= 8); past r = 8 the float
+    powers add eps*r*sum (1 + |log(z+k)|)|z+k|^(-r) to err_estimate.  Richardson in 1/N
     over N = round(8*1.5^j) = 8, 12, ..., 11823 stops once its diagonal moves <= 3e-13*|value|
     or within the rounding floor eps*sum|t_k| (so eps_odd(1/2) = 0 stops at 308 terms).
     NonConvergence (last estimate in `partial`) when the correction at 11823 terms exceeds that
@@ -75,7 +74,10 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     else:
         term = lambda k: (z + k) ** (-r) + (z - k) ** (-r) if k > 2 else lead[k]
 
-    value, err, used, corr = richardson_limit(term, _DIRECT_STEPS, first=lead[0], rel_tol=_DIRECT_TOL)
+    value, err, used, corr = richardson_limit(term, RATIO_STEPS, first=lead[0], rel_tol=RATIO_TOL)
+    if r > 8:  # a float power w^(-r) is rounded to about eps*r*(1 + |log w|) relative
+        err += _EPS * r * math.fsum((1.0 + abs(cmath.log(w))) * abs(w) ** -r
+                                    for w in (z + k for k in range(-used, used + 1)))
     ev = Evaluation(value, err, used, "direct")
     if corr > max(REL_TOL * abs(value), 1e-14 * max(1.0, abs(value))):
         raise NonConvergence(f"eisenstein_direct(r={r}): correction {corr:.2e} after {used} terms", ev)

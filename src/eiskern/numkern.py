@@ -26,9 +26,9 @@ import math
 from fractions import Fraction
 
 from .controls import Evaluation
-from .errors import DomainError, PoleError
+from .errors import DomainError, NonConvergence, PoleError
 from .quadrature import adaptive_quad, quad_decaying_tail
-from .summation import REL_TOL, alternating_sum
+from .summation import alternating_sum, power_series
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 PI = math.pi
@@ -272,9 +272,9 @@ def dirichlet_lambda(r: float) -> float:
     return -math.expm1(-r * math.log(2.0)) * riemann_zeta(r)
 
 
-# One entry per n asked for: he_taylor stops at n < 2000, the Omega Taylor
-# coefficients at the largest k that omega_taylor (k < 400) or the closed
-# moment route (the caller's k) asks for.
+# One entry per n asked for: he_taylor stops within power_series' 4000 terms,
+# the Omega Taylor coefficients at the largest k that omega_taylor or the
+# closed moment route (the caller's k) asks for, conj_bernoulli_half at m.
 @functools.cache
 def eta_odd(n: int) -> float:
     """eta(2n+1), n >= 0: the odd eta values behind both Taylor expansions."""
@@ -335,30 +335,21 @@ def zeta_odd_series(z, variant: str = "plain") -> Evaluation:
     else:
         closed = complex(EULER_GAMMA + digamma(1.0 + 1j * z).real)
 
-    series = 0.0 + 0.0j
-    term_bound = 1.0
-    k = 0
-    z2 = z * z
-    p = 1.0 + 0.0j
-    while k < 400:
-        k += 1
-        p *= z2
-        coeff = riemann_zeta(2 * k + 1)
-        t = coeff * p
-        if variant != "plain":
-            t *= (-1.0) ** (k - 1)
-        series += t
-        term_bound = abs(t)
-        if term_bound <= REL_TOL * max(abs(series), 1e-300) and k >= 4:
-            break
-    disc = abs(series - closed)
+    # zeta(2k+3)/zeta(2k+1) < 1, so the terms in w = +-z^2 shrink at least by |z|^2
+    w = z * z if variant == "plain" else -z * z
+    try:
+        series, tail, used = power_series(lambda k: riemann_zeta(2 * k + 1) if k else 0.0, w, abs(w))
+    except NonConvergence as exc:  # the series is only a diagnostic here
+        series, tail, used = exc.partial.value, exc.partial.err_estimate, exc.partial.terms_used
+    if variant != "plain":
+        series = -series
     return Evaluation(
         value=closed,
         err_estimate=16 * abs(closed) * 1e-16 + 1e-300,
-        terms_used=k,
+        terms_used=used,
         route="digamma",
-        diagnostics={"series_value": series, "pair_discrepancy": disc,
-                     "series_tail_bound": term_bound / max(1e-300, 1.0 - abs(z2))},
+        diagnostics={"series_value": series, "pair_discrepancy": abs(series - closed),
+                     "series_tail_bound": tail},
     )
 
 

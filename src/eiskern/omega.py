@@ -16,11 +16,11 @@ import functools
 import math
 
 from .controls import Evaluation
-from .errors import DomainError, NonConvergence, PoleError, StepError
+from .errors import DomainError, PoleError, StepError
 from .hilbert_eisenstein import mathieu_E
 from .numkern import PI, as_complex, bernoulli_number, coth, digamma, eta_odd, riemann_zeta
 from .quadrature import adaptive_quad
-from .summation import REL_TOL, alternating_sum
+from .summation import alternating_sum, power_series
 
 _TWO_PI = 2.0 * PI
 _HEAD = 1e-3  # analytic head panel below which the integrand uses its series
@@ -127,7 +127,7 @@ def omega_partial_fraction(z) -> Evaluation:
 # moments and the Taylor routes
 
 # Both coefficient tables are cached up to the largest k that omega_taylor
-# asks for (k < 400); the closed moment route adds k <= _CLOSED_MOMENT_K.
+# asks for; the closed moment route adds k <= _CLOSED_MOMENT_K.
 @functools.cache
 def _taylor_coefficient(k: int) -> float:
     # coefficient of z^(2k+1): 4^(-k) sum_{n<=k} (-1)^n eta(2n+1) / (pi^(2n+1) (2(k-n)+1)!)
@@ -167,15 +167,10 @@ def omega_moment(k: int, route: str = "closed") -> float:
         body, _, _ = adaptive_quad(f, _HEAD, 0.5)
         return 2.0 * (head + body.real)
     if route == "series":
-        s = 1.0 / (2 * k + 1)
-        n = 0
-        term = 1.0
-        while abs(term) > 1e-18 and n < 60:
-            n += 1
-            b = float(bernoulli_number(2 * n))
-            term = (-1.0) ** n * b * PI ** (2 * n) / (math.factorial(2 * n) * (2 * k + 2 * n + 1))
-            s += term
-        return s / (4.0 ** k * PI)
+        # B_2n/(2n)! = 2 (-1)^(n+1) zeta(2n)/(2 pi)^(2n): the terms in pi^2 shrink by at most 1/4
+        s, _, _ = power_series(lambda n: (-1) ** n * float(bernoulli_number(2 * n) / math.factorial(2 * n))
+                               / (2 * k + 2 * n + 1), PI * PI, 0.25)
+        return s.real / (4.0 ** k * PI)
     raise DomainError(f"unknown moment route {route!r}")
 
 
@@ -195,21 +190,10 @@ def omega_taylor(z, variant: str = "eta") -> Evaluation:
         raise DomainError("taylor routes require |z| < 2*pi")
     if z == 0:
         return Evaluation(0.0 + 0.0j, 0.0, 0, f"taylor-{variant}")
-    total = 0.0 + 0.0j
-    zp = z
-    z2 = z * z
-    ratio = abs(z2) / (4.0 * PI * PI)
     coefficient = _moment_coefficient if variant == "moments" else _taylor_coefficient
-    k = 0
-    while k < 400:
-        t = coefficient(k) * zp
-        total += t
-        zp *= z2
-        k += 1
-        if k >= 4 and abs(t) <= REL_TOL * max(1e-300, abs(total)):
-            tail = abs(t) * ratio / max(1e-12, 1.0 - ratio)
-            return Evaluation(total, tail, k, f"taylor-{variant}")
-    raise NonConvergence("omega_taylor: term budget exhausted")
+    z2 = z * z
+    s, err, used = power_series(coefficient, z2, abs(z2) / (4.0 * PI * PI))
+    return Evaluation(z * s, abs(z) * err, used, f"taylor-{variant}")
 
 
 # ---------------------------------------------------------------------------

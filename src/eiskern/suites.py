@@ -27,6 +27,7 @@ from . import hilbert_eisenstein as he
 from . import numkern as nk
 from . import omega as om
 from .errors import ConfigError
+from .summation import alternating_sum
 
 LOG2 = math.log(2.0)
 PI = math.pi
@@ -425,10 +426,16 @@ def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
                       he.he_direct(r, x).value, 1e-8, "abs_or_rel",
                       "HE through the classical Eisenstein series")
     for z in (0.7, 0.4 + 0.3j):
-        n = 10_000
-        s = 1.0 / z + sum((-1.0) ** k * 2.0 * z / (z * z + k * k) for k in range(1, n + 1))
+        s = 1.0 / z - alternating_sum(lambda k: 2.0 * z / (z * z + k * k))[0]
         rec.check(f"sinh expansion z={_fmt(complex(z))}", s, PI / cmath.sinh(PI * z),
-                  1e-8, "abs", "alternating partial fractions of pi/sinh(pi z)")
+                  1e-12, "abs", "alternating partial fractions of pi/sinh(pi z)")
+    for x in (0.5, 1.0, 3.0):
+        rec.check(f"mathieu alternating r=2 x={x}", he.mathieu(2, x, True).value,
+                  he.mathieu_E(x).value, 1e-12, "rel",
+                  "alternating Mathieu series against its integral form")
+        rec.check(f"mathieu r=2 x={x}", he.mathieu(2, x, False).value,
+                  -nk.polygamma(1, 1.0 + 1j * x).imag / x, 1e-12, "rel",
+                  "Mathieu series against -Im psi_1(1+ix)/x")
 
 
 def run_omega_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:

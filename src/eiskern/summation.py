@@ -1,8 +1,10 @@
-"""Series acceleration: Richardson in 1/N on any step sequence; for alternating
-sums CRVZ (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000) with the epsilon
-algorithm as fallback.  Reported errors add a rounding floor to the truncation
-estimate, which decides convergence; a Richardson correction within its floor
-eps*sum|t_k| counts as converged.  All are linear in the partial sums."""
+"""One engine per kind of series, each with a known error bound: Richardson in 1/N
+(callers step through RATIO_STEPS) for monotone sums of rational terms; CRVZ
+(Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000), with the epsilon algorithm as
+fallback, for alternating sums; summation to the rounding of the sum with a geometric
+tail bound for power series inside their disc.  Reported errors add a rounding floor
+to the truncation estimate, which decides convergence; a Richardson correction within
+its floor eps*sum|t_k| counts as converged.  All are linear in the partial sums."""
 from __future__ import annotations
 
 import math
@@ -14,7 +16,10 @@ from .controls import Evaluation
 from .errors import NonConvergence
 
 _EPS = sys.float_info.epsilon
-REL_TOL = 1e-12  # relative truncation target of every series engine and power-series loop
+REL_TOL = 1e-12  # alternating sums stop here; Richardson callers raise NonConvergence past it
+RATIO_STEPS = tuple(round(8 * 1.5 ** j) for j in range(19))  # 8, 12, 18, ..., 11823 <= 16384
+RATIO_TOL = 3e-13  # stopping at REL_TOL, Richardson on RATIO_STEPS loses digits
+_POWER_TERMS = 4000  # he_taylor needs 2660 terms at |z| = 0.993
 
 
 def richardson_limit(term: Callable[[int], complex], ns: Sequence[int],
@@ -121,6 +126,26 @@ def wynn_epsilon(partials: Sequence[complex]) -> tuple[complex, float]:
         if col % 2 == 0 and eps_cur:
             prev_best, best = best, eps_cur[-1]
     return best, abs(best - prev_best) + floor
+
+
+def power_series(coeff: Callable[[int], complex], w: complex,
+                 ratio: float) -> tuple[complex, float, int]:
+    """Sum_{n>=0} coeff(n) w^n until a term t_n (n >= 3) is within the rounding of the
+    sum, |t_n| <= eps*|S|.  The caller's ratio < 1 bounds |t_(k+1)/t_k| past it, so the
+    tail is at most |t_n| ratio/(1 - ratio).  Returns (value, err_estimate = that tail +
+    n*eps*|S|, n terms); NonConvergence (last estimate in `partial`) after 4000 terms."""
+    total, p = 0.0 + 0.0j, 1.0 + 0.0j
+    for n in range(1, _POWER_TERMS + 1):
+        t = coeff(n - 1) * p
+        total += t
+        p *= w
+        if n > 3 and abs(t) <= _EPS * abs(total):
+            break
+    err = abs(t) * ratio / max(1.0 - ratio, _EPS) + n * _EPS * abs(total)
+    if abs(t) > _EPS * abs(total):
+        raise NonConvergence(f"power series: |w| = {abs(w):.6g} needs more than {n} terms",
+                             Evaluation(total, err, n, "power-series"))
+    return total, err, n
 
 
 def power_tail(s: float, n: int) -> float:

@@ -119,7 +119,7 @@ def test_eval_he_real_axis_routes_reject_complex_z(capsys):
     value = json.loads(out)["value"]
     assert complex(value["re"], value["im"]) == pytest.approx(
         0.36423728261254806 + 1.0368832550179363j, rel=1e-12)
-    for route in ("real", "eisenstein", "coth"):
+    for route in ("real", "eisenstein"):
         rc, _, err = run(["eval", "he", "1", "0.5+0.3i", "--route", route], capsys)
         assert rc == 2
         assert "a real argument is required" in err

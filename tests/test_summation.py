@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from eiskern import Evaluation, NonConvergence
-from eiskern.summation import (REL_TOL, alternating_sum, power_tail, richardson_limit,
-                               wynn_epsilon)
+from eiskern.summation import (REL_TOL, alternating_sum, power_series, power_tail,
+                               richardson_limit, wynn_epsilon)
 
 LOG2 = math.log(2.0)
 
@@ -88,6 +88,23 @@ def test_alternating_sum_nonconvergence_keeps_last_estimate():
     assert math.isfinite(abs(last.value)) and last.err_estimate > 128 * REL_TOL * abs(last.value)
 
 
+def test_power_series_geometric_limit():
+    for w in (0.5, 0.5j, -0.9):
+        v, err, n = power_series(lambda n: 1.0, w, abs(w))
+        assert abs(v - 1.0 / (1.0 - w)) <= err <= 1e-13, w
+        assert n > 3
+    # a zero sum stops at the first four terms
+    assert power_series(lambda n: 0.0, 0.5, 0.5) == (0.0, 0.0, 4)
+
+
+def test_power_series_nonconvergence_at_cap():
+    with pytest.raises(NonConvergence) as info:
+        power_series(lambda n: 1.0, 0.9999, 0.9999)
+    last = info.value.partial
+    assert isinstance(last, Evaluation) and last.terms_used == 4000
+    assert abs(last.value - 1e4) <= last.err_estimate
+
+
 def test_wynn_epsilon_geometric():
     # partial sums of sum 0.9^k: slow geometric, epsilon nails the limit
     partials, acc = [], 0.0
@@ -132,8 +149,8 @@ def test_wynn_epsilon_exact_limit_has_rounding_floor():
 
 def test_err_estimate_bounds_true_error():
     mp = pytest.importorskip("mpmath")
-    from eiskern import (eisenstein_direct, eisenstein_integral, he_direct, omega_pv_hilbert,
-                         omega_quadrature)
+    from eiskern import (eisenstein_direct, eisenstein_integral, he_direct, he_taylor, mathieu,
+                         omega_pv_hilbert, omega_quadrature, omega_taylor)
     from eiskern.suites import SuiteConfig, disc_sample, strip_grid
 
     @mp.workdps(30)
@@ -141,12 +158,16 @@ def test_err_estimate_bounds_true_error():
         z = mp.mpc(z)
         if r == 1:
             return complex(mp.pi * mp.cot(mp.pi * z))
+        if r > 8:  # |k| <= 200: the rest is below 1e-19, beside values of at least 10 here
+            return complex(mp.fsum((z + k) ** -r for k in range(-200, 201)))
         return complex((mp.psi(r - 1, 1 - z) + (-1) ** r * mp.psi(r - 1, z)) / mp.factorial(r - 1))
 
     grid = [(r, z) for z in strip_grid(SuiteConfig()) for r in range(1, 7)]
     # far from the real axis the value is tiny beside its terms: the cancellation floor
     far = [(r, z) for z in (0.3 + 10j, 0.3 + 30j, 0.2 + 15j) for r in (2, 3)]
-    for r, z in grid + far:
+    # past r = 8 the terms are float powers, past r = 100 through exp(r log z)
+    high = [(r, z) for z in (0.3 + 0.4j, 0.45 + 0.01j, 0.8 - 0.7j, 5.3 + 0.2j) for r in (9, 150, 400)]
+    for r, z in grid + far + high:
         ev = eisenstein_direct(r, z)
         assert abs(ev.value - eps_oracle(r, z)) <= ev.err_estimate, (r, z)
     # the quadrature routes: panel errors, rounding floors and the tail bound
@@ -161,11 +182,14 @@ def test_err_estimate_bounds_true_error():
         z = mp.mpc(z)
         return complex(2 * mp.quad(lambda u: mp.sinh(z * u) * mp.cot(mp.pi * u), [0, 0.25, 0.5]))
 
-    for z in disc_sample(SuiteConfig(), n=8) + [1.0, 20.0]:
+    for z in disc_sample(SuiteConfig(), n=8) + [0.5, 1.0, 6.28, 20.0]:
         want = omega_oracle(z)
-        for route in (omega_quadrature, omega_pv_hilbert):
+        routes = [omega_quadrature, omega_pv_hilbert]
+        if abs(z) < 2 * math.pi:
+            routes += [lambda z: omega_taylor(z, "eta"), lambda z: omega_taylor(z, "moments")]
+        for i, route in enumerate(routes):
             ev = route(z)
-            assert abs(ev.value - want) <= ev.err_estimate, (route.__name__, z)
+            assert abs(ev.value - want) <= ev.err_estimate, (i, z)
 
     @mp.workdps(30)
     def he_oracle(r, z):
@@ -177,6 +201,30 @@ def test_err_estimate_bounds_true_error():
         for r in range(1, 5):
             ev = he_direct(r, z)
             assert abs(ev.value - he_oracle(r, z)) <= ev.err_estimate, (r, z)
+
+    @mp.workdps(30)
+    def h1_oracle(z):
+        z = mp.mpc(z)
+        return complex(2j * mp.log(2) + 1j * (mp.digamma(1 + 0.5j * z) + mp.digamma(1 - 0.5j * z)
+                                              - mp.digamma(1 + 1j * z) - mp.digamma(1 - 1j * z)))
+
+    for z in (0.5, -0.35, 0.3 + 0.3j, 0.2 - 0.6j, 0.85, 0.99j):
+        ev = he_taylor(z)
+        assert abs(ev.value - h1_oracle(z)) <= ev.err_estimate, z
+
+    @mp.workdps(30)
+    def mathieu_oracle(r, x):
+        # the first 2000 terms plus the Euler-Maclaurin tail of the rest
+        r, x2, n = mp.mpf(r), mp.mpf(x) ** 2, mp.mpf(2000)
+        f = lambda k: 2 * k / (k * k + x2) ** r
+        tail = (n * n + x2) ** (1 - r) / (r - 1) - f(n) / 2 - mp.fsum(
+            mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, n, 2 * j - 1) for j in (1, 2, 3))
+        return float(mp.fsum(f(mp.mpf(k)) for k in range(1, 2001)) + tail)
+
+    for r in (1.5, 2, 2.5, 3, 4):
+        for x in (0, 0.5, 1, 3, 10):
+            ev = mathieu(r, x, False)
+            assert abs(ev.value - mathieu_oracle(r, x)) <= ev.err_estimate, (r, x)
 
     for s in (0.01, 0.5, 1.5, 3.0, 7.0, 4001.0):
         v, err, _ = alternating_sum(lambda k: k ** -s)
