@@ -5,8 +5,7 @@ the identities, bounds and conjectures relating them."""
 
 from .controls import Evaluation
 from .errors import (ConfigError, DomainError, EiskernError, NonConvergence,
-                     PoleError, QuadratureFailure, StepError, StripError,
-                     UnsupportedOrder)
+                     PoleError, QuadratureFailure, StepError, UnsupportedOrder)
 from .numkern import (EULER_GAMMA, PI, bernoulli_number, bernoulli_poly,
                       digamma, digamma_realpart_integral, dirichlet_eta,
                       dirichlet_lambda, gamma, pochhammer, polygamma,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Evaluation",
     "EiskernError", "PoleError", "DomainError", "NonConvergence",
-    "QuadratureFailure", "UnsupportedOrder", "StripError", "StepError",
+    "QuadratureFailure", "UnsupportedOrder", "StepError",
     "ConfigError",
     "EULER_GAMMA", "PI",
     "gamma", "digamma", "polygamma", "riemann_zeta", "dirichlet_eta",

@@ -13,10 +13,10 @@ import math
 import sys
 
 from .controls import Evaluation
-from .errors import DomainError, NonConvergence, PoleError, StripError, UnsupportedOrder
-from .numkern import PI, as_complex, cot, digamma, polygamma
+from .errors import DomainError, NonConvergence, PoleError, UnsupportedOrder
+from .numkern import PI, as_complex, cot, csc2, digamma, polygamma
 from .quadrature import ABS_TOL, quad_segments
-from .summation import RATIO_STEPS, RATIO_TOL, REL_TOL, richardson_limit
+from .summation import REL_TOL, richardson_limit
 
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
 _EPS = sys.float_info.epsilon
@@ -74,7 +74,7 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     else:
         term = lambda k: (z + k) ** (-r) + (z - k) ** (-r) if k > 2 else lead[k]
 
-    value, err, used, corr = richardson_limit(term, RATIO_STEPS, first=lead[0], rel_tol=RATIO_TOL)
+    value, err, used, corr = richardson_limit(term, first=lead[0])
     if r > 8:  # a float power w^(-r) is rounded to about eps*r*(1 + |log w|) relative
         err += _EPS * r * math.fsum((1.0 + abs(cmath.log(w))) * abs(w) ** -r
                                     for w in (z + k for k in range(-used, used + 1)))
@@ -85,28 +85,19 @@ def eisenstein_direct(r: int, z) -> Evaluation:
 
 
 def eisenstein_closed(r: int, z) -> complex:
-    """Trigonometric closed forms: pi*cot, pi^2/sin^2, pi^3*cot/sin^2."""
+    """Trigonometric closed forms pi*cot, pi^2/sin^2, pi^3*cot/sin^2, all in the q-form of
+    numkern.cot, which underflows where sin^2 would overflow.  All three have period 1,
+    so w = pi*(z - n) with n the nearest integer to Re z: pi*z would lose the distance
+    to the pole at n to rounding."""
     _require_order(r)
     z = as_complex(z)
     _guard_integer(z)
     if r > 3:
         raise UnsupportedOrder("closed trigonometric forms exist for r in {1, 2, 3} only")
-    w = PI * z
+    w = PI * (z - round(z.real))
     if r == 1:
         return PI * cot(w)
-    try:
-        s = cmath.sin(w)
-        s2 = s * s
-    except OverflowError:
-        s2 = math.inf
-    if not cmath.isfinite(s2):
-        # 1/sin^2(w) = -4q/(1-q)^2 with q = e^(+-2iw), |q| <= 1: underflows instead
-        q = cmath.exp(2j * w if w.imag >= 0 else -2j * w)
-        inv_s2 = -4.0 * q / (1.0 - q) ** 2
-        return PI * PI * inv_s2 if r == 2 else PI ** 3 * cot(w) * inv_s2
-    if r == 2:
-        return PI * PI / s2
-    return PI ** 3 * cot(w) / s2
+    return PI * PI * csc2(w) if r == 2 else PI ** 3 * cot(w) * csc2(w)
 
 
 def eisenstein_polygamma(r: int, z) -> complex:
@@ -128,42 +119,36 @@ def _integrand_factory(r: int, zeta: complex, form: str):
     exp((r-1) log t - lgamma(r)), so no factor overflows while the integrand
     is a double; the log costs about eps*|log t| relative near t = 0, which is
     why low orders keep the power.  Both exponents are regrouped through e^(-t)
-    so every exponential has a non-positive real part for Re zeta in [0, 1);
-    the hyperbolic form keeps the cosh/sinh split explicit and switches to
-    exponential halves once |Re zeta|*t could overflow.
+    so every exponential has a non-positive real part for Re zeta in [0, 1).
+    The two forms differ only in where the bracket is taken as 2cosh(zeta t)
+    (r even) or -2sinh(zeta t) (r odd): the hyperbolic form while |Re zeta|*t < 600,
+    so nothing overflows, the exponential form for odd r while |zeta|*t < 1/2,
+    where the two exponentials cancel, and otherwise as exponential halves.
     """
     even = (r % 2 == 0)
     power = r <= _POWER_ORDERS
     g = float(math.factorial(r - 1)) if power else 1.0
     log_fact = math.lgamma(r)
-    plus, minus, sign, abs_zeta = -(1.0 + zeta), -(1.0 - zeta), (-1.0) ** r, abs(zeta)
+    plus, minus, sign = -(1.0 + zeta), -(1.0 - zeta), (-1.0) ** r
+    two, hyp = (2.0, cmath.cosh) if even else (-2.0, cmath.sinh)
+    if form == "hyperbolic":
+        scale, limit = abs(zeta.real), 600.0
+    else:
+        scale, limit = abs(zeta), (0.0 if even else 0.5)
 
-    def exponential(t: float) -> complex:
+    def integrand(t: float) -> complex:
         if t == 0.0:
             t = 1e-300
         den = -math.expm1(-t)  # 1 - e^-t, exact for small t
         # t^(r-1)/(r-1)! = w * e^q
         w, q = (t ** (r - 1) / g, 0.0) if power else (1.0, (r - 1) * math.log(t) - log_fact)
-        if (not even) and abs_zeta * t < 0.5:
-            num = -2.0 * math.exp(q - t) * cmath.sinh(zeta * t)
+        if scale * t < limit:
+            num = two * math.exp(q - t) * hyp(zeta * t)
         else:
             num = cmath.exp(q + plus * t) + sign * cmath.exp(q + minus * t)
         return w * num / den
 
-    def hyperbolic(t: float) -> complex:
-        if t == 0.0:
-            t = 1e-300
-        den = -math.expm1(-t)
-        w, q = (t ** (r - 1) / g, 0.0) if power else (1.0, (r - 1) * math.log(t) - log_fact)
-        if abs(zeta.real) * t > 600.0:
-            num = cmath.exp(q + plus * t) + sign * cmath.exp(q + minus * t)
-        elif even:
-            num = 2.0 * math.exp(q - t) * cmath.cosh(zeta * t)
-        else:
-            num = -2.0 * math.exp(q - t) * cmath.sinh(zeta * t)
-        return w * num / den
-
-    return hyperbolic if form == "hyperbolic" else exponential
+    return integrand
 
 
 def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
@@ -186,8 +171,6 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
     z = as_complex(z)
     _guard_integer(z)
     zeta = z - math.floor(z.real)  # strip reduction
-    if zeta.real == 0.0 and z.imag == 0.0:
-        raise StripError("strip reduction landed on the pole line Re zeta = 0 with real z")
     # Fold Re zeta > 1/2 through eps_r(w) = (-1)^r eps_r(1-w): the integrand's
     # oscillatory amplitude grows like e^(Re zeta * t), so the half-strip is
     # the well-conditioned side.
@@ -227,8 +210,6 @@ def _log_tail_bound(r: int, rate: float, T: float) -> float:
 
 
 def _tail_cutoff(r: int, rate: float) -> float:
-    if rate <= 0:
-        raise StripError("strip reduction produced |Re zeta| >= 1")
     T = max(30.0 / rate, 8.0)
     for _ in range(40):
         if _log_tail_bound(r, rate, T) < math.log(0.05 * ABS_TOL):

@@ -30,10 +30,6 @@ class UnsupportedOrder(EiskernError):
     """A closed form exists only for low orders and a higher one was requested."""
 
 
-class StripError(EiskernError):
-    """Strip reduction produced a degenerate argument for the integral route."""
-
-
 class StepError(EiskernError):
     """Finite-difference step size outside the admissible range."""
 

@@ -19,7 +19,7 @@ from .errors import DomainError, NonConvergence, PoleError
 from .eisenstein import eisenstein_closed, eisenstein_direct
 from .numkern import as_complex, digamma, dirichlet_eta, eta_odd, polygamma
 from .quadrature import adaptive_quad, quad_decaying_tail
-from .summation import RATIO_STEPS, RATIO_TOL, REL_TOL, alternating_sum, power_series, richardson_limit
+from .summation import REL_TOL, alternating_sum, power_series, richardson_limit
 
 IM_AXIS_GUARD = 1e-10  # hard floor; suites keep distance >= 0.05
 
@@ -160,8 +160,7 @@ def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     x2 = float(x) ** 2
     # 2k/(k^2+x^2)^r = 2 sum_j C(-r, j) x^(2j) k^(1-2r-2j): past N > |x| the tail
     # expands in integer powers of 1/N exactly when 2r is an integer
-    value, err, used, corr = richardson_limit(lambda k: 2.0 * k / (k * k + x2) ** r, RATIO_STEPS,
-                                              rel_tol=RATIO_TOL)
+    value, err, used, corr = richardson_limit(lambda k: 2.0 * k / (k * k + x2) ** r)
     ev = Evaluation(complex(value.real), err, used, "series-richardson")
     if corr > REL_TOL * abs(value):
         raise NonConvergence(f"mathieu(r={r}, x={x}): correction {corr:.2e} after {used} terms", ev)

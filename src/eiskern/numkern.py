@@ -7,13 +7,14 @@ digamma closed forms, and the real-part-of-digamma integral.
 
 Algorithm notes (also the tested contracts):
 
-* digamma: arguments with Re z < 0 go through the reflection formula
-  psi(z) = psi(1 - z) - pi*cot(pi*z); otherwise the recurrence
-  psi(z) = psi(z+1) - 1/z shifts Re z up to >= 14 where the asymptotic
-  log expansion with Bernoulli-number tail is accurate to ~1e-16.
-* polygamma uses the same shift-then-asymptotic scheme on psi_r; the direct
-  summation of the defining series is kept in the test suite as the slow
-  oracle.
+* psi_r for every order r >= 0 (psi_0 = psi) comes from one kernel, _psi:
+  the recurrence psi_r(z) = psi_r(z+1) + (-1)^(r+1) r! z^(-r-1) shifts Re z up
+  to >= 14, where the asymptotic series with Bernoulli-number tail (DLMF
+  5.11.2, 5.15.8) is accurate to ~1e-16.  digamma first reflects Re z < 0
+  through psi(z) = psi(1 - z) - pi*cot(pi*z); polygamma has no reflection and
+  shifts from any Re z.  The direct summation of the defining series is kept
+  in the test suite as the slow oracle.
+* cot, 1/sin^2 (csc2) and coth share one q-form, q = e^(+-2iw) with |q| <= 1.
 * zeta for non-even-integer s > 1 is eta(s) / (1 - 2^(1-s)) because the
   alternating series is stable down to s -> 1+; even integer s uses the
   exact Bernoulli closed form.
@@ -63,7 +64,7 @@ def bernoulli_poly(n: int, x: float) -> float:
 
 def as_complex(z) -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise DomainError("argument must have finite real and imaginary part")
     return z
 
@@ -75,22 +76,31 @@ def _guard_nonpositive_integer(z: complex, what: str) -> None:
             raise PoleError(f"{what} has a pole at the non-positive integer {n}")
 
 
+def _q_form(w: complex) -> tuple[complex, complex, complex]:
+    """(i s, q, q - 1) with q = e^(2isw) and s = +-1 the sign of Im w, so |q| <= 1 and
+    nothing overflows for large |Im w|; q - 1 = 2 e^(isw) sinh(isw) where |2w| < 1,
+    so it keeps its relative accuracy near the pole at w = 0."""
+    i_s = 1j if w.imag >= 0 else -1j
+    v = 2.0 * i_s * w
+    q = cmath.exp(v)
+    return i_s, q, (q - 1.0 if abs(v) >= 1.0 else 2.0 * cmath.exp(0.5 * v) * cmath.sinh(0.5 * v))
+
+
 def cot(w: complex) -> complex:
-    """Complex cotangent, overflow-safe for large |Im w|."""
-    if w.imag >= 0:
-        q = cmath.exp(2j * w)
-        return 1j * (q + 1.0) / (q - 1.0)
-    q = cmath.exp(-2j * w)
-    return -1j * (q + 1.0) / (q - 1.0)
+    """Complex cotangent i s (q + 1)/(q - 1), overflow-safe for large |Im w|."""
+    i_s, q, d = _q_form(w)
+    return i_s * (q + 1.0) / d
+
+
+def csc2(w: complex) -> complex:
+    """1/sin^2(w) = -4q/(q - 1)^2 with the q of cot: underflows where sin^2 would overflow."""
+    _, q, d = _q_form(w)
+    return -4.0 * q / (d * d)
 
 
 def coth(w: complex) -> complex:
-    """Complex hyperbolic cotangent, overflow-safe for large |Re w|."""
-    if w.real >= 0:
-        p = cmath.exp(-2.0 * w)
-        return (1.0 + p) / (1.0 - p)
-    p = cmath.exp(2.0 * w)
-    return -(1.0 + p) / (1.0 - p)
+    """Complex hyperbolic cotangent coth(w) = i*cot(iw), overflow-safe for large |Re w|."""
+    return 1j * cot(1j * w)
 
 
 # ---------------------------------------------------------------------------
@@ -174,28 +184,15 @@ def gamma(z) -> complex:
 # digamma / polygamma
 
 _SHIFT_RE = 14.0
-_DIGAMMA_ASY = tuple(float(bernoulli_number(2 * j)) / (2 * j) for j in range(1, 9))
 
 
 def digamma(z) -> complex:
-    """Digamma psi(z) by regime dispatch (reflection / shift / asymptotic)."""
+    """Digamma psi(z): the reflection psi(z) = psi(1 - z) - pi*cot(pi*z) for Re z < 0, then _psi."""
     z = as_complex(z)
     _guard_nonpositive_integer(z, "digamma")
-    if z.real < 0.0:
-        return digamma(1.0 - z) - PI * cot(PI * z)
-    acc = 0.0 + 0.0j
-    w = z
-    while w.real < _SHIFT_RE:
-        acc -= 1.0 / w
-        w += 1.0
-    inv = 1.0 / w
-    inv2 = inv * inv
-    s = cmath.log(w) - 0.5 * inv
-    p = inv2
-    for c in _DIGAMMA_ASY:
-        s -= c * p
-        p *= inv2
-    return s + acc
+    if z.real < 0.0:  # Re(1 - z) > 1: no pole, no second reflection
+        return _psi(0, 1.0 - z) - PI * cot(PI * z)
+    return _psi(0, z)
 
 
 def polygamma(r: int, z) -> complex:
@@ -210,34 +207,50 @@ def polygamma(r: int, z) -> complex:
     z = as_complex(z)
     _guard_nonpositive_integer(z, "polygamma")
     try:
-        value = _polygamma_shifted(r, z)
-    except OverflowError:
+        value = _psi(r, z)
+    except (OverflowError, ZeroDivisionError):  # w^-(r+1) overflows, or its reciprocal underflows
         value = complex(math.inf)
     if not cmath.isfinite(value):
         raise DomainError(f"polygamma({r}, {z}): a term of its r!-scaled series is not a double")
     return value
 
 
-def _polygamma_shifted(r: int, z: complex) -> complex:
-    rfact = math.factorial(r)
-    shift_coeff = (-1.0) ** (r + 1) * rfact
+def _psi(r: int, z: complex) -> complex:
+    """psi_r(z), r >= 0 (psi_0 = psi), off the poles: the recurrence
+    psi_r(w) = psi_r(w+1) + (-1)^(r+1) r! w^(-r-1) shifts Re w up to >= 14, where
+    psi_r(w) ~ (-1)^(r-1) [L_r + r!/(2 w^(r+1)) + sum_j B_2j (2j+r-1)!/(2j)! w^(-2j-r)]
+    (DLMF 5.11.2, 5.15.8) with L_0 = -log w and L_r = (r-1)!/w^r."""
+    lead, half, asy = _psi_asy(r)
     acc = 0.0 + 0.0j
     w = z
-    while w.real < _SHIFT_RE:
-        acc += shift_coeff * w ** (-(r + 1))
+    while w.real < _SHIFT_RE:  # 2*half = (-1)^(r+1) r!, the coefficient of the recurrence
+        acc += 2.0 * half * w ** -(r + 1) if r else -1.0 / w
         w += 1.0
     inv = 1.0 / w
-    s = math.factorial(r - 1) * inv ** r + 0.5 * rfact * inv ** (r + 1)
-    for j, c in enumerate(_polygamma_asy(r), 1):
-        s += c * inv ** (2 * j + r)
-    return (-1.0) ** (r - 1) * s + acc
+    inv2 = inv * inv
+    if r:
+        p = inv ** r
+        s = lead * p + half * p * inv
+        p *= inv2
+    else:
+        s = cmath.log(w) + half * inv
+        p = inv2
+    for a in asy:
+        s += a * p
+        p *= inv2
+    return s + acc
 
 
 @functools.cache
-def _polygamma_asy(r: int) -> tuple[float, ...]:
-    """The ten asymptotic coefficients B_2j (2j+r-1)!/(2j)! of psi_r, one tuple per order."""
-    return tuple(float(bernoulli_number(2 * j)) * math.factorial(2 * j + r - 1) / math.factorial(2 * j)
-                 for j in range(1, 11))
+def _psi_asy(r: int) -> tuple[float, float, tuple[float, ...]]:
+    """The asymptotic coefficients of psi_r with the sign (-1)^(r-1) folded in, one
+    tuple per order: the lead (r-1)! (none for psi, whose lead is log w), r!/2, then
+    B_2j (2j+r-1)!/(2j)! for j = 1..10, or 1..6 for psi, whose seventh term is below
+    1e-17 relative at |w| >= 14."""
+    sign = (-1.0) ** (r - 1)
+    return (sign * math.factorial(r - 1) if r else None, sign * math.factorial(r) / 2,
+            tuple(sign * float(bernoulli_number(2 * j)) * math.factorial(2 * j + r - 1) / math.factorial(2 * j)
+                  for j in range(1, 11 if r else 7)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """One engine per kind of series, each with a known error bound: Richardson in 1/N
-(callers step through RATIO_STEPS) for monotone sums of rational terms; CRVZ
+on a fixed ratio-1.5 step schedule for monotone sums of rational terms; CRVZ
 (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000), with the epsilon algorithm as
 fallback, for alternating sums; summation to the rounding of the sum with a geometric
 tail bound for power series inside their disc.  Reported errors add a rounding floor
@@ -17,24 +17,25 @@ from .errors import NonConvergence
 
 _EPS = sys.float_info.epsilon
 REL_TOL = 1e-12  # alternating sums stop here; Richardson callers raise NonConvergence past it
-RATIO_STEPS = tuple(round(8 * 1.5 ** j) for j in range(19))  # 8, 12, 18, ..., 11823 <= 16384
-RATIO_TOL = 3e-13  # stopping at REL_TOL, Richardson on RATIO_STEPS loses digits
+_RATIO_STEPS = tuple(round(8 * 1.5 ** j) for j in range(19))  # 8, 12, 18, ..., 11823 <= 16384
+_RATIO_TOL = 3e-13  # stopping at REL_TOL, Richardson on _RATIO_STEPS loses digits
 _POWER_TERMS = 4000  # he_taylor needs 2660 terms at |z| = 0.993
 
 
-def richardson_limit(term: Callable[[int], complex], ns: Sequence[int],
-                     first: complex = 0.0, rel_tol: float = 0.0) -> tuple[complex, float, int, float]:
-    """Extrapolate S = first + sum_{k>=1} term(k) from partial sums at N in ns.
+def richardson_limit(term: Callable[[int], complex],
+                     first: complex = 0.0) -> tuple[complex, float, int, float]:
+    """Extrapolate S = first + sum_{k>=1} term(k) from partial sums at N in _RATIO_STEPS.
 
-    Neville-Aitken table in h = 1/N over the increasing steps ns (Bulirsch-Stoer
+    Neville-Aitken table in h = 1/N over the steps N = round(8*1.5^j) (Bulirsch-Stoer
     1964; Sidi 2003, ch. 1-2): stage m removes the h^m term of the tail, as for
     symmetric sums of rational terms; each block of terms enters the running sum in
     one exactly rounded fsum.  Stops after the first row j >= 1 whose diagonal
-    correction corr is at most rel_tol*|R[j][j]| (0: full table) or within the
-    rounding floor eps*sum|t_k|, which settles sums whose value cancels to about 0.
-    Returns (value, err_estimate = corr + N*eps*|value| + eps*sum|t_k|, N, corr), with
-    corr read as 0 once within that floor; corr decides convergence.
+    correction corr is at most _RATIO_TOL*|R[j][j]| or within the rounding floor
+    eps*sum|t_k|, which settles sums whose value cancels to about 0.  Returns
+    (value, err_estimate = corr + N*eps*|value| + eps*sum|t_k|, N, corr), with corr
+    read as 0 once within that floor; the caller judges convergence from corr.
     """
+    ns = _RATIO_STEPS
     acc, mass = complex(first), abs(first)  # mass = |first| + sum |t_k|
     table: list[complex] = []               # table[m] = R[j-1][m] of the last row
     for j, n in enumerate(ns):
@@ -48,7 +49,7 @@ def richardson_limit(term: Callable[[int], complex], ns: Sequence[int],
         corr = abs(row[-1] - table[-1]) if j else abs(acc)
         settled = corr <= _EPS * mass
         table = row
-        if j and (settled or corr <= rel_tol * abs(row[-1])):
+        if j and (settled or corr <= _RATIO_TOL * abs(row[-1])):
             break
     return table[-1], corr + n * _EPS * abs(table[-1]) + _EPS * mass, n, 0.0 if settled else corr
 

@@ -87,6 +87,14 @@ def test_polylog_boundary_values():
         assert abs(periodic_polylog(1.0, x) - want) <= 1e-11
     assert abs(periodic_polylog(2.0, 0.0) - riemann_zeta(2.0)) <= 1e-13
     assert abs(periodic_polylog(3.0, 0.5) + dirichlet_eta(3.0)) <= 1e-15
+    # s >= 5 with x near the integers, where the epsilon algorithm resums a slowly turning
+    # phase; at (8.07, 0.00195) an accelerator that accepts a wrong sum is off by 5e16
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for s, x in ((8.07, 0.00195), (5.0, 0.001), (6.5, 0.999), (12.0, 0.0005),
+                     (5.5, 2.0013), (9.0, -0.003)):
+            want = complex(mp.polylog(s, mp.expjpi(2 * mp.mpf(x))))
+            assert abs(periodic_polylog(s, x) - want) <= 1e-10 * abs(want), (s, x)
 
 
 # ---------------------------------------------------------------------------

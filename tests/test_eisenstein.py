@@ -8,7 +8,7 @@ import pytest
 
 from eiskern import (DomainError, PoleError, UnsupportedOrder,
                      eisenstein_closed, eisenstein_direct, eisenstein_integral,
-                     eisenstein_polygamma, product_identity_residual)
+                     eisenstein_polygamma, polygamma, product_identity_residual)
 
 PI = math.pi
 
@@ -92,6 +92,15 @@ def test_closed_values():
             assert abs(eisenstein_closed(r, z)) < 1e-300
     with pytest.raises(UnsupportedOrder):
         eisenstein_closed(4, 0.25)
+    # near the real axis and a pole other than 0, against 30-digit mpmath
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for z in (0.05, 0.999, 2.5 + 0.01j):
+            w = mp.pi * mp.mpc(z)
+            want = (mp.pi * mp.cot(w), (mp.pi / mp.sin(w)) ** 2, mp.pi ** 3 * mp.cot(w) / mp.sin(w) ** 2)
+            for r in (1, 2, 3):
+                v = complex(want[r - 1])
+                assert abs(eisenstein_closed(r, z) - v) <= 1e-14 * abs(v), (r, z)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +124,9 @@ def test_integral_examples():
 
 
 def test_integral_forms_agree():
-    for (r, z) in [(1, 0.3 + 0.7j), (2, 0.6), (4, 0.7 - 1.3j), (5, 0.45 + 0.2j)]:
+    # r = 21 and 40 take the weight t^(r-1)/(r-1)! in log space
+    for (r, z) in [(1, 0.3 + 0.7j), (2, 0.6), (4, 0.7 - 1.3j), (5, 0.45 + 0.2j),
+                   (21, 0.3 + 0.4j), (40, 0.45 + 0.01j)]:
         a = eisenstein_integral(r, z, form="exponential").value
         b = eisenstein_integral(r, z, form="hyperbolic").value
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
@@ -237,3 +248,8 @@ def test_not_a_double_raises_typed_error():
         eisenstein_integral(400, 0.01 + 0.01j)  # |zeta^-400| = 1e768
     with pytest.raises(DomainError, match="not a double"):
         eisenstein_polygamma(150, 0.45 + 0.01j)  # 149! (0.45)^-150 = 1e312
+    # w^-(r+1) overflows (r = 140), its reciprocal underflows to 0 (r = 60), or the
+    # asymptotic coefficients overflow (r = 160): a typed error, never a raw one
+    for r, z in ((140, 1e-3 + 1e-3j), (60, 1e-8 + 1e-8j), (160, 0.3 + 0.4j)):
+        with pytest.raises(DomainError, match="not a double"):
+            polygamma(r, z)
