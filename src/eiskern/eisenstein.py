@@ -56,12 +56,13 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     r = 1 uses the paired form 1/z + sum_k 2z/(z^2 - k^2), tail O(1/N); r >= 2 pairs
     (z+k)^(-r) + (z-k)^(-r).  Terms k <= 2, which carry most rounding where the value is
     small beside them, are rounded once from exact integers (r <= 8); past r = 8 the float
-    powers add eps*r*sum (1 + |log(z+k)|)|z+k|^(-r) to err_estimate.  Richardson in 1/N
-    over N = round(8*1.5^j) = 8, 12, ..., 11823 stops once its diagonal moves <= 3e-13*|value|
-    or within the rounding floor eps*sum|t_k| (so eps_odd(1/2) = 0 stops at 308 terms).
-    NonConvergence (last estimate in `partial`) when the correction at 11823 terms exceeds that
-    floor and max(REL_TOL*|value|, 1e-14*max(1, |value|)): first at |Im z| = 90 (r=2), 125 (r=1, 3),
-    200 (r=4).
+    powers add eps*r*sum (1 + |log(z+k)|)|z+k|^(-r) to err_estimate.  The endpoint-corrected
+    sums S_N - t_N/2 miss the value by N^-lead (c_0 + c_1/N^2 + ...), lead = 2*floor((r-1)/2) + 1;
+    Richardson in 1/N^2 over N = round(8*1.5^j) = 8, 12, ..., 11823 stops once its extrapolate
+    moves <= 3e-13*|value| or within the rounding floor eps*sum|t_k| (so eps_odd(1/2) = 0 stops
+    at 40 to 91 terms).  NonConvergence (last estimate in `partial`) when the correction at 11823
+    terms exceeds that floor and max(REL_TOL*|value|, 1e-14*max(1, |value|)): from |Im z| of
+    about 310 (r=2), 375 (r=1), 705 (r=3), 1305 (r=4).
     """
     _require_order(r)
     z = as_complex(z)
@@ -74,7 +75,9 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     else:
         term = lambda k: (z + k) ** (-r) + (z - k) ** (-r) if k > 2 else lead[k]
 
-    value, err, used, corr = richardson_limit(term, first=lead[0])
+    # the paired terms are k^-q times a series in 1/k^2, q = r (r even) or r + 1 (r odd;
+    # q = 2 for r = 1), so the tail of the endpoint-corrected sums starts at N^(1-q)
+    value, err, used, corr = richardson_limit(term, first=lead[0], lead=2 * ((r - 1) // 2) + 1)
     if r > 8:  # a float power w^(-r) is rounded to about eps*r*(1 + |log w|) relative
         err += _EPS * r * math.fsum((1.0 + abs(cmath.log(w))) * abs(w) ** -r
                                     for w in (z + k for k in range(-used, used + 1)))

@@ -147,8 +147,10 @@ def he_via_eisenstein(r: int, x: float) -> complex:
 # Mathieu series
 
 def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
-    """S_r(x) = sum 2k/(k^2+x^2)^r (r > 1, 2r an integer) by Richardson in 1/N, or the
-    alternating variant (r > 0).  Richardson needs N >> |x|: NonConvergence from |x| ~ 80."""
+    """S_r(x) = sum 2k/(k^2+x^2)^r (r > 1, 2r an integer) by Richardson in 1/N^2 on the
+    endpoint-corrected sums (lead 2r - 2), or the alternating variant (r > 0).  Richardson
+    needs N >> |x|: NonConvergence from |x| of about 335 (r = 1.5), 385 (r = 2), 505 (r = 3)
+    and 650 (r = 4)."""
     if alternating:
         if r <= 0:
             raise DomainError("alternating Mathieu series requires r > 0")
@@ -158,9 +160,9 @@ def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     if r <= 1 or (2.0 * r) % 1.0:
         raise DomainError("Mathieu series requires r > 1 with 2r an integer")
     x2 = float(x) ** 2
-    # 2k/(k^2+x^2)^r = 2 sum_j C(-r, j) x^(2j) k^(1-2r-2j): past N > |x| the tail
-    # expands in integer powers of 1/N exactly when 2r is an integer
-    value, err, used, corr = richardson_limit(lambda k: 2.0 * k / (k * k + x2) ** r)
+    # 2k/(k^2+x^2)^r = 2 sum_j C(-r, j) x^(2j) k^(1-2r-2j): past N > |x| the tail of the
+    # endpoint-corrected sums is N^(2-2r) times a series in 1/N^2 when 2r is an integer
+    value, err, used, corr = richardson_limit(lambda k: 2.0 * k / (k * k + x2) ** r, lead=2 * r - 2)
     ev = Evaluation(complex(value.real), err, used, "series-richardson")
     if corr > REL_TOL * abs(value):
         raise NonConvergence(f"mathieu(r={r}, x={x}): correction {corr:.2e} after {used} terms", ev)

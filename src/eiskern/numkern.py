@@ -187,11 +187,13 @@ _SHIFT_RE = 14.0
 
 
 def digamma(z) -> complex:
-    """Digamma psi(z): the reflection psi(z) = psi(1 - z) - pi*cot(pi*z) for Re z < 0, then _psi."""
+    """Digamma psi(z): the reflection psi(z) = psi(1 - z) - pi*cot(pi*(z - n)) for Re z < 0,
+    then _psi.  cot has period pi, and n = round(Re z) keeps the distance to the pole at n,
+    which pi*z would lose to rounding."""
     z = as_complex(z)
     _guard_nonpositive_integer(z, "digamma")
     if z.real < 0.0:  # Re(1 - z) > 1: no pole, no second reflection
-        return _psi(0, 1.0 - z) - PI * cot(PI * z)
+        return _psi(0, 1.0 - z) - PI * cot(PI * (z - round(z.real)))
     return _psi(0, z)
 
 

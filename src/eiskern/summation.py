@@ -1,5 +1,6 @@
-"""One engine per kind of series, each with a known error bound: Richardson in 1/N
-on a fixed ratio-1.5 step schedule for monotone sums of rational terms; CRVZ
+"""One engine per kind of series, each with a known error bound: Richardson in 1/N^2
+with a caller-stated leading exponent, on endpoint-corrected partial sums over a fixed
+ratio-1.5 step schedule, for monotone sums of rational terms; CRVZ
 (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000), with the epsilon algorithm as
 fallback, for alternating sums; summation to the rounding of the sum with a geometric
 tail bound for power series inside their disc.  Reported errors add a rounding floor
@@ -7,6 +8,7 @@ to the truncation estimate, which decides convergence; a Richardson correction w
 its floor eps*sum|t_k| counts as converged.  All are linear in the partial sums."""
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from itertools import accumulate
@@ -22,36 +24,60 @@ _RATIO_TOL = 3e-13  # stopping at REL_TOL, Richardson on _RATIO_STEPS loses digi
 _POWER_TERMS = 4000  # he_taylor needs 2660 terms at |z| = 0.993
 
 
-def richardson_limit(term: Callable[[int], complex],
-                     first: complex = 0.0) -> tuple[complex, float, int, float]:
+@functools.cache
+def _richardson_weights(lead: float) -> tuple[tuple[tuple[float, ...], float], ...]:
+    """Row j of Richardson extrapolation on _RATIO_STEPS with known tail exponents: the
+    weights w_0..w_j, summing to 1, that cancel h^lead, h^(lead+2), ..., h^(lead+2j-2)
+    in sum w_n T(h_n), and the row's noise amplification sum|w|.  In x = (8/N)^2,
+    w_n is proportional to 1/(x_n^(lead/2) prod_(i != n) (x_n - x_i)) (Sidi 2003,
+    ch. 1-2); x_n^(lead/2) is taken relative to x_j, so no lead overflows."""
+    ns = _RATIO_STEPS
+    xs = [(8.0 / n) ** 2 for n in ns]
+    rows = []
+    for j in range(len(ns)):
+        raw = [(ns[n] / ns[j]) ** lead / math.prod(xs[n] - xs[i] for i in range(j + 1) if i != n)
+               for n in range(j + 1)]
+        total = math.fsum(raw)
+        w = tuple(v / total for v in raw)
+        rows.append((w, math.fsum(map(abs, w))))
+    return tuple(rows)
+
+
+def richardson_limit(term: Callable[[int], complex], first: complex = 0.0, *,
+                     lead: float) -> tuple[complex, float, int, float]:
     """Extrapolate S = first + sum_{k>=1} term(k) from partial sums at N in _RATIO_STEPS.
 
-    Neville-Aitken table in h = 1/N over the steps N = round(8*1.5^j) (Bulirsch-Stoer
-    1964; Sidi 2003, ch. 1-2): stage m removes the h^m term of the tail, as for
-    symmetric sums of rational terms; each block of terms enters the running sum in
-    one exactly rounded fsum.  Stops after the first row j >= 1 whose diagonal
-    correction corr is at most _RATIO_TOL*|R[j][j]| or within the rounding floor
-    eps*sum|t_k|, which settles sums whose value cancels to about 0.  Returns
-    (value, err_estimate = corr + N*eps*|value| + eps*sum|t_k|, N, corr), with corr
-    read as 0 once within that floor; the caller judges convergence from corr.
+    The caller states the series' leading tail exponent `lead`: the endpoint-corrected
+    partial sum T_N = S_N - t_N/2 misses S by h^lead (c_0 + c_1 h^2 + ...), h = 1/N,
+    when the terms expand in every other power of 1/k (the half last term cancels the
+    odd Euler-Maclaurin corrections).  Row j combines every T_N so far with the weights
+    of _richardson_weights (Romberg's case of Richardson extrapolation; Bulirsch-Stoer
+    1964); each block of terms enters the running sum in one exactly rounded fsum.
+    Stops after the first row j >= 1 whose correction corr = |R_j - R_(j-1)| is at most
+    _RATIO_TOL*|R_j| or within the rounding floor eps*sum|t_k|, which settles sums whose
+    value cancels to about 0.  Returns (value, err_estimate = corr + L_j*(N*eps*|value|
+    + eps*sum|t_k|), N, corr), where L_j = sum|w| (<= 14.9 for lead >= 1) amplifies the
+    rounding of the T_N and corr reads 0 once within that floor; the caller judges
+    convergence from corr.
     """
     ns = _RATIO_STEPS
+    rows = _richardson_weights(lead)
     acc, mass = complex(first), abs(first)  # mass = |first| + sum |t_k|
-    table: list[complex] = []               # table[m] = R[j-1][m] of the last row
+    ts: list[complex] = []                  # T_N at each step so far
+    value = 0.0 + 0.0j
     for j, n in enumerate(ns):
         block = [term(k) for k in range(ns[j - 1] + 1 if j else 1, n + 1)]
         acc = complex(math.fsum([acc.real, *(t.real for t in block)]),
                       math.fsum([acc.imag, *(t.imag for t in block)]))
         mass += sum(map(abs, block))
-        row = [acc]
-        for m in range(1, j + 1):
-            row.append(row[m - 1] + (row[m - 1] - table[m - 1]) / (n / ns[j - m] - 1.0))
-        corr = abs(row[-1] - table[-1]) if j else abs(acc)
+        ts.append(acc - 0.5 * block[-1])
+        weights, amp = rows[j]
+        prev, value = value, sum(w * t for w, t in zip(weights, ts))
+        corr = abs(value - prev) if j else abs(value)
         settled = corr <= _EPS * mass
-        table = row
-        if j and (settled or corr <= _RATIO_TOL * abs(row[-1])):
+        if j and (settled or corr <= _RATIO_TOL * abs(value)):
             break
-    return table[-1], corr + n * _EPS * abs(table[-1]) + _EPS * mass, n, 0.0 if settled else corr
+    return value, corr + amp * (n * _EPS * abs(value) + _EPS * mass), n, 0.0 if settled else corr
 
 
 def _crvz(terms: Sequence[complex], n: int) -> complex:
@@ -72,7 +98,9 @@ def alternating_sum(term: Callable[[int], complex]) -> tuple[complex, float, int
     CRVZ on 32 terms with truncation error |CRVZ_32 - CRVZ_24|; if that
     misses REL_TOL, the epsilon algorithm on blocks of 128, 512, 2048 terms
     until one meets it (NonConvergence, last estimate in `partial`, when even
-    2048 terms miss 128*REL_TOL).  The error adds the floor sqrt(n)*eps*sum|t_k|.
+    2048 terms miss 128*REL_TOL).  A block whose last term is within eps*|S|
+    returns the partial sum S with that term as its truncation error.  The
+    error adds the floor sqrt(n)*eps*sum|t_k|.
     """
     converged = lambda v, e, mult=1.0: e <= max(mult * REL_TOL * abs(v), 1e-16)
     terms = [term(k) for k in range(1, 33)]
@@ -83,6 +111,10 @@ def alternating_sum(term: Callable[[int], complex]) -> tuple[complex, float, int
         for size in (128, 512, 2048):
             terms += [term(k) for k in range(len(terms) + 1, size + 1)]
             partials = list(accumulate(t if j % 2 == 0 else -t for j, t in enumerate(terms)))
+            if abs(terms[-1]) <= _EPS * abs(partials[-1]):
+                # the partial sums have settled; epsilon would divide by their rounding noise
+                value, trunc = partials[-1], abs(terms[-1])
+                break
             value, trunc = wynn_epsilon(partials[-64:])
             if converged(value, trunc):
                 break

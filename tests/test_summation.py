@@ -1,6 +1,7 @@
 """Direct tests of the series acceleration engines against closed values."""
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
@@ -57,24 +58,115 @@ def test_dirichlet_eta_terms_against_mpmath():
 
 
 def test_richardson_limit_stops_at_convergence():
-    # the ratio-1.5 schedule runs to 11823 terms; for sum 1/k^2 the diagonal settles at 205
-    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2)
-    assert n == 205 and 0.0 < corr <= 3e-13 * abs(v)
-    # a sum that cancels to about 0 stops on its rounding floor, with corr read as 0
-    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2, first=-math.pi ** 2 / 6.0)
-    assert corr == 0.0 and n < 11823 and abs(v) <= err <= 1e-15
-    # a tail in N^(-1/2) has no expansion in 1/N: the whole schedule runs and the
-    # correction it returns is left for the caller to judge
-    v, err, n, corr = richardson_limit(lambda k: k ** -1.5)
+    # the ratio-1.5 schedule runs to 11823 terms; for sum 1/k^2 the 91-term row repeats
+    # the 61-term row bit for bit, so the table stops there on its rounding floor
+    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2, lead=1)
+    assert n == 91 and corr <= 3e-13 * abs(v)
+    # sum k^(-3/2), tail N^(-1/2) (c_0 + c_1/N^2 + ...): the ratio test stops it at 91
+    v, err, n, corr = richardson_limit(lambda k: k ** -1.5, lead=0.5)
+    assert n == 91 and 0.0 < corr <= 3e-13 * abs(v)
+    # a sum that cancels to about 0 stops on its rounding floor, with corr read as 0; its
+    # error is that floor eps*sum|t_k| times the row's noise amplification (<= 14.9)
+    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2, first=-math.pi ** 2 / 6.0, lead=1)
+    mass = math.pi ** 2 / 3.0
+    assert corr == 0.0 and n < 11823 and abs(v) <= err <= 14.9 * 2.3e-16 * mass
+    # a tail in N^(-1/2) has no expansion in N^-1, N^-3, ...: the whole schedule runs
+    # and the correction it returns is left for the caller to judge
+    v, err, n, corr = richardson_limit(lambda k: k ** -1.5, lead=1)
     assert n == 11823 and corr > 1e-4
 
 
 def test_richardson_limit_basel():
     # sum 1/k^2 with tail ~ 1/N: Richardson recovers pi^2/6 from few terms
-    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2)
+    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2, lead=1)
     assert v.real == pytest.approx(math.pi ** 2 / 6.0, abs=1e-14)
     assert abs(v.real - math.pi ** 2 / 6.0) <= err < 1e-12
-    assert 0.0 < corr < err  # err adds the rounding floors to the last correction
+    assert 0.0 <= corr < err  # err adds the amplified rounding floors to the last correction
+
+
+def test_richardson_limit_zeta4_with_known_exponents():
+    # sum k^-4: T_N = S_N - N^-4/2 misses zeta(4) by N^-3 (1/3 + c_1/N^2 + ...); at
+    # 61 terms the table is exact to the last bit (the 1/N table took 205 terms)
+    zeta4 = 1.0823232337111381  # zeta(4) = pi^4/90 rounded once (mpmath)
+    v, err, n, corr = richardson_limit(lambda k: k ** -4.0, lead=3)
+    assert n <= 61 and abs(v.real - zeta4) <= 2e-16 * zeta4 and abs(v.real - zeta4) <= err
+
+
+def test_richardson_weights_cancel_the_stated_powers():
+    from eiskern.summation import _RATIO_STEPS, _richardson_weights
+    for lead in (0.5, 1, 2, 3, 7, 399):
+        for j, (w, amp) in enumerate(_richardson_weights(lead)):
+            assert math.fsum(w) == pytest.approx(1.0, abs=1e-14)
+            assert amp == pytest.approx(math.fsum(map(abs, w)))
+            assert 1.0 <= amp <= (14.9 if lead >= 1 else 38.1)  # every caller has lead >= 1
+            hs = [8.0 / n for n in _RATIO_STEPS[:j + 1]]
+            for m in range(min(j, 4)):  # h^lead, h^(lead+2), ... vanish
+                scale = max(abs(c) * h ** (lead + 2 * m) for c, h in zip(w, hs))
+                assert abs(math.fsum(c * h ** (lead + 2 * m) for c, h in zip(w, hs))) <= 1e-12 * scale
+
+
+def _endpoint_corrected_sum(term, first, n):
+    ts = [complex(first)] + [term(k) for k in range(1, n + 1)]
+    return complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts)) - 0.5 * ts[-1]
+
+
+def test_richardson_lead_matches_the_tail_at_every_call_site(monkeypatch):
+    # a caller's lead must be the exponent of its series' tail: the error of
+    # T_N = S_N - t_N/2 against 40-digit mpmath falls as N^-lead between N = 203 and 456
+    mp = pytest.importorskip("mpmath")
+    import pathlib
+    from eiskern import eisenstein as eis, hilbert_eisenstein as he
+    src = pathlib.Path(eis.__file__).parent
+    callers = {p.stem for p in src.glob("*.py") if p.stem != "summation"
+               and "richardson_limit(" in p.read_text()}
+    assert callers == {"eisenstein", "hilbert_eisenstein"}  # a new call site needs a case here
+    seen = {}
+    for module in (eis, he):
+        def spy(term, first=0.0, *, lead, real=module.richardson_limit):
+            seen.update(term=term, first=first, lead=lead)
+            return real(term, first, lead=lead)
+        monkeypatch.setattr(module, "richardson_limit", spy)
+
+    def slope(exact):
+        errs = [abs(mp.mpc(_endpoint_corrected_sum(seen["term"], seen["first"], n)) - exact)
+                for n in (203, 456)]
+        return float(mp.log(errs[0] / errs[1]) / mp.log(mp.mpf(456) / 203))
+
+    with mp.workdps(40):
+        z = 0.3 + 4j  # |z| << 203, and the value is tiny beside the truncation errors
+        w = mp.mpc(z)
+        for r in range(1, 9):
+            eis.eisenstein_direct(r, z)
+            exact = mp.pi * mp.cot(mp.pi * w) if r == 1 else (
+                mp.psi(r - 1, 1 - w) + (-1) ** r * mp.psi(r - 1, w)) / mp.factorial(r - 1)
+            assert abs(slope(exact) - seen["lead"]) <= 0.15, ("eisenstein_direct", r)
+        x = 5.0
+        for r in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
+            he.mathieu(r, x, False)
+            assert abs(slope(_mathieu_exact(mp, r, x)) - seen["lead"]) <= 0.15, ("mathieu", r)
+
+
+def _mathieu_exact(mp, r, x, n=2000):
+    """sum 2k/(k^2+x^2)^r: the first n terms, the exact tail integral and three
+    Euler-Maclaurin corrections (mpmath.sumem on [1, inf) is off by 3e-11 at r = 4, x = 8)."""
+    r, x2, n = mp.mpf(r), mp.mpf(x) ** 2, mp.mpf(n)
+    f = lambda k: 2 * k / (k * k + x2) ** r
+    tail = (n * n + x2) ** (1 - r) / (r - 1) - f(n) / 2 - mp.fsum(
+        mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, n, 2 * j - 1) for j in (1, 2, 3))
+    return mp.fsum(f(mp.mpf(k)) for k in range(1, int(n) + 1)) + tail
+
+
+def test_alternating_sum_settled_partial_sums_skip_epsilon():
+    # term(k) = e^(2 pi i k (x - 1/2))/k^s: CRVZ misses on the turning phase, and the
+    # epsilon table on the settled partial sums divided by their rounding noise
+    # (4.8e16i, claimed 4.3e-15); the sum is -Li_s(e^(2 pi i x)) (mpmath, 30 digits)
+    s, x = 8.07, 0.00195
+    want = -1.003802982547682 - 0.012349148498848007j
+    try:
+        v, err, used = alternating_sum(lambda k: cmath.exp(2j * math.pi * k * (x - 0.5)) / k ** s)
+    except NonConvergence:
+        return
+    assert abs(v - want) <= err <= 1e-14
 
 
 def test_alternating_sum_nonconvergence_keeps_last_estimate():
@@ -213,15 +305,14 @@ def test_err_estimate_bounds_true_error():
 
     @mp.workdps(30)
     def mathieu_oracle(r, x):
-        # the first 2000 terms plus the Euler-Maclaurin tail of the rest
-        r, x2, n = mp.mpf(r), mp.mpf(x) ** 2, mp.mpf(2000)
-        f = lambda k: 2 * k / (k * k + x2) ** r
-        tail = (n * n + x2) ** (1 - r) / (r - 1) - f(n) / 2 - mp.fsum(
-            mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, n, 2 * j - 1) for j in (1, 2, 3))
-        return float(mp.fsum(f(mp.mpf(k)) for k in range(1, 2001)) + tail)
+        want = _mathieu_exact(mp, r, x)
+        if r == 2 and x:  # cross-check: S_2(x) = -Im psi_1(1 + ix)/x
+            assert abs(want + mp.im(mp.psi(1, 1 + 1j * mp.mpf(x))) / x) <= 1e-25 * want
+        return float(want)
 
+    # Richardson needs N >> |x|: x = 300 takes 5255-7882 terms
     for r in (1.5, 2, 2.5, 3, 4):
-        for x in (0, 0.5, 1, 3, 10):
+        for x in (0, 0.5, 1, 3, 10, 30, 100, 300):
             ev = mathieu(r, x, False)
             assert abs(ev.value - mathieu_oracle(r, x)) <= ev.err_estimate, (r, x)
 
