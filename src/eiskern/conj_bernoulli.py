@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import DomainError, NonConvergence
 from .numkern import (PI, as_complex, bernoulli_poly, coth, digamma, dirichlet_eta,
                       eta_odd, riemann_zeta)
-from .summation import REL_TOL, power_tail, wynn_epsilon
+from .summation import REL_TOL, power_series, power_tail, wynn_epsilon
 
 _TWO_PI = 2.0 * PI
 _LOG2 = math.log(2.0)
@@ -142,13 +142,17 @@ def conj_bernoulli_genfun(z) -> complex:
 
 
 def conj_genfun_series(z) -> complex:
-    """Truncated coefficient series sum_k B~_k(1/2) z^k/k! (odd k <= 41 only)."""
+    """Coefficient series sum_k B~_k(1/2) z^k/k! on |z| < 2 pi.
+
+    The odd terms B~_(2m+1)(1/2) z^(2m+1)/(2m+1)! = -(z/pi) (-1)^m eta(2m+1) (z/2pi)^(2m),
+    the (2m+1)! cancelled, are summed to the rounding of the sum.
+    """
     z = as_complex(z)
-    total = 0.0 + 0.0j
-    for m in range(21):
-        k = 2 * m + 1
-        total += conj_bernoulli_half(m) * z ** k / math.factorial(k)
-    return total
+    if abs(z) >= _TWO_PI:
+        raise DomainError("coefficient series requires |z| < 2*pi")
+    w = (z / _TWO_PI) ** 2
+    s, _, _ = power_series(lambda m: (-1) ** m * eta_odd(m), w, abs(w))
+    return -(z / PI) * s
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from .controls import Evaluation
 from .errors import DomainError, NonConvergence, PoleError, UnsupportedOrder
 from .numkern import PI, as_complex, cot, csc2, digamma, polygamma
-from .quadrature import ABS_TOL, quad_segments
+from .quadrature import quad_decaying_tail
 from .summation import REL_TOL, richardson_limit
 
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
@@ -62,7 +62,9 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     moves <= 3e-13*|value| or within the rounding floor eps*sum|t_k| (so eps_odd(1/2) = 0 stops
     at 40 to 91 terms).  NonConvergence (last estimate in `partial`) when the correction at 11823
     terms exceeds that floor and max(REL_TOL*|value|, 1e-14*max(1, |value|)): from |Im z| of
-    about 310 (r=2), 375 (r=1), 705 (r=3), 1305 (r=4).
+    about 310 (r=2), 375 (r=1), 705 (r=3), 1305 (r=4); and when an extrapolated (not settled)
+    stop comes at N < 3|z|, where the last correction need not bound the unsummed tail: from
+    |z| of about 11823/3 = 3941 (r = 5-8).
     """
     _require_order(r)
     z = as_complex(z)
@@ -84,6 +86,8 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     ev = Evaluation(value, err, used, "direct")
     if corr > max(REL_TOL * abs(value), 1e-14 * max(1.0, abs(value))):
         raise NonConvergence(f"eisenstein_direct(r={r}): correction {corr:.2e} after {used} terms", ev)
+    if corr and used < 3.0 * abs(z):
+        raise NonConvergence(f"eisenstein_direct(r={r}): extrapolated after {used} < 3|z| terms", ev)
     return ev
 
 
@@ -140,8 +144,6 @@ def _integrand_factory(r: int, zeta: complex, form: str):
         scale, limit = abs(zeta), (0.0 if even else 0.5)
 
     def integrand(t: float) -> complex:
-        if t == 0.0:
-            t = 1e-300
         den = -math.expm1(-t)  # 1 - e^-t, exact for small t
         # t^(r-1)/(r-1)! = w * e^q
         w, q = (t ** (r - 1) / g, 0.0) if power else (1.0, (r - 1) * math.log(t) - log_fact)
@@ -161,10 +163,10 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
                (e^(-zeta t) + (-1)^r e^(zeta t)) dt,   zeta = z - floor(Re z).
 
     The hyperbolic form replaces the bracket by 2cosh(zeta t) (r even) or
-    -2sinh(zeta t) (r odd).  The tail is truncated where (r-1)! times its
-    bound (_log_tail_bound, in log space) falls below the quadrature
-    tolerance.  err_estimate adds the quadrature error, that bound
-    and the rounding floor eps*((1 + r|log zeta|)|zeta^(-r)| + |value|).
+    -2sinh(zeta t) (r odd).  quad_decaying_tail cuts the tail by the majorant
+    2 t^(r-1) e^(-(1 - |Re zeta|) t)/((r-1)! (1 - e^-t)).  err_estimate adds
+    the quadrature error, its tail bound and the rounding floor
+    eps*((1 + r|log zeta|)|zeta^(-r)| + |value|).
     DomainError where the value, zeta^(-r) or the integrand's peak is not a
     double.
     """
@@ -184,10 +186,10 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
 
     f = _integrand_factory(r, zeta, form)
     rate = 1.0 - abs(zeta.real)  # decay of the slower exponential
-    T = _tail_cutoff(r, rate)
     try:
         head = zeta ** (-r)
-        value, err, panels = quad_segments(f, 0.0, T)
+        value, err, panels = quad_decaying_tail(f, 0.0, rate, power=r - 1,
+                                                log_scale=math.log(2.0) - math.lgamma(r))
         total = sign * (head + value)
     except OverflowError:
         total = math.inf
@@ -197,28 +199,8 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
     # zeta^(-r) is rounded with relative error up to about eps*r*|log zeta| (CPython
     # powers past r = 100 through exp(r log zeta))
     head_floor = (1.0 + r * abs(cmath.log(zeta))) * abs(head)
-    err += math.exp(_log_tail_bound(r, rate, T) - math.lgamma(r)) + _EPS * (head_floor + abs(total))
+    err += _EPS * (head_floor + abs(total))
     return Evaluation(total, err, panels, f"integral-{form}")
-
-
-def _log_tail_bound(r: int, rate: float, T: float) -> float:
-    # t^(r-1) e^(-rate t) is log-concave, so past T it stays below its tangent
-    # exponential e^(-slope (t-T)): (r-1)! times the integral's tail over
-    # [T, oo) is at most 2 T^(r-1) e^(-rate T) / (slope (1 - e^-T)),
-    # slope = rate - (r-1)/T
-    slope = rate - (r - 1) / T
-    if slope <= 0.0:
-        return math.inf
-    return math.log(2.0 / (slope * -math.expm1(-T))) + (r - 1) * math.log(T) - rate * T
-
-
-def _tail_cutoff(r: int, rate: float) -> float:
-    T = max(30.0 / rate, 8.0)
-    for _ in range(40):
-        if _log_tail_bound(r, rate, T) < math.log(0.05 * ABS_TOL):
-            break
-        T *= 1.5
-    return T
 
 
 def product_identity_residual(r: int, z) -> complex:

@@ -185,6 +185,6 @@ def mathieu_E(x: float) -> Evaluation:
         return u * math.sin(x * u) / (math.exp(u) + 1.0)
 
     head, e1, p1 = adaptive_quad(f, 0.0, 2.0)
-    tail, e2, p2 = quad_decaying_tail(f, 2.0, rate=0.7, cutoff_scale=30.0)
+    tail, e2, p2 = quad_decaying_tail(f, 2.0, rate=1.0, power=1.0)  # |f| <= u e^-u
     val = (head + tail).real / x
     return Evaluation(complex(val), (e1 + e2) / abs(x), p1 + p2, "integral")

@@ -378,10 +378,10 @@ def digamma_realpart_integral(t: float) -> float:
     freq = t / (2.0 * PI)
 
     def f(u: float) -> float:
-        if u < 1e-12:
-            return freq * freq * u  # limit of sin^2/sinh
         return math.exp(-u) * math.sin(freq * u) ** 2 / math.sinh(u)
 
-    head, _, _ = adaptive_quad(f, 0.0, 1.0)
-    tail, _, _ = quad_decaying_tail(f, 1.0, rate=2.0, cutoff_scale=2.0)
+    # |f| <= e^-u/sinh(u) <= 2 e^(-2u)/(1 - e^-u); the smallest node of the head,
+    # even at the depth cap, is above 1e-11, where sin^2/sinh is still well scaled
+    head, _, _ = adaptive_quad(f, 0.0, 2.0)
+    tail, _, _ = quad_decaying_tail(f, 2.0, rate=2.0, log_scale=math.log(2.0))
     return -EULER_GAMMA + 2.0 * (head + tail).real

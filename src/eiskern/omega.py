@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 
 from .controls import Evaluation
 from .errors import DomainError, PoleError, StepError
@@ -23,7 +24,7 @@ from .quadrature import adaptive_quad
 from .summation import alternating_sum, power_series
 
 _TWO_PI = 2.0 * PI
-_HEAD = 1e-3  # analytic head panel below which the integrand uses its series
+_EPS = sys.float_info.epsilon
 _ZETA3 = riemann_zeta(3.0)  # shared by the bounds and the envelope
 _ENVELOPE_LO = math.log(_ZETA3 / 3.0) / _TWO_PI
 _ENVELOPE_HI = math.log(3.0 / _ZETA3) / _TWO_PI
@@ -53,36 +54,22 @@ def _require_re_in_range(z: complex) -> None:
                           "real z has the log-space digamma route")
 
 
-def _real_brace(x: float) -> float:
-    """The digamma brace of omega_digamma for real x, as a sum of real parts."""
-    return (2.0 * math.log(2.0)
-            + 2.0 * digamma(1.0 + 1j * x / (4.0 * PI)).real
-            - 2.0 * digamma(1.0 + 1j * x / (2.0 * PI)).real)
-
-
-def _definition_integrand(z: complex):
-    def f(u: float) -> complex:
-        return cmath.sinh(z * u) / math.tan(PI * u)
-    return f
-
-
-def _head_integral(z: complex, a: float) -> complex:
-    # int_0^a sinh(zu)cot(pi u) du = (z/pi)[a + c2 a^3/3 + c4 a^5/5 + O(a^7 z^6)]
-    c2 = z * z / 6.0 - PI * PI / 3.0
-    c4 = z ** 4 / 120.0 - z * z * PI * PI / 18.0 - PI ** 4 / 45.0
-    return (z / PI) * (a + c2 * a ** 3 / 3.0 + c4 * a ** 5 / 5.0)
+def _real_brace(x: float) -> tuple[float, float]:
+    """The digamma brace of omega_digamma for real x, as a sum of real parts, and
+    2 log 2 + the sum of the moduli of its four (pairwise conjugate) digamma values."""
+    a, b = digamma(1.0 + 1j * x / (4.0 * PI)), digamma(1.0 + 1j * x / (2.0 * PI))
+    return 2.0 * math.log(2.0) + 2.0 * a.real - 2.0 * b.real, 2.0 * (math.log(2.0) + abs(a) + abs(b))
 
 
 def omega_quadrature(z) -> Evaluation:
-    """Adaptive quadrature of the definition; the u -> 0 panel is analytic."""
+    """Adaptive quadrature of the definition over [0, 1/2]; the rule never samples
+    u = 0, where sinh(zu) cot(pi u) tends to z/pi."""
     z = as_complex(z)
     _require_re_in_range(z)
     if z == 0:
         return Evaluation(0.0 + 0.0j, 0.0, 0, "quadrature")
-    head = _head_integral(z, _HEAD)
-    body, err, panels = adaptive_quad(_definition_integrand(z), _HEAD, 0.5)
-    head_err = abs(z) ** 7 * _HEAD ** 7 / 5040.0 + abs(z) * PI ** 5 * _HEAD ** 7
-    return Evaluation(2.0 * (head + body), 2.0 * err + 2.0 * head_err, panels, "quadrature")
+    value, err, panels = adaptive_quad(lambda u: cmath.sinh(z * u) / math.tan(PI * u), 0.0, 0.5)
+    return Evaluation(2.0 * value, 2.0 * err, panels, "quadrature")
 
 
 def omega_digamma(z) -> complex:
@@ -91,19 +78,29 @@ def omega_digamma(z) -> complex:
 
     Real |z| > 1400 is computed in log space; DomainError where Omega(z) is
     not a double."""
-    z = as_complex(z)
+    return _omega_digamma(as_complex(z))[0]
+
+
+def _omega_digamma(z: complex) -> tuple[complex, float]:
+    """omega_digamma(z) and the rounding bound of its brace,
+    8 eps |sinh(z/2)|/pi (2 log 2 + sum |psi|) + eps |value|, from the same four psi."""
     if z.imag != 0.0 and abs(z) >= _TWO_PI:
         raise DomainError("digamma route for complex z requires |z| < 2*pi; "
                           "use the quadrature or partial-fraction route")
     if z == 0:
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0.0
     if z.imag == 0.0 and abs(z.real) > _LOG_SPACE_X:
-        v = _sinh_half_over_pi(abs(z.real), _real_brace(z.real))
-        return complex(v if z.real > 0 else -v)
-    brace = (2.0 * math.log(2.0)
-             + digamma(1.0 + 1j * z / (4.0 * PI)) + digamma(1.0 - 1j * z / (4.0 * PI))
-             - digamma(1.0 + 1j * z / (2.0 * PI)) - digamma(1.0 - 1j * z / (2.0 * PI)))
-    return cmath.sinh(0.5 * z) / PI * brace
+        brace, mass = _real_brace(z.real)
+        v = _sinh_half_over_pi(abs(z.real), brace)
+        # |sinh(x/2)|/pi = |v/brace|, which need not be a double where v is
+        return complex(v if z.real > 0 else -v), abs(v) * (8.0 * _EPS * mass / abs(brace) + _EPS)
+    psi = (digamma(1.0 + 1j * z / (4.0 * PI)), digamma(1.0 - 1j * z / (4.0 * PI)),
+           digamma(1.0 + 1j * z / (2.0 * PI)), digamma(1.0 - 1j * z / (2.0 * PI)))
+    brace = 2.0 * math.log(2.0) + psi[0] + psi[1] - psi[2] - psi[3]
+    scale = cmath.sinh(0.5 * z) / PI
+    value = scale * brace
+    mass = 2.0 * math.log(2.0) + sum(map(abs, psi))
+    return value, 8.0 * _EPS * abs(scale) * mass + _EPS * abs(value)
 
 
 def omega_partial_fraction(z) -> Evaluation:
@@ -160,12 +157,7 @@ def omega_moment(k: int, route: str = "closed") -> float:
                               "(it cancels to few digits beyond); use route 'series'")
         return math.factorial(2 * k + 1) * _taylor_coefficient(k)
     if route == "quadrature":
-        def f(u: float) -> complex:
-            return u ** (2 * k + 1) / math.tan(PI * u)
-        head = _HEAD ** (2 * k + 1) / (PI * (2 * k + 1)) \
-            - PI * _HEAD ** (2 * k + 3) / (3.0 * (2 * k + 3))
-        body, _, _ = adaptive_quad(f, _HEAD, 0.5)
-        return 2.0 * (head + body.real)
+        return 2.0 * adaptive_quad(lambda u: u ** (2 * k + 1) / math.tan(PI * u), 0.0, 0.5)[0].real
     if route == "series":
         # B_2n/(2n)! = 2 (-1)^(n+1) zeta(2n)/(2 pi)^(2n): the terms in pi^2 shrink by at most 1/4
         s, _, _ = power_series(lambda n: (-1) ** n * float(bernoulli_number(2 * n) / math.factorial(2 * n))
@@ -231,7 +223,7 @@ def omega_asymptotic_envelope(x: float) -> tuple[float, float, float]:
     x = float(x)
     if x < 10.0:
         raise DomainError("envelope check is defined for x >= 10")
-    ratio = -math.expm1(-x) / (2.0 * PI) * _real_brace(x)
+    ratio = -math.expm1(-x) / (2.0 * PI) * _real_brace(x)[0]
     return _ENVELOPE_LO, _ENVELOPE_HI, ratio
 
 
@@ -278,8 +270,7 @@ def omega_eval(z) -> Evaluation:
     beyond; the partial-fraction and Taylor routes stay verification-only."""
     z = as_complex(z)
     if z.imag == 0.0 or abs(z) < 0.9 * _TWO_PI:
-        val = omega_digamma(z)
-        return Evaluation(val, 8e-16 * max(1.0, abs(val)), 0, "digamma")
+        return Evaluation(*_omega_digamma(z), 0, "digamma")
     return omega_quadrature(z)
 
 
@@ -298,6 +289,12 @@ def omega_pv_hilbert(z) -> Evaluation:
     def f(u: float) -> complex:
         return (cmath.exp(z * u) - cmath.exp(-z * u)) / math.tan(PI * u)
 
-    head = 2.0 * _head_integral(z, _HEAD)  # same series limit as the definition
-    body, err, panels = adaptive_quad(f, _HEAD, 0.5)
+    # e^(zu) - e^(-zu) cancels at small u, so the fold's own head [0, a] comes from
+    # int_0^a 2 sinh(zu)cot(pi u) du = (2z/pi)[a + c2 a^3/3 + c4 a^5/5 + O(a^7 z^6)];
+    # the definition route integrates from 0 and shares no head with the fold
+    a = 1e-3
+    c2 = z * z / 6.0 - PI * PI / 3.0
+    c4 = z ** 4 / 120.0 - z * z * PI * PI / 18.0 - PI ** 4 / 45.0
+    head = 2.0 * z / PI * (a + c2 * a ** 3 / 3.0 + c4 * a ** 5 / 5.0)
+    body, err, panels = adaptive_quad(f, a, 0.5)
     return Evaluation(head + body, err + 4e-16 * abs(head), panels, "pv-fold")

@@ -7,7 +7,9 @@ error.  A panel is accepted when that error falls below its share of the
 tolerance budget, and is bisected otherwise.  The reported error adds to the
 accepted errors a rounding floor eps*|half-width|*sum w_K |f| per panel; the
 floor never enters the acceptance test, where a cancelling integrand would
-bisect to the depth cap.
+bisect to the depth cap.  Integrals to infinity have one tail rule,
+quad_decaying_tail: the caller states a majorant, and only this module picks
+the truncation point.
 """
 from __future__ import annotations
 
@@ -88,12 +90,34 @@ def adaptive_quad(f: Callable[[float], complex], a: float,
     return value, err, panels
 
 
-def quad_segments(f: Callable[[float], complex], a: float,
-                  T: float) -> tuple[complex, float, int]:
-    """adaptive_quad over [a, T] on segments that double from length max(1, a)."""
-    value = 0.0 + 0.0j
-    err = 0.0
-    panels = 0
+def quad_decaying_tail(f: Callable[[float], complex], a: float, rate: float,
+                       power: float = 0.0, log_scale: float = 0.0) -> tuple[complex, float, int]:
+    """Integrate f over [a, oo) for |f(t)| <= e^log_scale t^power e^(-rate t)/(1 - e^-t).
+
+    t^power e^(-rate t) is log-concave, so past T it stays below its tangent
+    exponential and the tail over [T, oo) is at most e^log_scale times
+    tail(T) = T^power e^(-rate T)/(slope (1 - e^-T)), slope = rate - power/T.
+    T starts at a + max(8, 30/rate) and grows by 1.5 until tail(T) < ABS_TOL/40;
+    [a, T] is integrated by adaptive_quad on segments that double from length
+    max(1, a), and e^log_scale tail(T) joins the error.
+    """
+    if rate <= 0:
+        raise QuadratureFailure("tail integral needs a positive decay rate")
+    T = a + max(8.0, 30.0 / rate)
+    # The cut ignores log_scale.  A cut on the scaled tail shortens T wherever the
+    # scale is below 1, as the 2/(r-1)! of the Eisenstein integrand is for r >= 3,
+    # and there the worst error on the strip grids (seeds default, 1, 2; r <= 6)
+    # grows from 1.5e-13 to 2.7e-13 relative against 30-digit mpmath.
+    for _ in range(40):
+        slope = rate - power / T
+        if slope > 0.0:
+            log_tail = power * math.log(T) - rate * T - math.log(slope * -math.expm1(-T))
+            if log_tail < math.log(ABS_TOL / 40.0):
+                break
+        T *= 1.5
+    else:
+        raise QuadratureFailure(f"no cut with a tail below {ABS_TOL / 40.0:.1e} up to T = {T:.3e}")
+    value, err, panels = 0.0 + 0.0j, 0.0, 0
     lo, seg = a, max(1.0, a)
     while lo < T:
         hi = min(lo + seg, T)
@@ -102,19 +126,4 @@ def quad_segments(f: Callable[[float], complex], a: float,
         err += e
         panels += p
         lo, seg = hi, seg * 2.0
-    return value, err, panels
-
-
-def quad_decaying_tail(f: Callable[[float], complex], a: float, rate: float,
-                       cutoff_scale: float = 1.0) -> tuple[complex, float, int]:
-    """Integrate f over [a, oo) for |f(t)| <~ cutoff_scale * e^(-rate*t).
-
-    Truncates at T where the exponential bound drops below the absolute
-    tolerance ABS_TOL and integrates geometric segments adaptively.
-    """
-    if rate <= 0:
-        raise QuadratureFailure("tail integral needs a positive decay rate")
-    target = ABS_TOL * 0.1
-    T = a + max(8.0, (math.log(max(cutoff_scale, 1e-300)) - math.log(target)) / rate)
-    value, err, panels = quad_segments(f, a, T)
-    return value, err + target, panels  # target: truncated tail allowance
+    return value, err + math.exp(log_scale + log_tail), panels

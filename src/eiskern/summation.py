@@ -55,10 +55,11 @@ def richardson_limit(term: Callable[[int], complex], first: complex = 0.0, *,
     1964); each block of terms enters the running sum in one exactly rounded fsum.
     Stops after the first row j >= 1 whose correction corr = |R_j - R_(j-1)| is at most
     _RATIO_TOL*|R_j| or within the rounding floor eps*sum|t_k|, which settles sums whose
-    value cancels to about 0.  Returns (value, err_estimate = corr + L_j*(N*eps*|value|
-    + eps*sum|t_k|), N, corr), where L_j = sum|w| (<= 14.9 for lead >= 1) amplifies the
-    rounding of the T_N and corr reads 0 once within that floor; the caller judges
-    convergence from corr.
+    value cancels to about 0.  Returns (value, err_estimate = corr
+    + L_j*((j + 2)*eps*|value| + eps*sum|t_k|), N, corr), where L_j = sum|w| (<= 14.9
+    for lead >= 1) amplifies the rounding of the T_N, each carrying one rounding per
+    block of the running sum and one for the endpoint correction; corr reads 0 once
+    within that floor, and the caller judges convergence from corr.
     """
     ns = _RATIO_STEPS
     rows = _richardson_weights(lead)
@@ -77,7 +78,7 @@ def richardson_limit(term: Callable[[int], complex], first: complex = 0.0, *,
         settled = corr <= _EPS * mass
         if j and (settled or corr <= _RATIO_TOL * abs(value)):
             break
-    return value, corr + amp * (n * _EPS * abs(value) + _EPS * mass), n, 0.0 if settled else corr
+    return value, corr + amp * ((j + 2) * _EPS * abs(value) + _EPS * mass), n, 0.0 if settled else corr
 
 
 def _crvz(terms: Sequence[complex], n: int) -> complex:

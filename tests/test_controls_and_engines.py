@@ -13,7 +13,7 @@ import pytest
 from eiskern import (Evaluation, NonConvergence, PoleError, QuadratureFailure,
                      eisenstein_direct, eisenstein_integral, mathieu_E,
                      omega_pv_hilbert, omega_quadrature)
-from eiskern.quadrature import _GK21, adaptive_quad
+from eiskern.quadrature import _GK21, adaptive_quad, quad_decaying_tail
 from eiskern.suites import REPORT_ONLY, CheckSuite, SuiteConfig, report_text, run_suites
 
 
@@ -57,6 +57,27 @@ def test_adaptive_quad_failure_on_depth():
     # the cusp keeps its bisected panels off budget down to the depth cap
     with pytest.raises(QuadratureFailure):
         adaptive_quad(lambda t: abs(t - 0.3537) ** 0.2, 0.0, 1.0)
+
+
+def test_quad_decaying_tail_exact_integrals():
+    # int_0^oo t^3/(e^t - 1) dt = pi^4/15 meets the majorant t^3 e^-t/(1 - e^-t) with equality
+    v, err, panels = quad_decaying_tail(lambda t: t ** 3 / math.expm1(t), 0.0, 1.0, power=3.0)
+    assert abs(v - math.pi ** 4 / 15.0) <= err < 1e-11 and panels >= 1
+    v, err, _ = quad_decaying_tail(lambda t: t * math.exp(-2.0 * t), 0.0, 2.0, power=1.0)
+    assert abs(v - 0.25) <= err < 1e-11
+    with pytest.raises(QuadratureFailure):
+        quad_decaying_tail(math.exp, 0.0, 0.0)
+
+
+def test_one_tail_rule():
+    # quadrature.py alone picks a truncation point: no other module reads its
+    # tolerance or integrates a hand-cut [a, T]
+    import pathlib
+    import eiskern
+    src = pathlib.Path(eiskern.__file__).parent
+    offenders = [p.name for p in src.glob("*.py") if p.name != "quadrature.py"
+                 and re.search(r"\bABS_TOL\b|\bquad_segments\b", p.read_text())]
+    assert offenders == []
 
 
 def test_direct_nonconvergence_far_from_real_axis():

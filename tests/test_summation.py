@@ -241,7 +241,7 @@ def test_wynn_epsilon_exact_limit_has_rounding_floor():
 def test_err_estimate_bounds_true_error():
     mp = pytest.importorskip("mpmath")
     from eiskern import (eisenstein_direct, eisenstein_integral, he_direct, he_taylor, mathieu,
-                         omega_pv_hilbert, omega_quadrature, omega_taylor)
+                         omega_eval, omega_pv_hilbert, omega_quadrature, omega_taylor)
     from eiskern.suites import SuiteConfig, disc_sample, strip_grid
 
     @mp.workdps(30)
@@ -258,9 +258,17 @@ def test_err_estimate_bounds_true_error():
     far = [(r, z) for z in (0.3 + 10j, 0.3 + 30j, 0.2 + 15j) for r in (2, 3)]
     # past r = 8 the terms are float powers, past r = 100 through exp(r log z)
     high = [(r, z) for z in (0.3 + 0.4j, 0.45 + 0.01j, 0.8 - 0.7j, 5.3 + 0.2j) for r in (9, 150, 400)]
+    # up to |z| = 11823/3 the last row still spans N >= 3|z| (r = 5-8 extrapolate there)
+    far += [(5, 0.3 + 3900j), (7, 0.3 - 3000j), (8, 0.05 + 2000j)]
     for r, z in grid + far + high:
         ev = eisenstein_direct(r, z)
         assert abs(ev.value - eps_oracle(r, z)) <= ev.err_estimate, (r, z)
+    # beyond, an extrapolated stop at N < 3|z| raises: the last correction does not bound
+    # the tail there, and returned values missed by 1.2-17 times their claims
+    # (y = 5000: r = 7; 1e4: r = 6; 3e4: r = 4-7; 1e5: r = 4-8)
+    for r, y in ((7, 5000), (6, 1e4), (4, 3e4), (7, 3e4), (4, 1e5), (8, 1e5)):
+        with pytest.raises(NonConvergence):
+            eisenstein_direct(r, complex(0.3, y))
     # the quadrature routes: panel errors, rounding floors and the tail bound
     for r, z in grid:
         want = eps_oracle(r, z)
@@ -281,6 +289,12 @@ def test_err_estimate_bounds_true_error():
         for i, route in enumerate(routes):
             ev = route(z)
             assert abs(ev.value - want) <= ev.err_estimate, (i, z)
+
+    # omega_eval's digamma route claims the rounding of its own four digamma values;
+    # a flat 8e-16*max(1, |value|) missed the last four points (50: 1.4e-5 against 7.3e-8)
+    for z in (4.3436 - 0.7291j, 3.0, -4.2951 - 0.8875j, 2.9 + 3.1j, -3.7 + 2.2j, 50.0):
+        ev = omega_eval(z)
+        assert ev.route == "digamma" and abs(ev.value - omega_oracle(z)) <= ev.err_estimate, z
 
     @mp.workdps(30)
     def he_oracle(r, z):
