@@ -37,7 +37,7 @@ def he_direct(r: int, z) -> Evaluation:
 
     r = 1 reduces the symmetric sum to 2i sum_k (-1)^(k-1) k/(z^2+k^2);
     r >= 2 sums the normally convergent pairs (-1)^k [(z+ik)^(-r) - (z-ik)^(-r)].
-    Both go through alternating_sum.
+    Both go through alternating_sum from k > |Im z| on (moment sequences): |Im z| < 4096.
     """
     if r < 1:
         raise DomainError("order r must be a positive integer")
@@ -45,12 +45,15 @@ def he_direct(r: int, z) -> Evaluation:
     _guard_imaginary_integers(z)
     if z == 0 and r == 1:
         return Evaluation(_TWO_I_LOG2, 0.0, 0, "direct")
+    start = math.floor(abs(z.imag)) + 1
     if r == 1:
         z2 = z * z
-        value, err, used = alternating_sum(lambda k: k / (z2 + k * k))
-        return Evaluation(2j * value, 2.0 * err, used, "direct")
+        value, err, used = alternating_sum(lambda k: k / (z2 + k * k), start=start)
+        # z2 carries 2 eps|z|^2 < 4.5e-16|z|^2 of rounding, cancelled in z2 + k^2 for k < 1.5|z|
+        cancel = sum(k / abs(z2 + k * k) ** 2 for k in range(1, min(int(1.5 * abs(z)), used) + 1))
+        return Evaluation(2j * value, 2.0 * (err + 4.5e-16 * abs(z2) * cancel), used, "direct")
     value, err, used = alternating_sum(
-        lambda k: (z + 1j * k) ** (-r) - (z - 1j * k) ** (-r))
+        lambda k: (z + 1j * k) ** (-r) - (z - 1j * k) ** (-r), start=start)
     return Evaluation(-value, err, used, "direct")
 
 
@@ -155,7 +158,7 @@ def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
         if r <= 0:
             raise DomainError("alternating Mathieu series requires r > 0")
         x2 = float(x) ** 2
-        value, err, used = alternating_sum(lambda k: 2.0 * k / (k * k + x2) ** r)
+        value, err, used = alternating_sum(lambda k: 2.0 * k / (k * k + x2) ** r, start=1)
         return Evaluation(complex(value.real), err, used, "series-alternating")
     if r <= 1 or (2.0 * r) % 1.0:
         raise DomainError("Mathieu series requires r > 1 with 2r an integer")

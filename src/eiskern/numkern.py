@@ -202,12 +202,14 @@ def polygamma(r: int, z) -> complex:
 
     psi_r(z) = (-1)^(r+1) r! sum_{k>=0} (z+k)^(-(r+1)).  DomainError where a term
     of that r!-scaled sum is not a double: near 0 at high order, and at every z
-    from r = 151, where the asymptotic coefficients overflow.
+    from r = 151, where the asymptotic coefficients overflow, and for Re z < 14 - 2^20.
     """
     if r < 1:
         raise DomainError("polygamma order must be >= 1 (use digamma for r = 0)")
     z = as_complex(z)
     _guard_nonpositive_integer(z, "polygamma")
+    if z.real < _SHIFT_RE - 2 ** 20:  # 2^20 unit shifts take about 0.4 s
+        raise DomainError(f"polygamma({r}, {z}): Re z < 14 - 2^20 until ROADMAP item 8's reflection")
     try:
         value = _psi(r, z)
     except (OverflowError, ZeroDivisionError):  # w^-(r+1) overflows, or its reciprocal underflows
@@ -264,7 +266,7 @@ def dirichlet_eta(s: float) -> float:
         raise DomainError("dirichlet_eta requires s > 0")
     if s == 1.0:
         return math.log(2.0)
-    value, _, _ = alternating_sum(lambda k: k ** (-s))
+    value, _, _ = alternating_sum(lambda k: k ** (-s), start=1)
     return value.real
 
 

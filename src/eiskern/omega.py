@@ -105,7 +105,7 @@ def _omega_digamma(z: complex) -> tuple[complex, float]:
 
 def omega_partial_fraction(z) -> Evaluation:
     """Partial-fraction route: Omega(z) = (2/pi) sinh(z/2) sum_k (-1)^(k-1) k/(w^2+k^2)
-    with w = z/(2 pi); poles where w hits i*Z minus 0."""
+    with w = z/(2 pi), CRVZ from k > |Im w| on; poles at w in i*Z - 0, |Im z| < 4096*2 pi."""
     z = as_complex(z)
     _require_re_in_range(z)
     w = z / _TWO_PI
@@ -115,7 +115,10 @@ def omega_partial_fraction(z) -> Evaluation:
     if z == 0:
         return Evaluation(0.0 + 0.0j, 0.0, 0, "partial-fraction")
     w2 = w * w
-    s, err, used = alternating_sum(lambda k: k / (w2 + k * k))
+    s, err, used = alternating_sum(lambda k: k / (w2 + k * k), start=math.floor(abs(w.imag)) + 1)
+    # w2 carries 4 eps|w|^2 of rounding, cancelled in w2 + k^2 for k < 1.5|w|
+    cancel = sum(k / abs(w2 + k * k) ** 2 for k in range(1, min(int(1.5 * abs(w)), used) + 1))
+    err += 4.0 * _EPS * abs(w2) * cancel
     pref = 2.0 / PI * cmath.sinh(0.5 * z)
     return Evaluation(pref * s, abs(pref) * err, used, "partial-fraction")
 
@@ -297,4 +300,6 @@ def omega_pv_hilbert(z) -> Evaluation:
     c4 = z ** 4 / 120.0 - z * z * PI * PI / 18.0 - PI ** 4 / 45.0
     head = 2.0 * z / PI * (a + c2 * a ** 3 / 3.0 + c4 * a ** 5 / 5.0)
     body, err, panels = adaptive_quad(f, a, 0.5)
-    return Evaluation(head + body, err + 4e-16 * abs(head), panels, "pv-fold")
+    # e^(zu) - e^(-zu) keeps 2 eps cosh(Re z/2) of rounding, beyond the panel floors
+    cancel = 2.0 * _EPS * math.cosh(0.5 * z.real) * -math.log(math.sin(PI * a)) / PI
+    return Evaluation(head + body, err + cancel + 4e-16 * abs(head), panels, "pv-fold")

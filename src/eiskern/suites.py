@@ -426,7 +426,7 @@ def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
                       he.he_direct(r, x).value, 1e-8, "abs_or_rel",
                       "HE through the classical Eisenstein series")
     for z in (0.7, 0.4 + 0.3j):
-        s = 1.0 / z - alternating_sum(lambda k: 2.0 * z / (z * z + k * k))[0]
+        s = 1.0 / z - alternating_sum(lambda k: 2.0 * z / (z * z + k * k), start=1)[0]
         rec.check(f"sinh expansion z={_fmt(complex(z))}", s, PI / cmath.sinh(PI * z),
                   1e-12, "abs", "alternating partial fractions of pi/sinh(pi z)")
     for x in (0.5, 1.0, 3.0):

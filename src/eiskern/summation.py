@@ -1,24 +1,23 @@
-"""One engine per kind of series, each with a known error bound: Richardson in 1/N^2
-with a caller-stated leading exponent, on endpoint-corrected partial sums over a fixed
-ratio-1.5 step schedule, for monotone sums of rational terms; CRVZ
-(Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000), with the epsilon algorithm as
-fallback, for alternating sums; summation to the rounding of the sum with a geometric
-tail bound for power series inside their disc.  Reported errors add a rounding floor
-to the truncation estimate, which decides convergence; a Richardson correction within
-its floor eps*sum|t_k| counts as converged.  All are linear in the partial sums."""
+"""One engine per kind of series, each with a known error bound, run on a property its
+caller states: Richardson in 1/N^2 with a stated leading exponent, on endpoint-corrected
+partial sums over a fixed ratio-1.5 step schedule, for monotone sums of rational terms;
+CRVZ (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000) from a stated start of the
+moment sequence for alternating sums; summation to the rounding of the sum with a stated
+geometric tail bound for power series.  Reported errors add a rounding floor to the
+truncation estimate, which decides convergence; a Richardson correction within its floor
+eps*sum|t_k| counts as converged.  The epsilon algorithm serves periodic_polylog alone."""
 from __future__ import annotations
 
 import functools
 import math
 import sys
-from itertools import accumulate
 from typing import Callable, Sequence
 
 from .controls import Evaluation
-from .errors import NonConvergence
+from .errors import DomainError, NonConvergence
 
 _EPS = sys.float_info.epsilon
-REL_TOL = 1e-12  # alternating sums stop here; Richardson callers raise NonConvergence past it
+REL_TOL = 1e-12  # NonConvergence past 128*REL_TOL (alternating sums) or REL_TOL (Richardson callers)
 _RATIO_STEPS = tuple(round(8 * 1.5 ** j) for j in range(19))  # 8, 12, 18, ..., 11823 <= 16384
 _RATIO_TOL = 3e-13  # stopping at REL_TOL, Richardson on _RATIO_STEPS loses digits
 _POWER_TERMS = 4000  # he_taylor needs 2660 terms at |z| = 0.993
@@ -93,49 +92,38 @@ def _crvz(terms: Sequence[complex], n: int) -> complex:
     return s / d
 
 
-def alternating_sum(term: Callable[[int], complex]) -> tuple[complex, float, int]:
+def alternating_sum(term: Callable[[int], complex], *, start: int) -> tuple[complex, float, int]:
     """Sum_{k>=1} (-1)^(k-1) term(k) with term(k) the unsigned tail.
 
-    CRVZ on 32 terms with truncation error |CRVZ_32 - CRVZ_24|; if that
-    misses REL_TOL, the epsilon algorithm on blocks of 128, 512, 2048 terms
-    until one meets it (NonConvergence, last estimate in `partial`, when even
-    2048 terms miss 128*REL_TOL).  A block whose last term is within eps*|S|
-    returns the partial sum S with that term as its truncation error.  The
-    error adds the floor sqrt(n)*eps*sum|t_k|.
-    """
-    converged = lambda v, e, mult=1.0: e <= max(mult * REL_TOL * abs(v), 1e-16)
-    terms = [term(k) for k in range(1, 33)]
-    value = _crvz(terms, 32)
-    trunc = abs(value - _crvz(terms, 24))
-    if not converged(value, trunc):
-        # modulated moduli defeat CRVZ; epsilon resums unit-circle transients
-        for size in (128, 512, 2048):
-            terms += [term(k) for k in range(len(terms) + 1, size + 1)]
-            partials = list(accumulate(t if j % 2 == 0 else -t for j, t in enumerate(terms)))
-            if abs(terms[-1]) <= _EPS * abs(partials[-1]):
-                # the partial sums have settled; epsilon would divide by their rounding noise
-                value, trunc = partials[-1], abs(terms[-1])
-                break
-            value, trunc = wynn_epsilon(partials[-64:])
-            if converged(value, trunc):
-                break
+    The caller states `start`, from which on the terms are a moment sequence int_0^1 u^k
+    w(u) du (CRVZ's hypothesis; 1/(k + c) and (k + c)^(-r) are one for k > -Re c).  The
+    terms k < start enter one exactly rounded fsum, CRVZ on the 32 terms from `start` the
+    rest; err = trunc + sqrt(n)*eps*sum|t_k| over all n = start + 31 terms, with trunc =
+    |CRVZ_32 - CRVZ_24|.  NonConvergence (last estimate in `partial`) when trunc exceeds
+    128*REL_TOL*|value|; DomainError for start outside 1..4096, which bounds the cost."""
+    if not 1 <= start <= 4096:
+        raise DomainError(f"alternating_sum: start = {start} outside 1..4096")
+    terms = [term(k) for k in range(1, start + 32)]
+    value = _crvz(terms[start - 1:], 32)
+    trunc = abs(value - _crvz(terms[start - 1:], 24))
+    if start > 1:  # (-1)^(k-1) term(k) for k < start, and for k = start the tail's CRVZ value
+        signed = [t if k % 2 else -t for k, t in enumerate(terms[:start - 1] + [value], 1)]
+        value = complex(math.fsum(t.real for t in signed), math.fsum(t.imag for t in signed))
     err = trunc + math.sqrt(len(terms)) * _EPS * sum(map(abs, terms))
-    if not converged(value, trunc, 128.0):  # best effort: a generous multiple
-        raise NonConvergence("alternating series: acceleration did not reach REL_TOL",
+    if trunc > max(128.0 * REL_TOL * abs(value), 1e-16):
+        raise NonConvergence("alternating series: CRVZ did not reach 128*REL_TOL",
                              Evaluation(value, err, len(terms), "alternating"))
     return value, err, len(terms)
 
 
 def wynn_epsilon(partials: Sequence[complex]) -> tuple[complex, float]:
-    """Shanks-type limit of a sequence of partial sums via the epsilon table.
+    """Shanks-type limit of a sequence of partial sums via the epsilon table, for
+    power-series partial sums on the boundary of convergence; its estimate is no bound.
 
-    Returns the deepest even-column entry and, as error estimate, its
-    distance to the previous even column plus the rounding floor of the
-    n partial sums, sqrt(n)*eps*(|s_0| + sum|s_(i+1) - s_i|).  A sequence
-    whose last two partial sums are equal has settled: the floor is its
-    error.  Suited to power-series partial sums on the boundary of
-    convergence.
-    """
+    Returns the deepest even-column entry and, as error estimate, its distance to the
+    previous even column plus the rounding floor of the n partial sums,
+    sqrt(n)*eps*(|s_0| + sum|s_(i+1) - s_i|).  A sequence whose last two partial sums
+    are equal has settled: the floor is its error."""
     n = len(partials)
     if n < 3:
         return partials[-1], abs(partials[-1])

@@ -80,6 +80,25 @@ def test_one_tail_rule():
     assert offenders == []
 
 
+def test_one_alternating_engine():
+    # every alternating sum states where its moment sequence starts, and no engine
+    # regains a heuristic fallback: the epsilon algorithm serves the Fourier route of
+    # the periodic polylog alone
+    import ast
+    import pathlib
+    import eiskern
+    src = pathlib.Path(eiskern.__file__).parent
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    assert {n for n, t in texts.items() if re.search(r"\bwynn_epsilon\b", t)} == {
+        "summation.py", "conj_bernoulli.py"}
+    calls = [(n, c) for n, t in texts.items() for c in ast.walk(ast.parse(t))
+             if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)]
+    assert {n for n, c in calls if c.func.id == "wynn_epsilon"} == {"conj_bernoulli.py"}
+    alternating = [(n, c.lineno, {k.arg for k in c.keywords}) for n, c in calls
+                   if c.func.id == "alternating_sum"]
+    assert len(alternating) >= 6 and [a for a in alternating if "start" not in a[2]] == []
+
+
 def test_direct_nonconvergence_far_from_real_axis():
     # the tail of sum (z+k)^-2 only settles once N >> |Im z|; 11823 terms are too few
     # from |Im z| of about 320 on (0.3+300i converges to 5e-18, claimed 6e-15)

@@ -192,6 +192,24 @@ def test_polygamma_pole_and_order_guards():
         polygamma(0, 1.0)
 
 
+def test_polygamma_bounds_its_unit_shifts():
+    # without a reflection polygamma shifts Re z up one unit at a time; past 2^20 shifts
+    # it raises at once, where he_closed(2, 0.5+3e12i) would not return (and past Re z
+    # of about -1e16, w + 1 no longer moves w)
+    import time
+    from eiskern import eisenstein_polygamma, he_closed
+    for call in (lambda: he_closed(2, 0.5 + 3e12j), lambda: polygamma(1, -1e12 + 0.5j),
+                 lambda: eisenstein_polygamma(2, -1e12 + 0.5)):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="2\\^20"):
+            call()
+        assert time.perf_counter() - t0 < 1.0
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):  # 30 000 shifts, within the limit
+        want = float(mp.psi(1, -30000.7))
+    assert abs(polygamma(1, -30000.7) - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # zeta family
 

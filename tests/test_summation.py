@@ -5,10 +5,9 @@ import cmath
 import math
 import random
 
-import numpy as np
 import pytest
 
-from eiskern import Evaluation, NonConvergence
+from eiskern import DomainError, Evaluation, NonConvergence, digamma
 from eiskern.summation import (REL_TOL, alternating_sum, power_series, power_tail,
                                richardson_limit, wynn_epsilon)
 
@@ -16,7 +15,7 @@ LOG2 = math.log(2.0)
 
 
 def test_alternating_sum_log2():
-    v, err, used = alternating_sum(lambda k: 1.0 / k)
+    v, err, used = alternating_sum(lambda k: 1.0 / k, start=1)
     assert v.real == pytest.approx(LOG2, abs=1e-14)
     assert err <= 1e-12 and used < 100
 
@@ -24,27 +23,35 @@ def test_alternating_sum_log2():
 def test_alternating_sum_slow_decay():
     # eta(1/2), terms k^(-1/2): hopeless without acceleration
     want = 0.6048986434216304
-    v, _, _ = alternating_sum(lambda k: k ** -0.5)
+    v, _, _ = alternating_sum(lambda k: k ** -0.5, start=1)
     assert v.real == pytest.approx(want, abs=1e-13)
 
 
-def test_alternating_sum_aitken_fallback_on_nonmonotone_terms():
-    # absolutely convergent but with non-monotone moduli
-    term = lambda k: (2.0 + math.sin(k)) / k ** 2
-    k = np.arange(1, 2_000_001, dtype=float)
-    brute = math.fsum((-1.0) ** (k - 1) * (2.0 + np.sin(k)) / k ** 2)
-    v, _, _ = alternating_sum(term)
-    assert v.real == pytest.approx(brute, abs=1e-9)
+def test_alternating_sum_rejects_non_moment_terms():
+    # absolutely convergent, but modulated moduli are no moment sequence: CRVZ's
+    # truncation (6.8e-9) exceeds 128*REL_TOL*|value| and nothing else is tried
+    with pytest.raises(NonConvergence) as info:
+        alternating_sum(lambda k: (2.0 + math.sin(k)) / k ** 2, start=1)
+    assert info.value.partial.terms_used == 32
 
 
-def test_alternating_sum_wynn_fallback_runs():
-    # CRVZ misses on modulated moduli, so the epsilon algorithm takes over
-    term = lambda k: (2.0 + math.sin(k)) / k ** 2
-    k = np.arange(1, 2_000_001, dtype=float)
-    brute = math.fsum((-1.0) ** (k - 1) * (2.0 + np.sin(k)) / k ** 2)
-    v, err, used = alternating_sum(term)
-    assert used > 32
-    assert v.real == pytest.approx(brute, abs=1e-9)
+def test_alternating_sum_start_sums_the_head_exactly():
+    # 1/(k + c) is a moment sequence from k > -Re c on: with c = -5.5 + 0.25i CRVZ must
+    # start at k = 6, and the five terms before it enter one fsum; the sum is
+    # (psi(1 + c/2) - psi((1 + c)/2))/2
+    c = -5.5 + 0.25j
+    want = 0.5 * (digamma(1.0 + 0.5 * c) - digamma(0.5 + 0.5 * c))
+    v, err, used = alternating_sum(lambda k: 1.0 / (k + c), start=6)
+    assert used == 37 and abs(v - want) <= err <= 1e-13
+    with pytest.raises(NonConvergence):
+        alternating_sum(lambda k: 1.0 / (k + c), start=1)
+    # a moment sequence from k = 1 on gives the same sum from any later start
+    v1, _, _ = alternating_sum(lambda k: k ** -2.0, start=1)
+    v9, err9, _ = alternating_sum(lambda k: k ** -2.0, start=9)
+    assert abs(v9 - math.pi ** 2 / 12.0) <= err9 and abs(v1 - v9) <= 4e-16
+    for start in (0, 4097):
+        with pytest.raises(DomainError, match="start"):
+            alternating_sum(lambda k: 1.0 / k, start=start)
 
 
 def test_dirichlet_eta_terms_against_mpmath():
@@ -53,7 +60,7 @@ def test_dirichlet_eta_terms_against_mpmath():
     for s in (0.01, 0.5, 1.5, 3.0, 7.0, 4001.0):
         want = float(mp.altzeta(s))
         assert abs(dirichlet_eta(s) - want) <= 2e-15
-        v, err, used = alternating_sum(lambda k: k ** -s)
+        v, err, used = alternating_sum(lambda k: k ** -s, start=1)
         assert used == 32 and abs(v.real - want) <= 2e-15
 
 
@@ -156,26 +163,27 @@ def _mathieu_exact(mp, r, x, n=2000):
     return mp.fsum(f(mp.mpf(k)) for k in range(1, int(n) + 1)) + tail
 
 
-def test_alternating_sum_settled_partial_sums_skip_epsilon():
-    # term(k) = e^(2 pi i k (x - 1/2))/k^s: CRVZ misses on the turning phase, and the
-    # epsilon table on the settled partial sums divided by their rounding noise
-    # (4.8e16i, claimed 4.3e-15); the sum is -Li_s(e^(2 pi i x)) (mpmath, 30 digits)
+def test_alternating_sum_settled_partial_sums():
+    # term(k) = e^(2 pi i k (x - 1/2))/k^s: no moment sequence, as the phase turns; the
+    # sum is -Li_s(e^(2 pi i x)) (mpmath, 30 digits), and a value once accepted here
+    # was -4.8e16i with a claim of 4.3e-15
     s, x = 8.07, 0.00195
     want = -1.003802982547682 - 0.012349148498848007j
     try:
-        v, err, used = alternating_sum(lambda k: cmath.exp(2j * math.pi * k * (x - 0.5)) / k ** s)
+        v, err, used = alternating_sum(lambda k: cmath.exp(2j * math.pi * k * (x - 0.5)) / k ** s,
+                                       start=1)
     except NonConvergence:
         return
     assert abs(v - want) <= err <= 1e-14
 
 
 def test_alternating_sum_nonconvergence_keeps_last_estimate():
-    # random moduli defeat both CRVZ and the epsilon algorithm
+    # random moduli defeat CRVZ
     term = lambda k: random.Random(k).random() / k
     with pytest.raises(NonConvergence) as info:
-        alternating_sum(term)
+        alternating_sum(term, start=1)
     last = info.value.partial
-    assert isinstance(last, Evaluation) and last.terms_used == 2048
+    assert isinstance(last, Evaluation) and last.terms_used == 32
     assert math.isfinite(abs(last.value)) and last.err_estimate > 128 * REL_TOL * abs(last.value)
 
 
@@ -241,7 +249,8 @@ def test_wynn_epsilon_exact_limit_has_rounding_floor():
 def test_err_estimate_bounds_true_error():
     mp = pytest.importorskip("mpmath")
     from eiskern import (eisenstein_direct, eisenstein_integral, he_direct, he_taylor, mathieu,
-                         omega_eval, omega_pv_hilbert, omega_quadrature, omega_taylor)
+                         omega_eval, omega_partial_fraction, omega_pv_hilbert, omega_quadrature,
+                         omega_taylor)
     from eiskern.suites import SuiteConfig, disc_sample, strip_grid
 
     @mp.workdps(30)
@@ -318,6 +327,41 @@ def test_err_estimate_bounds_true_error():
         assert abs(ev.value - h1_oracle(z)) <= ev.err_estimate, z
 
     @mp.workdps(30)
+    def he_closed_oracle(r, z):
+        z, psi = mp.mpc(z), lambda w: mp.psi(r - 1, w)
+        return complex(mp.j ** r / mp.factorial(r - 1) * (
+            mp.mpf(2) ** (1 - r) * psi(1 - 0.5j * z) + mp.mpf(-2) ** (1 - r) * psi(1 + 0.5j * z)
+            - psi(1 - 1j * z) - (-1) ** (r - 1) * psi(1 + 1j * z)))
+
+    # from |Im z| >= 1 on CRVZ starts at k = floor(|Im z|) + 1, where the terms become a
+    # moment sequence; also 0.05 above an integer, 0.03 from the pole at 4i, where
+    # z^2 + k^2 cancels, and near |Im z| = 30, where CRVZ from k = 1 loses up to 6 digits
+    for z in (0.7 + 1.3j, -2.1 - 3.05j, 1.5 + 4.05j, -0.6 - 7.95j, -0.0495 + 4.03j, 3.2 - 29.6j,
+              -0.4 + 30.3j):
+        for r in range(1, 9):
+            ev, want = he_direct(r, z), (h1_oracle(z) if r == 1 else he_closed_oracle(r, z))
+            assert abs(ev.value - want) <= min(ev.err_estimate, 1e-11 * abs(want)), (r, z)
+
+    @mp.workdps(30)
+    def omega_digamma_oracle(z):
+        z, psi = mp.mpc(z), mp.digamma
+        return complex(mp.sinh(z / 2) / mp.pi * (2 * mp.log(2) + psi(1 + 1j * z / (4 * mp.pi))
+                       + psi(1 - 1j * z / (4 * mp.pi)) - psi(1 + 1j * z / (2 * mp.pi))
+                       - psi(1 - 1j * z / (2 * mp.pi))))
+
+    # the partial fractions past |Im z| = 2 pi, and near a pole of the sum, where the
+    # rounding of w = z/(2 pi) and of w^2 + k^2 dominates
+    for z in (3.0 + 7.0j, -12.5 + 20.0j, 0.3 - 33.0j, 25.0 + 45.5j, -4.0 - 60.0j, 7.7 + 59.0j,
+              -1.0353843323017031 - 57.641122679499894j, 0.5 + 2 * math.pi * 3.001j):
+        ev = omega_partial_fraction(z)
+        assert abs(ev.value - omega_digamma_oracle(z)) <= ev.err_estimate, z
+
+    # at tiny |z| the difference e^(zu) - e^(-zu) cancels to eps/|zu| relative
+    for z in (3e-7, 1e-5 - 2e-5j):
+        ev = omega_pv_hilbert(z)
+        assert abs(ev.value - omega_oracle(z)) <= ev.err_estimate, z
+
+    @mp.workdps(30)
     def mathieu_oracle(r, x):
         want = _mathieu_exact(mp, r, x)
         if r == 2 and x:  # cross-check: S_2(x) = -Im psi_1(1 + ix)/x
@@ -331,5 +375,5 @@ def test_err_estimate_bounds_true_error():
             assert abs(ev.value - mathieu_oracle(r, x)) <= ev.err_estimate, (r, x)
 
     for s in (0.01, 0.5, 1.5, 3.0, 7.0, 4001.0):
-        v, err, _ = alternating_sum(lambda k: k ** -s)
+        v, err, _ = alternating_sum(lambda k: k ** -s, start=1)
         assert abs(v.real - float(mp.altzeta(s))) <= err, s
