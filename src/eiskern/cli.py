@@ -120,6 +120,8 @@ def _eval_he(args, route):
     if route == "direct":
         return he.he_direct(r, z)
     if route == "taylor":
+        if r != 1:
+            raise ConfigError("the taylor route computes h_1 only; use r = 1")
         return he.he_taylor(z)
     if route == "real":
         return _wrap(he.he_real(r, z), "real-axis")
@@ -149,9 +151,9 @@ def _eval_moment(args, route):
 
 
 def _eval_mathieu(args, route):
-    r, x = _parse_real(args[0]), _parse_real(args[1])
-    alternating = route == "alternating"
-    return he.mathieu(r, x, alternating)
+    if route not in (None, "alternating"):
+        raise ConfigError(f"unknown mathieu route {route!r}")
+    return he.mathieu(_parse_real(args[0]), _parse_real(args[1]), route == "alternating")
 
 
 REGISTRY = {

@@ -3,7 +3,8 @@
 The odd-index conjugate values at 1/2 come in an eta form and a zeta form
 (algebraically equal), the periodic conjugate functions come as Fourier
 series resummed through a boundary polylog, and the exponential generating
-function of the half-point values has a digamma closed form.  The zeta
+function of the half-point values is G(z) = (iz/2pi) h_1(z/2pi): its closed form and
+coefficient series scale the h_1 routes of hilbert_eisenstein.  The zeta
 representations recover zeta at odd and even integers and at fractional
 arguments; the final operation evaluates the conjectured finite double sum
 for the odd periodic conjugate functions against the Fourier oracle without
@@ -16,9 +17,11 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, NonConvergence
+from .hilbert_eisenstein import he_closed, he_taylor
 from .numkern import (PI, as_complex, bernoulli_poly, coth, digamma, dirichlet_eta,
                       eta_odd, riemann_zeta)
-from .summation import REL_TOL, power_series, power_tail, wynn_epsilon
+from .omega import _taylor_coefficient
+from .summation import REL_TOL, power_tail, wynn_epsilon
 
 _TWO_PI = 2.0 * PI
 _LOG2 = math.log(2.0)
@@ -109,13 +112,13 @@ def conj_bernoulli_periodic(n: int, x: float) -> float:
 
 
 def conj_bernoulli_genfun(z) -> complex:
-    """Exponential generating function sum_k B~_k(1/2) z^k / k! in closed form.
+    """Exponential generating function G(z) = sum_k B~_k(1/2) z^k / k! in closed form.
 
-    Real z uses -(z/pi){log 2 + Re psi(1+iz/4pi) - Re psi(1+iz/2pi)}; complex
-    z uses the one-sided digamma branch with the coth compensation
-    -(z/pi){log 2 + psi(1+iz/4pi) - psi(1+iz/2pi)} + (iz/2){coth(z/4) - coth(z/2)} - i,
-    falling back to the symmetric two-sided digamma form near z = 0 where the
-    coth compensation cancels catastrophically.  Valid on |z| < 2 pi.
+    Real z, and |z| < 0.1 where the coth compensation below cancels, use
+    G = (iz/2pi) h_1(z/2pi) = -(z/(2 sinh(z/2))) Omega(z) with he_closed (exactly real
+    for real z); other z use the one-sided digamma branch computed here,
+    -(z/pi){log 2 + psi(1+iz/4pi) - psi(1+iz/2pi)} + (iz/2){coth(z/4) - coth(z/2)} - i.
+    Valid on |z| < 2 pi.
     """
     z = as_complex(z)
     if abs(z) >= _TWO_PI:
@@ -124,18 +127,8 @@ def conj_bernoulli_genfun(z) -> complex:
         for sgn in (1.0, -1.0):
             if abs(z - sgn * k * (1.0 + 1.0j)) < 1e-10:
                 raise DomainError("argument on the excluded lattice (1+i)Z")
-    if z == 0:
-        return 0.0 + 0.0j
-    if z.imag == 0.0:
-        x = z.real
-        val = -(x / PI) * (_LOG2
-                           + digamma(1.0 + 1j * x / (4.0 * PI)).real
-                           - digamma(1.0 + 1j * x / (2.0 * PI)).real)
-        return complex(val)
-    if abs(z) < 0.1:
-        sym = (digamma(1.0 + 1j * z / (4.0 * PI)) + digamma(1.0 - 1j * z / (4.0 * PI))
-               - digamma(1.0 + 1j * z / (2.0 * PI)) - digamma(1.0 - 1j * z / (2.0 * PI)))
-        return -(_LOG2 / PI) * z - z / _TWO_PI * sym
+    if z.imag == 0.0 or abs(z) < 0.1:
+        return 0.5j * z / PI * he_closed(1, z / _TWO_PI)
     return (-(z / PI) * (_LOG2 + digamma(1.0 + 1j * z / (4.0 * PI))
                          - digamma(1.0 + 1j * z / (2.0 * PI)))
             + 0.5j * z * (coth(0.25 * z) - coth(0.5 * z)) - 1j)
@@ -145,14 +138,13 @@ def conj_genfun_series(z) -> complex:
     """Coefficient series sum_k B~_k(1/2) z^k/k! on |z| < 2 pi.
 
     The odd terms B~_(2m+1)(1/2) z^(2m+1)/(2m+1)! = -(z/pi) (-1)^m eta(2m+1) (z/2pi)^(2m),
-    the (2m+1)! cancelled, are summed to the rounding of the sum.
+    the (2m+1)! cancelled, are (iz/2pi) times the eta series of h_1(z/2pi), summed by
+    hilbert_eisenstein.he_taylor.
     """
     z = as_complex(z)
     if abs(z) >= _TWO_PI:
         raise DomainError("coefficient series requires |z| < 2*pi")
-    w = (z / _TWO_PI) ** 2
-    s, _, _ = power_series(lambda m: (-1) ** m * eta_odd(m), w, abs(w))
-    return -(z / PI) * s
+    return 0.5j * z / PI * he_taylor(z / _TWO_PI).value
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +219,7 @@ def conjecture_double_sum(j: int, z: float) -> ConjectureCheck:
         raise DomainError("conjecture checks run on 0 < z < 1")
     total = 0.0
     for k in range(j + 1):
-        inner = sum((-1.0) ** n * eta_odd(n)
-                    / (PI ** (2 * n) * math.factorial(2 * (k - n) + 1))
-                    for n in range(k + 1))
+        inner = PI * 4.0 ** k * _taylor_coefficient(k)  # Omega's z^(2k+1) coefficient = inner/(pi 4^k)
         total += bernoulli_poly(2 * j - 2 * k, z) / (4.0 ** k * math.factorial(2 * j - 2 * k)) * inner
     double_sum = -math.factorial(2 * j + 1) / PI * total
     fourier = conj_bernoulli_periodic(j, z)

@@ -4,7 +4,9 @@ h_r(z) = sum_{k in Z} (-1)^k sgn(k) (z + ik)^(-r), poles on i*Z minus 0,
 z = 0 admitted with h_1(0) = 2i log 2.  Routes: Eisenstein-summed /
 normally convergent direct summation, digamma-polygamma closed forms,
 the Taylor expansion in eta values on |z| < 1, the real-axis Re/Im split,
-and the connection through the classical Eisenstein series.
+and the connection through the classical Eisenstein series.  This is the one
+module that evaluates h_1: Omega and the conjugate-Bernoulli generating
+function scale its routes.
 
 The closed forms below were cross-checked against the direct summation
 oracle; where printed sources disagree on signs or factors of two, the
@@ -60,7 +62,7 @@ def he_direct(r: int, z) -> Evaluation:
 def he_closed(r: int, z) -> complex:
     """Digamma / polygamma closed forms.
 
-    r = 1:  2i log 2 + i{psi(1+iz/2) + psi(1-iz/2) - psi(1+iz) - psi(1-iz)}
+    r = 1:  i{2 log 2 + psi(1+iz/2) + psi(1-iz/2) - psi(1+iz) - psi(1-iz)}, from _h1_brace
     r >= 2: i^r/(r-1)! {2^(1-r) psi_(r-1)(1-iz/2) + (-2)^(1-r) psi_(r-1)(1+iz/2)
                         - psi_(r-1)(1-iz) - (-1)^(r-1) psi_(r-1)(1+iz)}
     """
@@ -69,14 +71,23 @@ def he_closed(r: int, z) -> complex:
     z = as_complex(z)
     _guard_imaginary_integers(z)
     if r == 1:
-        return _TWO_I_LOG2 + 1j * (digamma(1.0 + 0.5j * z) + digamma(1.0 - 0.5j * z)
-                                   - digamma(1.0 + 1j * z) - digamma(1.0 - 1j * z))
+        return 1j * _h1_brace(z)[0]
     g = math.factorial(r - 1)
     return (1j ** r / g) * (
         2.0 ** (1 - r) * polygamma(r - 1, 1.0 - 0.5j * z)
         + (-2.0) ** (1 - r) * polygamma(r - 1, 1.0 + 0.5j * z)
         - polygamma(r - 1, 1.0 - 1j * z)
         - (-1.0) ** (r - 1) * polygamma(r - 1, 1.0 + 1j * z))
+
+
+def _h1_brace(w: complex) -> tuple[complex, float]:
+    """The brace B = 2 log 2 + psi(1+iw/2) + psi(1-iw/2) - psi(1+iw) - psi(1-iw) of
+    h_1(w) = iB, the one four-digamma form (Omega(z) = (1/pi) sinh(z/2) B(z/2pi)), and
+    its rounding bound 8 eps (2 log 2 + sum |psi|)."""
+    psi = (digamma(1.0 + 0.5j * w), digamma(1.0 - 0.5j * w),
+           digamma(1.0 + 1j * w), digamma(1.0 - 1j * w))
+    return (2.0 * math.log(2.0) + psi[0] + psi[1] - psi[2] - psi[3],
+            8.0 * math.ulp(1.0) * (2.0 * math.log(2.0) + sum(map(abs, psi))))
 
 
 def he_taylor(z) -> Evaluation:

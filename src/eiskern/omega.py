@@ -2,7 +2,9 @@
 two-sided bounds, the large-x envelope, and the first-order ODE residual.
 
 Omega(z) = 2 int_0^(1/2) sinh(z*u) cot(pi*u) du, entire and odd, equal to the
-periodic Hilbert transform of the 1-periodized exponential evaluated at 0.
+periodic Hilbert transform of the 1-periodized exponential evaluated at 0, and
+-(i/pi) sinh(z/2) h_1(z/2pi): the digamma and partial-fraction routes scale the h_1
+routes of hilbert_eisenstein; quadrature, Taylor and the PV fold are computed here.
 
 Route dispatch used elsewhere in the package: real z goes to the digamma
 closed form (valid on all of R), complex z inside |z| < 0.9*2pi as well;
@@ -17,11 +19,11 @@ import math
 import sys
 
 from .controls import Evaluation
-from .errors import DomainError, PoleError, StepError
-from .hilbert_eisenstein import mathieu_E
-from .numkern import PI, as_complex, bernoulli_number, coth, digamma, eta_odd, riemann_zeta
+from .errors import DomainError, StepError
+from .hilbert_eisenstein import _h1_brace, he_direct, mathieu_E
+from .numkern import PI, as_complex, bernoulli_number, coth, eta_odd, riemann_zeta
 from .quadrature import adaptive_quad
-from .summation import alternating_sum, power_series
+from .summation import power_series
 
 _TWO_PI = 2.0 * PI
 _EPS = sys.float_info.epsilon
@@ -54,13 +56,6 @@ def _require_re_in_range(z: complex) -> None:
                           "real z has the log-space digamma route")
 
 
-def _real_brace(x: float) -> tuple[float, float]:
-    """The digamma brace of omega_digamma for real x, as a sum of real parts, and
-    2 log 2 + the sum of the moduli of its four (pairwise conjugate) digamma values."""
-    a, b = digamma(1.0 + 1j * x / (4.0 * PI)), digamma(1.0 + 1j * x / (2.0 * PI))
-    return 2.0 * math.log(2.0) + 2.0 * a.real - 2.0 * b.real, 2.0 * (math.log(2.0) + abs(a) + abs(b))
-
-
 def omega_quadrature(z) -> Evaluation:
     """Adaptive quadrature of the definition over [0, 1/2]; the rule never samples
     u = 0, where sinh(zu) cot(pi u) tends to z/pi."""
@@ -74,7 +69,8 @@ def omega_quadrature(z) -> Evaluation:
 
 def omega_digamma(z) -> complex:
     """Closed form (1/pi) sinh(z/2) {2 log 2 + psi(1+iz/4pi) + psi(1-iz/4pi)
-    - psi(1+iz/2pi) - psi(1-iz/2pi)}; all real z, complex z only inside |z| < 2pi.
+    - psi(1+iz/2pi) - psi(1-iz/2pi)}, the brace being -i h_1(z/2pi) from
+    hilbert_eisenstein._h1_brace; all real z, complex z only inside |z| < 2pi.
 
     Real |z| > 1400 is computed in log space; DomainError where Omega(z) is
     not a double."""
@@ -89,38 +85,27 @@ def _omega_digamma(z: complex) -> tuple[complex, float]:
                           "use the quadrature or partial-fraction route")
     if z == 0:
         return 0.0 + 0.0j, 0.0
+    brace, rounding = _h1_brace(z / _TWO_PI)
     if z.imag == 0.0 and abs(z.real) > _LOG_SPACE_X:
-        brace, mass = _real_brace(z.real)
-        v = _sinh_half_over_pi(abs(z.real), brace)
+        v = _sinh_half_over_pi(abs(z.real), brace.real)
         # |sinh(x/2)|/pi = |v/brace|, which need not be a double where v is
-        return complex(v if z.real > 0 else -v), abs(v) * (8.0 * _EPS * mass / abs(brace) + _EPS)
-    psi = (digamma(1.0 + 1j * z / (4.0 * PI)), digamma(1.0 - 1j * z / (4.0 * PI)),
-           digamma(1.0 + 1j * z / (2.0 * PI)), digamma(1.0 - 1j * z / (2.0 * PI)))
-    brace = 2.0 * math.log(2.0) + psi[0] + psi[1] - psi[2] - psi[3]
+        return complex(v if z.real > 0 else -v), abs(v) * (rounding / abs(brace.real) + _EPS)
     scale = cmath.sinh(0.5 * z) / PI
     value = scale * brace
-    mass = 2.0 * math.log(2.0) + sum(map(abs, psi))
-    return value, 8.0 * _EPS * abs(scale) * mass + _EPS * abs(value)
+    return value, abs(scale) * rounding + _EPS * abs(value)
 
 
 def omega_partial_fraction(z) -> Evaluation:
     """Partial-fraction route: Omega(z) = (2/pi) sinh(z/2) sum_k (-1)^(k-1) k/(w^2+k^2)
-    with w = z/(2 pi), CRVZ from k > |Im w| on; poles at w in i*Z - 0, |Im z| < 4096*2 pi."""
+    with w = z/(2 pi), the sum being -(i/2) h_1(w) from hilbert_eisenstein.he_direct
+    (its pole guard and domain |Im w| < 4096).  The error is |(2/pi) sinh(z/2)| times
+    he_direct's, twice the propagated error, which covers the rounding of w."""
     z = as_complex(z)
     _require_re_in_range(z)
-    w = z / _TWO_PI
-    k = round(w.imag)
-    if k != 0 and abs(w - 1j * k) < 1e-10:
-        raise PoleError(f"partial-fraction route has a pole at z = {1j * k * _TWO_PI}")
-    if z == 0:
-        return Evaluation(0.0 + 0.0j, 0.0, 0, "partial-fraction")
-    w2 = w * w
-    s, err, used = alternating_sum(lambda k: k / (w2 + k * k), start=math.floor(abs(w.imag)) + 1)
-    # w2 carries 4 eps|w|^2 of rounding, cancelled in w2 + k^2 for k < 1.5|w|
-    cancel = sum(k / abs(w2 + k * k) ** 2 for k in range(1, min(int(1.5 * abs(w)), used) + 1))
-    err += 4.0 * _EPS * abs(w2) * cancel
+    h = he_direct(1, z / _TWO_PI)
     pref = 2.0 / PI * cmath.sinh(0.5 * z)
-    return Evaluation(pref * s, abs(pref) * err, used, "partial-fraction")
+    return Evaluation(pref * (-0.5j * h.value), abs(pref) * h.err_estimate, h.terms_used,
+                      "partial-fraction")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +211,7 @@ def omega_asymptotic_envelope(x: float) -> tuple[float, float, float]:
     x = float(x)
     if x < 10.0:
         raise DomainError("envelope check is defined for x >= 10")
-    ratio = -math.expm1(-x) / (2.0 * PI) * _real_brace(x)[0]
+    ratio = -math.expm1(-x) / (2.0 * PI) * _h1_brace(x / _TWO_PI)[0].real
     return _ENVELOPE_LO, _ENVELOPE_HI, ratio
 
 

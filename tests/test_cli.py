@@ -127,6 +127,23 @@ def test_eval_he_real_axis_routes_reject_complex_z(capsys):
     assert rc == 0
 
 
+def test_eval_he_taylor_route_is_h1_only(capsys):
+    rc, out, err = run(["eval", "he", "2", "0.5", "--route", "taylor"], capsys)
+    assert rc == 2 and out == ""
+    assert "h_1 only" in err
+    rc, out, _ = run(["eval", "he", "1", "0.5", "--route", "taylor", "--json"], capsys)
+    assert rc == 0 and json.loads(out)["route"] == "taylor"
+
+
+def test_eval_mathieu_unknown_route_exits_2(capsys):
+    rc, out, err = run(["eval", "mathieu", "2", "1", "--route", "bogus"], capsys)
+    assert rc == 2 and out == ""
+    assert "unknown mathieu route 'bogus'" in err
+    for extra, route in (([], "series-richardson"), (["--route", "alternating"], "series-alternating")):
+        rc, out, _ = run(["eval", "mathieu", "2", "1", *extra, "--json"], capsys)
+        assert rc == 0 and json.loads(out)["route"] == route
+
+
 # ---------------------------------------------------------------------------
 # verify
 

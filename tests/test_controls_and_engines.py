@@ -2,6 +2,7 @@
 budgets, reproducible suite runs, and no check that holds by construction."""
 from __future__ import annotations
 
+import ast
 import json
 import math
 import re
@@ -96,7 +97,49 @@ def test_one_alternating_engine():
     assert {n for n, c in calls if c.func.id == "wynn_epsilon"} == {"conj_bernoulli.py"}
     alternating = [(n, c.lineno, {k.arg for k in c.keywords}) for n, c in calls
                    if c.func.id == "alternating_sum"]
-    assert len(alternating) >= 6 and [a for a in alternating if "start" not in a[2]] == []
+    assert len(alternating) >= 5 and [a for a in alternating if "start" not in a[2]] == []
+
+
+def _package_sources() -> dict:
+    import pathlib
+    import eiskern
+    return {p.name: p.read_text() for p in pathlib.Path(eiskern.__file__).parent.glob("*.py")}
+
+
+def _names(text: str) -> set:
+    # every name a module reads, binds or imports
+    tree = ast.parse(text)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {a.asname or a.name for n in ast.walk(tree)
+               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names})
+
+
+def test_one_home_for_h1():
+    # h_1 is evaluated in hilbert_eisenstein alone: Omega and the conjugate-Bernoulli
+    # generating function scale its routes, so they sum no digamma brace, no alternating
+    # partial fractions and no eta power series of their own
+    texts = _package_sources()
+    assert not {"digamma", "alternating_sum"} & _names(texts["omega.py"])
+    assert "power_series" not in _names(texts["conj_bernoulli.py"])
+
+
+def test_no_unused_imports():
+    # a module imports no name it never uses; names listed in __all__ count as used
+    unused = []
+    for name, text in _package_sources().items():
+        tree = ast.parse(text)
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= {e.value for e in node.value.elts}
+        unused += [(name, n) for n in sorted(imported - used)]
+    assert unused == []
 
 
 def test_direct_nonconvergence_far_from_real_axis():

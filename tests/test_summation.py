@@ -165,16 +165,14 @@ def _mathieu_exact(mp, r, x, n=2000):
 
 def test_alternating_sum_settled_partial_sums():
     # term(k) = e^(2 pi i k (x - 1/2))/k^s: no moment sequence, as the phase turns; the
-    # sum is -Li_s(e^(2 pi i x)) (mpmath, 30 digits), and a value once accepted here
-    # was -4.8e16i with a claim of 4.3e-15
+    # sum is -Li_s(e^(2 pi i x)) = -1.0038-0.0123i, and a value once accepted here was
+    # -4.8e16i with a claim of 4.3e-15.  CRVZ's truncation (3.3e-10) misses the limit
     s, x = 8.07, 0.00195
-    want = -1.003802982547682 - 0.012349148498848007j
-    try:
-        v, err, used = alternating_sum(lambda k: cmath.exp(2j * math.pi * k * (x - 0.5)) / k ** s,
-                                       start=1)
-    except NonConvergence:
-        return
-    assert abs(v - want) <= err <= 1e-14
+    with pytest.raises(NonConvergence) as info:
+        alternating_sum(lambda k: cmath.exp(2j * math.pi * k * (x - 0.5)) / k ** s, start=1)
+    partial = info.value.partial
+    assert partial.terms_used == 32
+    assert partial.err_estimate > 128 * REL_TOL * abs(partial.value)
 
 
 def test_alternating_sum_nonconvergence_keeps_last_estimate():
