@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=20260808, help="grid jitter seed")
 
     e = sub.add_parser("eval", help="evaluate a named function")
-    e.add_argument("fn", help="function name, see --list")
+    e.add_argument("fn", help=f"function name: conjecture, {', '.join(sorted(REGISTRY))}")
     e.add_argument("args", nargs="*", help="numeric arguments (complex as a+bi)")
     e.add_argument("--route", help="representation to use where several exist")
     e.add_argument("--json", action="store_true", help="machine-readable output")
@@ -157,7 +157,8 @@ def _eval_mathieu(args, route):
 
 
 REGISTRY = {
-    "epsilon": (2, _eval_epsilon, "epsilon r z [--route direct|closed|polygamma|integral]"),
+    "epsilon": (2, _eval_epsilon, "epsilon r z [--route direct|closed|polygamma|integral"
+                                  "|integral-exponential|integral-hyperbolic]"),
     "he": (2, _eval_he, "he r z [--route closed|direct|taylor|real|eisenstein]"),
     "omega": (1, _eval_omega,
               "omega z [--route quadrature|digamma|partial_fraction|taylor_moments|taylor_eta]"),

@@ -1,8 +1,8 @@
 """Conjugate Bernoulli numbers and functions.
 
 The odd-index conjugate values at 1/2 come in an eta form and a zeta form
-(algebraically equal), the periodic conjugate functions come as Fourier
-series resummed through a boundary polylog, and the exponential generating
+(algebraically equal), the periodic conjugate functions as Fourier series
+whose boundary polylog is a Bose-Einstein integral, and the exponential generating
 function of the half-point values is G(z) = (iz/2pi) h_1(z/2pi): its closed form and
 coefficient series scale the h_1 routes of hilbert_eisenstein.  The zeta
 representations recover zeta at odd and even integers and at fractional
@@ -16,15 +16,29 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError
 from .hilbert_eisenstein import he_closed, he_taylor
-from .numkern import (PI, as_complex, bernoulli_poly, coth, digamma, dirichlet_eta,
-                      eta_odd, riemann_zeta)
+from .numkern import PI, as_complex, bernoulli_poly, coth, digamma, eta_odd, riemann_zeta
 from .omega import _taylor_coefficient
-from .summation import REL_TOL, power_tail, wynn_epsilon
+from .quadrature import adaptive_quad, quad_decaying_tail
+from .summation import power_tail
 
 _TWO_PI = 2.0 * PI
 _LOG2 = math.log(2.0)
+_DIRECT_ORDER = 170  # 2 Gamma(a+1) is a double through a = 170
+_FIRST_TERM_ORDER = 64  # past it Li_s(w) rounds to w; through it t^(s-1), e^t stay doubles
+
+
+def _prefactor(rest: float, a: float) -> float:
+    """rest * 2 Gamma(a+1) (2 pi)^(-a), the scale of every Fourier and zeta form here; past
+    a = _DIRECT_ORDER in log space, with DomainError where the product is no double either."""
+    if a <= _DIRECT_ORDER:
+        return 2.0 * math.gamma(a + 1.0) * _TWO_PI ** (-a) * rest
+    log_scale = _LOG2 + math.lgamma(a + 1.0) - a * math.log(_TWO_PI)
+    try:
+        return math.copysign(math.exp(log_scale + math.log(abs(rest))), rest) if rest else rest
+    except OverflowError:
+        raise DomainError(f"order {a}: the value is not a double") from None
 
 
 # ---------------------------------------------------------------------------
@@ -33,39 +47,34 @@ _LOG2 = math.log(2.0)
 def periodic_polylog(s: float, x: float) -> complex:
     """sum_{k>=1} e^(2 pi i k x) k^(-s) for real s, x.
 
-    x on the integers needs s > 1 (Euler-Maclaurin tail); x on the half
-    integers is the alternating zeta sum; elsewhere the conditionally
-    convergent sum is resummed by the epsilon algorithm on a block of
-    partial sums.
+    x on the integers needs s > 1 and sums 40 terms plus the Euler-Maclaurin tail.
+    Elsewhere s > 0 and Li_s(w) = (w/Gamma(s)) int_0^oo t^(s-1)/(e^t - w) dt, w = e^(2 pi i x)
+    (Bose-Einstein, DLMF 25.12.11): on [0, 1], t = u^m, m = ceil(3.5/s), so the integrand
+    vanishes like u^(ms-1), ms - 1 >= 2.5, and adaptive_quad runs in v = m(1 - u) on [0, 50]
+    and [50, m]; on [1, oo) quad_decaying_tail under the majorant t^(s-1)/(Gamma(s)(e^t - 1)).
+    Past s = 64 the first term w is the sum to within 2^(1-s), below its rounding.
     """
-    xf = x - math.floor(x)
-    if xf < 1e-12 or xf > 1.0 - 1e-12:
+    d = x - round(x)  # exact signed distance to the nearest integer
+    if abs(d) < 1e-12:
         if s <= 1.0:
             raise DomainError("polylog at integer x requires s > 1")
-        n = 40
-        total = sum(k ** (-s) for k in range(1, n + 1))
-        return complex(total + power_tail(s, n))
+        return complex(sum(k ** (-s) for k in range(1, 41)) + power_tail(s, 40))
     if s <= 0.0:
         raise DomainError("polylog requires s > 0 away from the integers")
-    if abs(xf - 0.5) < 1e-12:
-        return complex(-dirichlet_eta(s))
-    w = cmath.exp(2j * PI * xf)
-    partials: list[complex] = []
-    acc = 0.0 + 0.0j
-    wk = 1.0 + 0.0j
-    k = 0
-    for block in (48, 96, 192, 384, 768):
-        while k < block:
-            k += 1
-            wk *= w
-            acc += wk / k ** s
-            partials.append(acc)
-        value, err = wynn_epsilon(partials[-64:])
-        if err <= max(REL_TOL * abs(value), 1e-15 * max(1.0, abs(value))):
-            return value
-    if err <= 1e-9 * max(1.0, abs(value)):
-        return value
-    raise NonConvergence(f"periodic polylog did not settle at s={s}, x={x}")
+    w = cmath.exp(2j * PI * d)
+    if s > _FIRST_TERM_ORDER:  # |Li_s(w) - w| <= 2^(1-s) is below the rounding of w
+        return w
+    one_minus_w = -2j * math.sin(PI * d) * cmath.exp(1j * PI * d)  # no cancellation near d = 0
+    g, m = math.gamma(s), max(1, math.ceil(3.5 / s))
+    span = min(m, 50)  # t = u^m climbs from e^-50 to 1 over v in [0, span]
+
+    def head(v: float) -> complex:  # t^(s-1)/(Gamma(s)(e^t - w)) dt/dv at t = u^m, u = 1 - v/m
+        t = math.exp(m * math.log1p(-v / m))  # free of the rounding of u near u = 1
+        return (1.0 - v / m) ** (m * s - 1.0) / (g * (math.expm1(t) + one_minus_w))
+    near = adaptive_quad(head, 0.0, span)[0] + adaptive_quad(head, span, m)[0]
+    far = quad_decaying_tail(lambda t: t ** (s - 1.0) / (g * (math.expm1(t) + one_minus_w)),
+                             1.0, 1.0, power=s - 1.0, log_scale=-math.lgamma(s))[0]
+    return w * (near + far)
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +83,21 @@ def periodic_polylog(s: float, x: float) -> complex:
 def conj_bernoulli_half(m: int, form: str = "eta") -> float:
     """Odd conjugate Bernoulli value at the half point, B~_(2m+1)(1/2).
 
-    form "eta":  (-1)^(m+1) (2m+1)! 2^(-2m) pi^(-2m-1) eta(2m+1)
-    form "zeta": (-1)^m (2m+1)! (4^(-2m) - 2^(-2m)) pi^(-2m-1) zeta(2m+1),
-    which at m = 0 degenerates to 0 * zeta(1) and is taken at its limit
-    value -log(2)/pi so the two forms stay comparable for every m.
+    form "eta":  (-1)^(m+1) 2 (2m+1)! (2 pi)^(-2m-1) eta(2m+1)
+    form "zeta": (-1)^m 2 (2m+1)! (2 pi)^(-2m-1) (2^(-2m) - 1) zeta(2m+1), which at m = 0
+    degenerates to 0 * zeta(1) and is taken at its limit value -log(2)/pi so the two forms
+    stay comparable for every m.  zeta(2m+1) is the Euler-Maclaurin sum of periodic_polylog
+    at x = 0, apart from the alternating eta sum.  DomainError from m = 130 on (no double).
     """
     if m < 0:
         raise DomainError("index m must be >= 0")
     if form == "eta":
-        return ((-1.0) ** (m + 1) * math.factorial(2 * m + 1)
-                * 2.0 ** (-2 * m) * PI ** (-2 * m - 1) * eta_odd(m))
+        return _prefactor((-1.0) ** (m + 1) * eta_odd(m), 2 * m + 1)
     if form == "zeta":
         if m == 0:
             return -_LOG2 / PI
-        return ((-1.0) ** m * math.factorial(2 * m + 1)
-                * (4.0 ** (-2 * m) - 2.0 ** (-2 * m)) * PI ** (-2 * m - 1)
-                * riemann_zeta(float(2 * m + 1)))
+        zeta = periodic_polylog(2 * m + 1, 0.0).real
+        return _prefactor((-1.0) ** m * (2.0 ** (-2 * m) - 1.0) * zeta, 2 * m + 1)
     raise DomainError(f"unknown form {form!r}")
 
 
@@ -101,14 +109,10 @@ def conj_bernoulli_periodic(n: int, x: float) -> float:
     """
     if n < 0:
         raise DomainError("index n must be >= 0")
-    x = float(x)
-    xf = x - math.floor(x)
-    if n == 0 and (xf < 1e-12 or xf > 1.0 - 1e-12):
-        raise DomainError("B~_1 requires x not an integer")
     s = 2 * n + 1
     phase = cmath.exp(-1j * s * PI / 2.0)
     li = periodic_polylog(float(s), x)
-    return -2.0 * math.factorial(s) * _TWO_PI ** (-s) * (phase * li).imag
+    return _prefactor(-(phase * li).imag, s)
 
 
 def conj_bernoulli_genfun(z) -> complex:
@@ -153,12 +157,14 @@ def conj_genfun_series(z) -> complex:
 def zeta_odd_via_conj(m: int) -> float:
     """zeta(2m+1) = (-1)^m 2^(2m) pi^(2m+1) B~_(2m+1)(1) / (2m+1)!.
 
-    B~_(2m+1)(1) is recovered from the half-point value through
-    B~_(2m+1)(1/2) = (2^(-2m) - 1) B~_(2m+1)(1).
+    B~_(2m+1)(1) is recovered from the half-point value through B~_(2m+1)(1/2) =
+    (2^(-2m) - 1) B~_(2m+1)(1), so DomainError from m = 130 on, where that is no double.
     """
     if m < 1:
         raise DomainError("odd-zeta representation needs m >= 1")
     b_one = conj_bernoulli_half(m) / (2.0 ** (-2 * m) - 1.0)
+    if 2 * m + 1 > _DIRECT_ORDER:  # the prefactor of conj_bernoulli_half, as a double
+        return (-1.0) ** m * b_one / _prefactor(1.0, 2 * m + 1)
     return ((-1.0) ** m * 2.0 ** (2 * m) * PI ** (2 * m + 1)
             * b_one / math.factorial(2 * m + 1))
 
@@ -174,25 +180,19 @@ def fractional_bernoulli(alpha: float, x: float) -> float:
     """Periodic fractional Bernoulli function
     B_alpha(x) = -2 Gamma(alpha+1) sum_k cos(pi(2kx - alpha/2)) / (2 pi k)^alpha.
 
-    Interpolates the classical Bernoulli polynomials at integer alpha; x on
-    the integers requires alpha > 1.
+    Interpolates the classical Bernoulli polynomials at integer alpha; the domain
+    is periodic_polylog's: alpha > 0, and alpha > 1 with x on the integers.
     """
-    if alpha <= 0:
-        raise DomainError("fractional index must satisfy alpha > 0")
-    x = float(x)
-    xf = x - math.floor(x)
-    if (xf < 1e-12 or xf > 1.0 - 1e-12) and alpha <= 1.0:
-        raise DomainError("x must avoid the integers for alpha <= 1")
     li = periodic_polylog(alpha, x)
     phase = cmath.exp(-1j * PI * alpha / 2.0)
-    return -2.0 * math.gamma(alpha + 1.0) * _TWO_PI ** (-alpha) * (phase * li).real
+    return _prefactor(-(phase * li).real, alpha)
 
 
 def ramanujan_bstar(alpha: float) -> float:
     """Sign-free fractional Bernoulli number B*_alpha = 2 Gamma(alpha+1) zeta(alpha) / (2 pi)^alpha."""
     if alpha <= 1:
         raise DomainError("ramanujan_bstar requires alpha > 1")
-    return 2.0 * math.gamma(alpha + 1.0) * _TWO_PI ** (-alpha) * riemann_zeta(alpha)
+    return _prefactor(riemann_zeta(alpha), alpha)
 
 
 # ---------------------------------------------------------------------------

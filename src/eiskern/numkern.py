@@ -271,11 +271,11 @@ def dirichlet_eta(s: float) -> float:
 
 
 def riemann_zeta(s: float) -> float:
-    """zeta(s) for s > 1; even integers use the exact Bernoulli closed form."""
+    """zeta(s) for s > 1; even integers s <= 170 use the exact Bernoulli closed form."""
     if s <= 1:
         raise DomainError("riemann_zeta requires s > 1")
     n = round(s)
-    if abs(s - n) <= 1e-12 and n % 2 == 0:
+    if abs(s - n) <= 1e-12 and n % 2 == 0 and n <= 170:
         m = n // 2
         b = bernoulli_number(2 * m)
         return float((-1) ** (m + 1)) * 2.0 ** (2 * m - 1) * PI ** (2 * m) * float(b) / math.factorial(2 * m)

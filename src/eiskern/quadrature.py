@@ -4,12 +4,11 @@ Every panel applies one embedded pair: the 21-point Kronrod rule K21, whose
 nodes contain those of the 10-point Gauss rule G10 (Kronrod 1965).  A panel
 costs 21 integrand calls and returns K21 as its value and |K21 - G10| as its
 error.  A panel is accepted when that error falls below its share of the
-tolerance budget, and is bisected otherwise.  The reported error adds to the
-accepted errors a rounding floor eps*|half-width|*sum w_K |f| per panel; the
-floor never enters the acceptance test, where a cancelling integrand would
-bisect to the depth cap.  Integrals to infinity have one tail rule,
-quad_decaying_tail: the caller states a majorant, and only this module picks
-the truncation point.
+tolerance budget or within 1024 rounding floors eps*|half-width|*sum w_K |f|, where a
+cancelling integrand gains nothing from a bisection, and is bisected otherwise; the
+reported error adds the floor to each accepted |K21 - G10|.  Integrals to infinity
+have one tail rule, quad_decaying_tail: the caller states a majorant, and only this
+module picks the truncation point.
 """
 from __future__ import annotations
 
@@ -76,7 +75,7 @@ def adaptive_quad(f: Callable[[float], complex], a: float,
     stack = [(a, b, first, max(ABS_TOL, _REL_TOL * abs(first[0])), 0)]
     while stack:
         lo, hi, (est, disc, floor), budget, depth = stack.pop()
-        if disc <= budget or disc <= 1e-16 * abs(est):
+        if disc <= budget or disc <= 1024.0 * floor:
             value += est
             err += disc + floor
         elif depth >= _MAX_DEPTH:

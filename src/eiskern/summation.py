@@ -5,7 +5,7 @@ CRVZ (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000) from a stated start o
 moment sequence for alternating sums; summation to the rounding of the sum with a stated
 geometric tail bound for power series.  Reported errors add a rounding floor to the
 truncation estimate, which decides convergence; a Richardson correction within its floor
-eps*sum|t_k| counts as converged.  The epsilon algorithm serves periodic_polylog alone."""
+eps*sum|t_k| counts as converged.  No series runs the epsilon algorithm."""
 from __future__ import annotations
 
 import functools
@@ -117,8 +117,8 @@ def alternating_sum(term: Callable[[int], complex], *, start: int) -> tuple[comp
 
 
 def wynn_epsilon(partials: Sequence[complex]) -> tuple[complex, float]:
-    """Shanks-type limit of a sequence of partial sums via the epsilon table, for
-    power-series partial sums on the boundary of convergence; its estimate is no bound.
+    """Shanks-type limit of partial sums via the epsilon table; its estimate is no bound.
+    No module calls it; it stays for the benchmark's layer tracer until ROADMAP item 4.
 
     Returns the deepest even-column entry and, as error estimate, its distance to the
     previous even column plus the rounding floor of the n partial sums,

@@ -78,6 +78,24 @@ def test_eval_unknown_function_exits_2(capsys):
     assert "unknown function" in err
 
 
+def test_eval_help_names_every_function_and_route(capsys):
+    # the help lists the functions eval knows, and a wrong argument count prints
+    # every route the epsilon evaluator accepts
+    from eiskern.cli import REGISTRY
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--list" not in help_text
+    assert all(name in help_text for name in [*REGISTRY, "conjecture"])
+    rc, _, err = run(["eval", "epsilon", "2"], capsys)
+    assert rc == 2
+    for route in ("direct", "closed", "polygamma", "integral", "integral-exponential",
+                  "integral-hyperbolic"):
+        assert route in err.split("--route ")[1].rstrip("]\n").split("|")
+        assert run(["eval", "epsilon", "2", "0.3+0.4i", "--route", route], capsys)[0] == 0
+
+
 def test_eval_domain_violation_exits_2_with_precondition(capsys):
     rc, _, err = run(["eval", "zeta", "0.5"], capsys)
     assert rc == 2

@@ -95,6 +95,70 @@ def test_polylog_boundary_values():
                      (5.5, 2.0013), (9.0, -0.003)):
             want = complex(mp.polylog(s, mp.expjpi(2 * mp.mpf(x))))
             assert abs(periodic_polylog(s, x) - want) <= 1e-10 * abs(want), (s, x)
+        # the Bose-Einstein integral where the epsilon algorithm was 5.9e-11, 1.5e-12 and
+        # 6e-12 off, where t^(s-1) with s just above 1 bisected to the depth cap without
+        # the substitution t = u^m, where a small s squeezed the rise of u^m between two
+        # nodes (5.9e-6 off), within 1e-7 of an integer, where 1 - w formed as a difference
+        # cancels (1.6e-9 off at (0.5, 1e-9)), and past the order where k^s overflowed
+        for s, x in ((5.0, 0.001), (6.0666, 0.990989645), (0.01, 0.01),
+                     (1.3838, 0.216986941), (1e-5, 0.3), (0.5, 1e-9), (1.0, 1 - 1e-7),
+                     (250.0, 0.3)):
+            want = complex(mp.polylog(s, mp.expjpi(2 * mp.mpf(x))))
+            assert abs(periodic_polylog(s, x) - want) <= 1e-13 * abs(want), (s, x)
+        assert abs(periodic_polylog(1e6, 0.01) - complex(mp.expjpi(0.02))) <= 1e-15
+
+
+def test_polylog_quadrature_stays_bounded(monkeypatch):
+    # at most about 40 panels from s = 1e-12 to 64 and x down to 1e-11 from an integer
+    from eiskern import conj_bernoulli as cb
+    from eiskern import quadrature
+    panels, original = [], quadrature.adaptive_quad
+
+    def counting(f, a, b):
+        out = original(f, a, b)
+        panels[-1] += out[2]
+        return out
+
+    monkeypatch.setattr(cb, "adaptive_quad", counting)
+    monkeypatch.setattr(quadrature, "adaptive_quad", counting)  # the tail's segments
+    for s in (1e-12, 1e-9, 1e-5, 0.05, 0.5, 1.0, 3.0, 10.0, 30.0, 64.0):
+        for x in (0.3, 0.5, 1e-3, 1e-6, 1e-9, 1 - 1e-11):
+            panels.append(0)
+            periodic_polylog(s, x)
+    assert max(panels) <= 48
+
+
+def test_large_orders_in_log_space_or_typed_error():
+    # past order 170 the factorial or gamma prefactor is no double: it is formed in log
+    # space while the value is one, and DomainError names the order where it is not
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        def prefactor(a):  # 2 Gamma(a+1) (2 pi)^(-a)
+            return 2 * mp.gamma(a + 1) / (2 * mp.pi) ** a
+
+        def fourier(a, x):  # e^(-i pi a/2) Li_a(e^(2 pi i x)), the bracket of both Fourier forms
+            return mp.expjpi(-a / 2) * mp.polylog(a, mp.expjpi(2 * mp.mpf(x)))
+
+        cases = [
+            (conj_bernoulli_half(100), -prefactor(201) * mp.altzeta(201)),
+            (conj_bernoulli_half(100, "zeta"), -prefactor(201) * mp.altzeta(201)),
+            (conj_bernoulli_half(129), prefactor(259) * mp.altzeta(259)),
+            (zeta_odd_via_conj(100), mp.zeta(201)),
+            (conj_bernoulli_periodic(100, 0.3), -prefactor(201) * mp.im(fourier(201, 0.3))),
+            (fractional_bernoulli(180.5, 0.3),
+             -prefactor(mp.mpf(180.5)) * mp.re(fourier(mp.mpf(180.5), 0.3))),
+            (ramanujan_bstar(180), prefactor(180) * mp.zeta(180)),
+            (ramanujan_bstar(171.3), prefactor(mp.mpf(171.3)) * mp.zeta(mp.mpf(171.3))),
+        ]
+        for got, want in cases:
+            assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+    for call in (lambda: conj_bernoulli_half(200), lambda: conj_bernoulli_half(200, "zeta"),
+                 lambda: zeta_odd_via_conj(200), lambda: conj_bernoulli_periodic(200, 0.3),
+                 lambda: fractional_bernoulli(400.5, 0.3), lambda: ramanujan_bstar(400.0)):
+        with pytest.raises(DomainError, match="not a double"):
+            call()
+    from eiskern.conj_bernoulli import _prefactor
+    assert _prefactor(0.0, 300.5) == 0.0  # an exact zero stays one past order 170
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,19 @@ def test_direct_route_stops_early_and_is_accurate():
     assert worst <= 5e-14
 
 
+def test_integral_route_at_high_order_where_the_integral_cancels():
+    # a panel within 1024 rounding floors of its own is accepted; on the per-panel budget
+    # alone these three bisected to the depth cap and raised QuadratureFailure
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for r, z, form in ((150, 0.8808 - 0.3666j, "exponential"),
+                           (150, 0.7713 - 0.3592j, "hyperbolic"), (200, 0.05 + 0.3j, "hyperbolic")):
+            ev = eisenstein_integral(r, z, form)
+            w = mp.mpc(z)
+            want = complex((mp.psi(r - 1, 1 - w) + (-1) ** r * mp.psi(r - 1, w)) / mp.factorial(r - 1))
+            assert abs(ev.value - want) <= ev.err_estimate <= 1e-13 * abs(want), (r, z, form)
+
+
 def test_integral_route_work_guard(monkeypatch):
     # every panel is one G10/K21 application, 21 integrand calls; the default
     # strip grid needs about 250 calls per value (406.5 with the two-level rule)
