@@ -4,7 +4,8 @@ eps_r(z) = sum_{k in Z} (z+k)^(-r) with poles on the integers; the r = 1
 series carries the symmetric (Eisenstein) summation convention and equals
 pi*cot(pi*z).  Routes: symmetric partial sums with Richardson extrapolation,
 trigonometric closed forms (r <= 3), the polygamma reflection combination,
-and the strip-reduced exponential/hyperbolic integral representation.
+and the strip-reduced integral representation: the terms |k| < 4 summed, the
+two Hurwitz tails past them as one exponential/hyperbolic integral.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .summation import REL_TOL, richardson_limit
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
 _EPS = sys.float_info.epsilon
 _POWER_ORDERS = 20  # T^19 and 19! are far inside the double range
+_HEAD = 4  # eisenstein_integral sums the terms |k| < _HEAD and integrates the rest
 
 
 def _guard_integer(z: complex, guard: float = INTEGER_GUARD) -> None:
@@ -119,14 +121,14 @@ def eisenstein_polygamma(r: int, z) -> complex:
 
 
 def _integrand_factory(r: int, zeta: complex, form: str):
-    """Integrand t^(r-1)/((r-1)! (e^t - 1)) * (e^(-zeta*t) + (-1)^r e^(zeta*t)), overflow-safe.
+    """Integrand t^(r-1) e^(-4t)/((r-1)! (1 - e^-t)) * (e^(-zeta*t) + (-1)^r e^(zeta*t)), overflow-safe.
 
     Through r = _POWER_ORDERS the weight t^(r-1)/(r-1)! is a plain power over
     a double factorial.  Past it the weight enters each exponential as
     exp((r-1) log t - lgamma(r)), so no factor overflows while the integrand
     is a double; the log costs about eps*|log t| relative near t = 0, which is
-    why low orders keep the power.  Both exponents are regrouped through e^(-t)
-    so every exponential has a non-positive real part for Re zeta in [0, 1).
+    why low orders keep the power.  Both exponents are regrouped through e^(-4t)
+    (4 = _HEAD) so every exponential has a negative real part for |Re zeta| <= 1/2.
     The two forms differ only in where the bracket is taken as 2cosh(zeta t)
     (r even) or -2sinh(zeta t) (r odd): the hyperbolic form while |Re zeta|*t < 600,
     so nothing overflows, the exponential form for odd r while |zeta|*t < 1/2,
@@ -136,7 +138,7 @@ def _integrand_factory(r: int, zeta: complex, form: str):
     power = r <= _POWER_ORDERS
     g = float(math.factorial(r - 1)) if power else 1.0
     log_fact = math.lgamma(r)
-    plus, minus, sign = -(1.0 + zeta), -(1.0 - zeta), (-1.0) ** r
+    plus, minus, sign = -(_HEAD + zeta), -(_HEAD - zeta), (-1.0) ** r
     two, hyp = (2.0, cmath.cosh) if even else (-2.0, cmath.sinh)
     if form == "hyperbolic":
         scale, limit = abs(zeta.real), 600.0
@@ -148,7 +150,7 @@ def _integrand_factory(r: int, zeta: complex, form: str):
         # t^(r-1)/(r-1)! = w * e^q
         w, q = (t ** (r - 1) / g, 0.0) if power else (1.0, (r - 1) * math.log(t) - log_fact)
         if scale * t < limit:
-            num = two * math.exp(q - t) * hyp(zeta * t)
+            num = two * math.exp(q - _HEAD * t) * hyp(zeta * t)
         else:
             num = cmath.exp(q + plus * t) + sign * cmath.exp(q + minus * t)
         return w * num / den
@@ -157,18 +159,19 @@ def _integrand_factory(r: int, zeta: complex, form: str):
 
 
 def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
-    """Strip-reduced integral representation.
+    """Strip-reduced integral representation with the terms |k| < 4 summed.
 
-    eps_r(z) = zeta^(-r) + (1/(r-1)!) int_0^oo t^(r-1)/(e^t-1)
-               (e^(-zeta t) + (-1)^r e^(zeta t)) dt,   zeta = z - floor(Re z).
+    eps_r(z) = sum_{|k|<4} (zeta+k)^(-r) + (1/(r-1)!) int_0^oo t^(r-1) e^(-4t)/(1-e^-t)
+               (e^(-zeta t) + (-1)^r e^(zeta t)) dt,   zeta = z - floor(Re z),
 
+    the integral being the two Hurwitz tails sum_{k>=4} (k +- zeta)^(-r) (DLMF 25.11(vii)).
     The hyperbolic form replaces the bracket by 2cosh(zeta t) (r even) or
     -2sinh(zeta t) (r odd).  quad_decaying_tail cuts the tail by the majorant
-    2 t^(r-1) e^(-(1 - |Re zeta|) t)/((r-1)! (1 - e^-t)).  err_estimate adds
+    2 t^(r-1) e^(-(4 - |Re zeta|) t)/((r-1)! (1 - e^-t)).  The seven head terms are
+    float powers summed by fsum; they share no code with the other routes.  err_estimate adds
     the quadrature error, its tail bound and the rounding floor
-    eps*((1 + r|log zeta|)|zeta^(-r)| + |value|).
-    DomainError where the value, zeta^(-r) or the integrand's peak is not a
-    double.
+    eps*(sum_{|k|<4} (1 + r|log(zeta+k)|)|zeta+k|^(-r) + |value|).
+    DomainError where the value or a head term is not a double.
     """
     _require_order(r)
     if form not in ("exponential", "hyperbolic"):
@@ -185,20 +188,22 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
         sign = (-1.0) ** r
 
     f = _integrand_factory(r, zeta, form)
-    rate = 1.0 - abs(zeta.real)  # decay of the slower exponential
+    rate = _HEAD - abs(zeta.real)  # decay of the slower exponential
+    shifts = [zeta + k for k in range(1 - _HEAD, _HEAD)]
     try:
-        head = zeta ** (-r)
+        head = [w ** (-r) for w in shifts]
         value, err, panels = quad_decaying_tail(f, 0.0, rate, power=r - 1,
                                                 log_scale=math.log(2.0) - math.lgamma(r))
-        total = sign * (head + value)
+        value += complex(math.fsum(h.real for h in head), math.fsum(h.imag for h in head))
+        total = sign * value
     except OverflowError:
         total = math.inf
     if not cmath.isfinite(total):
-        raise DomainError(f"integral route needs eps_{r}, zeta^(-{r}) and (1 - |Re zeta|)^(-{r}) "
+        raise DomainError(f"integral route needs eps_{r} and (zeta+k)^(-{r}), |k| < {_HEAD}, "
                           f"to be doubles; zeta = {zeta}")
-    # zeta^(-r) is rounded with relative error up to about eps*r*|log zeta| (CPython
-    # powers past r = 100 through exp(r log zeta))
-    head_floor = (1.0 + r * abs(cmath.log(zeta))) * abs(head)
+    # each (zeta+k)^(-r) is rounded with relative error up to about eps*r*|log(zeta+k)|
+    # (CPython powers past r = 100 through exp(r log(zeta+k)))
+    head_floor = math.fsum((1.0 + r * abs(cmath.log(w))) * abs(h) for w, h in zip(shifts, head))
     err += _EPS * (head_floor + abs(total))
     return Evaluation(total, err, panels, f"integral-{form}")
 

@@ -230,20 +230,66 @@ def test_direct_route_stops_early_and_is_accurate():
 
 def test_integral_route_at_high_order_where_the_integral_cancels():
     # a panel within 1024 rounding floors of its own is accepted; on the per-panel budget
-    # alone these three bisected to the depth cap and raised QuadratureFailure
+    # alone the first three bisected to the depth cap and raised QuadratureFailure.  With
+    # only zeta^(-r) summed, the integral cancelled against it to no correct digit at r = 84
+    # and 339 (relative error 2.1 and 1.3e23 under an absolute claim that held)
     mp = pytest.importorskip("mpmath")
+    cases = [(150, 0.8808 - 0.3666j, "exponential"), (150, 0.7713 - 0.3592j, "hyperbolic"),
+             (200, 0.05 + 0.3j, "hyperbolic")]
+    cases += [(r, z, form) for r, z in ((84, -1.4896 - 0.5958j), (339, 1.5461 - 0.5363j))
+              for form in ("exponential", "hyperbolic")]
     with mp.workdps(60):
-        for r, z, form in ((150, 0.8808 - 0.3666j, "exponential"),
-                           (150, 0.7713 - 0.3592j, "hyperbolic"), (200, 0.05 + 0.3j, "hyperbolic")):
+        for r, z, form in cases:
             ev = eisenstein_integral(r, z, form)
             w = mp.mpc(z)
             want = complex((mp.psi(r - 1, 1 - w) + (-1) ** r * mp.psi(r - 1, w)) / mp.factorial(r - 1))
             assert abs(ev.value - want) <= ev.err_estimate <= 1e-13 * abs(want), (r, z, form)
 
 
+def test_integral_route_far_from_the_real_axis():
+    # the Hurwitz tails past |k| < 4 decay like e^(-3.5t) or faster, so the panels
+    # that resolve the oscillation e^(i Im(zeta) t) stay few (3153 and 383 with
+    # zeta^(-r) alone summed); the value underflows beside terms of order 1/|Im z|,
+    # so the error is held relative to max(1, |value|)
+    mp = pytest.importorskip("mpmath")
+    for r, z, cap in ((2, 0.3 + 300j, 600), (5, 0.3 + 30j, 80)):
+        ev = eisenstein_integral(r, z)
+        assert ev.terms_used <= cap, (r, z, ev.terms_used)
+        with mp.workdps(120):
+            w = mp.mpc(z)
+            want = complex((mp.pi / mp.sin(mp.pi * w)) ** 2 if r == 2 else
+                           (mp.psi(r - 1, 1 - w) + (-1) ** r * mp.psi(r - 1, w)) / mp.factorial(r - 1))
+        assert abs(ev.value - want) <= ev.err_estimate, (r, z)
+        assert abs(ev.value - want) <= 1e-12 * max(1.0, abs(want)), (r, z)
+
+
+def test_integral_route_borrows_nothing_from_the_direct_route():
+    # the integral route is checked against the direct and polygamma routes: its head
+    # (zeta+k)^(-r), |k| < 4, may not use the direct route's exact roundings or
+    # extrapolation, nor any psi kernel
+    import sys
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for r in (1, 2, 3, 8, 21):
+            for form in ("exponential", "hyperbolic"):
+                eisenstein_integral(r, 0.3 + 0.4j, form)
+    finally:
+        sys.setprofile(None)
+    assert "quad_decaying_tail" in reached
+    assert not reached & {"_rounded_pair", "richardson_limit", "polygamma", "digamma", "_psi",
+                          "bernoulli_number"}
+
+
 def test_integral_route_work_guard(monkeypatch):
     # every panel is one G10/K21 application, 21 integrand calls; the default
-    # strip grid needs about 250 calls per value (406.5 with the two-level rule)
+    # strip grid needs 84 calls per value, four panels (249 with zeta^(-r) alone
+    # outside the integral, 406.5 with the two-level rule)
     from eiskern import eisenstein as eis
     from eiskern.suites import SuiteConfig, strip_grid
     calls = 0
@@ -262,7 +308,7 @@ def test_integral_route_work_guard(monkeypatch):
     grid = [(r, z) for z in strip_grid(SuiteConfig()) for r in range(1, 7)]
     panels = sum(eisenstein_integral(r, z).terms_used for r, z in grid)
     assert calls == 21 * panels
-    assert calls / len(grid) <= 300
+    assert calls / len(grid) <= 110
 
 
 @pytest.mark.parametrize("r", [103, 150, 200])

@@ -222,6 +222,15 @@ def test_zeta_values():
         riemann_zeta(1.0)
 
 
+def test_zeta_even_closed_form_to_full_accuracy():
+    # PI ** (2m) alone carries 2m times the rounding of pi: 6.6e-15 off at s = 170
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for n in range(2, 171, 2):
+            want = mp.zeta(n)
+            assert abs(riemann_zeta(float(n)) - want) <= 1e-15 * want, n
+
+
 def test_eta_values():
     assert dirichlet_eta(1) == LOG2
     assert dirichlet_eta(2) == pytest.approx(PI ** 2 / 12.0, rel=1e-14)
