@@ -150,6 +150,11 @@ def _eval_moment(args, route):
     return _wrap(om.omega_moment(k, route or "closed"), route or "closed")
 
 
+def _eval_zeta(args, _route):
+    s = _parse_real(args[0])
+    return _wrap(nk.riemann_zeta(s), "bernoulli" if nk.zeta_closed_index(s) else "via-eta")
+
+
 def _eval_mathieu(args, route):
     if route not in (None, "alternating"):
         raise ConfigError(f"unknown mathieu route {route!r}")
@@ -166,8 +171,7 @@ REGISTRY = {
     "polygamma": (2, lambda a, _r: _wrap(nk.polygamma(_parse_int(a[0]), _parse_complex(a[1])),
                                          "polygamma"), "polygamma r z"),
     "gamma": (1, lambda a, _r: _wrap(nk.gamma(_parse_complex(a[0])), "lanczos"), "gamma z"),
-    "zeta": (1, lambda a, _r: _wrap(nk.riemann_zeta(_parse_real(a[0])), "via-eta"),
-             "zeta s"),
+    "zeta": (1, _eval_zeta, "zeta s"),
     "eta": (1, lambda a, _r: _wrap(nk.dirichlet_eta(_parse_real(a[0])), "alternating"), "eta s"),
     "lambda": (1, lambda a, _r: _wrap(nk.dirichlet_lambda(_parse_real(a[0])), "via-zeta"),
                "lambda r"),

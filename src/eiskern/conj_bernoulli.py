@@ -50,8 +50,8 @@ def periodic_polylog(s: float, x: float) -> complex:
     x on the integers needs s > 1 and sums 40 terms plus the Euler-Maclaurin tail.
     Elsewhere s > 0 and Li_s(w) = (w/Gamma(s)) int_0^oo t^(s-1)/(e^t - w) dt, w = e^(2 pi i x)
     (Bose-Einstein, DLMF 25.12.11): on [0, 1], t = u^m, m = ceil(3.5/s), so the integrand
-    vanishes like u^(ms-1), ms - 1 >= 2.5, and adaptive_quad runs in v = m(1 - u) on [0, 50]
-    and [50, m]; on [1, oo) quad_decaying_tail under the majorant t^(s-1)/(Gamma(s)(e^t - 1)).
+    vanishes like u^(ms-1), ms - 1 >= 2.5, and adaptive_quad runs in v = m(1 - u) on [0, m],
+    breakpoint 50; on [1, oo) quad_decaying_tail under the majorant t^(s-1)/(Gamma(s)(e^t - 1)).
     Past s = 64 the first term w is the sum to within 2^(1-s), below its rounding.
     """
     d = x - round(x)  # exact signed distance to the nearest integer
@@ -71,7 +71,7 @@ def periodic_polylog(s: float, x: float) -> complex:
     def head(v: float) -> complex:  # t^(s-1)/(Gamma(s)(e^t - w)) dt/dv at t = u^m, u = 1 - v/m
         t = math.exp(m * math.log1p(-v / m))  # free of the rounding of u near u = 1
         return (1.0 - v / m) ** (m * s - 1.0) / (g * (math.expm1(t) + one_minus_w))
-    near = adaptive_quad(head, 0.0, span)[0] + adaptive_quad(head, span, m)[0]
+    near = adaptive_quad(head, 0.0, span, m)[0]
     far = quad_decaying_tail(lambda t: t ** (s - 1.0) / (g * (math.expm1(t) + one_minus_w)),
                              1.0, 1.0, power=s - 1.0, log_scale=-math.lgamma(s))[0]
     return w * (near + far)

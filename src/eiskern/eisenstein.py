@@ -25,9 +25,9 @@ _POWER_ORDERS = 20  # T^19 and 19! are far inside the double range
 _HEAD = 4  # eisenstein_integral sums the terms |k| < _HEAD and integrates the rest
 
 
-def _guard_integer(z: complex, guard: float = INTEGER_GUARD) -> None:
+def _guard_integer(z: complex) -> None:
     n = round(z.real)
-    if abs(z - n) < guard:
+    if abs(z - n) < INTEGER_GUARD:
         raise PoleError(f"eisenstein series has a pole at the integer {n}")
 
 
@@ -175,7 +175,7 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
     """
     _require_order(r)
     if form not in ("exponential", "hyperbolic"):
-        raise ValueError("form must be 'exponential' or 'hyperbolic'")
+        raise DomainError(f"form must be 'exponential' or 'hyperbolic', got {form!r}")
     z = as_complex(z)
     _guard_integer(z)
     zeta = z - math.floor(z.real)  # strip reduction

@@ -20,7 +20,7 @@ from .controls import Evaluation
 from .errors import DomainError, NonConvergence, PoleError
 from .eisenstein import eisenstein_closed, eisenstein_direct
 from .numkern import as_complex, digamma, dirichlet_eta, eta_odd, polygamma
-from .quadrature import adaptive_quad, quad_decaying_tail
+from .quadrature import quad_decaying_tail
 from .summation import REL_TOL, alternating_sum, power_series, richardson_limit
 
 IM_AXIS_GUARD = 1e-10  # hard floor; suites keep distance >= 0.05
@@ -28,9 +28,9 @@ IM_AXIS_GUARD = 1e-10  # hard floor; suites keep distance >= 0.05
 _TWO_I_LOG2 = 2j * math.log(2.0)
 
 
-def _guard_imaginary_integers(z: complex, guard: float = IM_AXIS_GUARD) -> None:
+def _guard_imaginary_integers(z: complex) -> None:
     k = round(z.imag)
-    if k != 0 and abs(z - 1j * k) < guard:
+    if k != 0 and abs(z - 1j * k) < IM_AXIS_GUARD:
         raise PoleError(f"Hilbert-Eisenstein series has a pole at {1j * k}")
 
 
@@ -198,7 +198,5 @@ def mathieu_E(x: float) -> Evaluation:
     def f(u: float) -> float:
         return u * math.sin(x * u) / (math.exp(u) + 1.0)
 
-    head, e1, p1 = adaptive_quad(f, 0.0, 2.0)
-    tail, e2, p2 = quad_decaying_tail(f, 2.0, rate=1.0, power=1.0)  # |f| <= u e^-u
-    val = (head + tail).real / x
-    return Evaluation(complex(val), (e1 + e2) / abs(x), p1 + p2, "integral")
+    value, err, panels = quad_decaying_tail(f, 0.0, rate=1.0, power=1.0)  # |f| <= u e^-u
+    return Evaluation(complex(value.real / x), err / abs(x), panels, "integral")

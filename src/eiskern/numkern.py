@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .controls import Evaluation
 from .errors import DomainError, NonConvergence, PoleError
-from .quadrature import adaptive_quad, quad_decaying_tail
+from .quadrature import quad_decaying_tail
 from .summation import alternating_sum, power_series
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -46,7 +46,7 @@ POLE_GUARD = 1e-12  # hard rejection radius around poles
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention); B_(2m+1) = 0 for m >= 1."""
     if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+        raise DomainError(f"Bernoulli index n must be >= 0, got {n}")
     if n < 2 or n % 2:
         return {0: Fraction(1), 1: Fraction(-1, 2)}.get(n, Fraction(0))
     # sum_{k=0}^{n} C(n+1, k) B_k = 0 over the nonzero B_k; ascending k keeps recursion shallow
@@ -56,7 +56,7 @@ def bernoulli_number(n: int) -> Fraction:
 def bernoulli_poly(n: int, x: float) -> float:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
     if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+        raise DomainError(f"Bernoulli index n must be >= 0, got {n}")
     return float(sum(float(math.comb(n, k) * bernoulli_number(k)) * x ** (n - k) for k in range(n + 1)))
 
 
@@ -210,7 +210,7 @@ def polygamma(r: int, z) -> complex:
     z = as_complex(z)
     _guard_nonpositive_integer(z, "polygamma")
     if z.real < _SHIFT_RE - 2 ** 20:  # 2^20 unit shifts take about 0.4 s
-        raise DomainError(f"polygamma({r}, {z}): Re z < 14 - 2^20 until ROADMAP item 8's reflection")
+        raise DomainError(f"polygamma({r}, {z}) requires Re z >= 14 - 2^20")
     try:
         value = _psi(r, z)
     except (OverflowError, ZeroDivisionError):  # w^-(r+1) overflows, or its reciprocal underflows
@@ -271,14 +271,19 @@ def dirichlet_eta(s: float) -> float:
     return value.real
 
 
+def zeta_closed_index(s: float) -> int:
+    """m where riemann_zeta(s) takes the Bernoulli closed form, s = 2m <= 170; else 0."""
+    n = round(s)
+    return n // 2 if abs(s - n) <= 1e-12 and n % 2 == 0 and 0 < n <= 170 else 0
+
+
 def riemann_zeta(s: float) -> float:
     """zeta(s) for s > 1; even integers s <= 170 use the exact Bernoulli closed form,
     within 4.5e-16 relative of zeta(s) through s = 170."""
-    if s <= 1:
-        raise DomainError("riemann_zeta requires s > 1")
-    n = round(s)
-    if abs(s - n) <= 1e-12 and n % 2 == 0 and n <= 170:
-        m = n // 2
+    if not 1 < s < math.inf:
+        raise DomainError(f"riemann_zeta requires s > 1 and finite, got {s}")
+    m = zeta_closed_index(s)
+    if m:
         b = bernoulli_number(2 * m)
         # PI^(2m) carries 2m times the rounding of PI; (1 + 2m*_PI_LO/PI) restores it
         return (float((-1) ** (m + 1)) * 2.0 ** (2 * m - 1) * PI ** (2 * m) * float(b)
@@ -312,7 +317,7 @@ def pochhammer(rho, sigma: int) -> complex:
     sigma > -rho; otherwise raises DomainError when it overflows.
     """
     if sigma < 0:
-        raise ValueError("pochhammer requires sigma >= 0")
+        raise DomainError(f"pochhammer requires sigma >= 0, got {sigma}")
     rho = as_complex(rho)
     if rho.imag == 0.0 and rho.real <= 0.0 and rho.real.is_integer() and sigma > -rho.real:
         return 0.0 + 0.0j
@@ -386,8 +391,7 @@ def digamma_realpart_integral(t: float) -> float:
     def f(u: float) -> float:
         return math.exp(-u) * math.sin(freq * u) ** 2 / math.sinh(u)
 
-    # |f| <= e^-u/sinh(u) <= 2 e^(-2u)/(1 - e^-u); the smallest node of the head,
-    # even at the depth cap, is above 1e-11, where sin^2/sinh is still well scaled
-    head, _, _ = adaptive_quad(f, 0.0, 2.0)
-    tail, _, _ = quad_decaying_tail(f, 2.0, rate=2.0, log_scale=math.log(2.0))
-    return -EULER_GAMMA + 2.0 * (head + tail).real
+    # |f| <= e^-u/sinh(u) <= 2 e^(-2u)/(1 - e^-u); the smallest node, even at the
+    # depth cap on [0, 1], is above 5e-12, where sin^2/sinh is still well scaled
+    value, _, _ = quad_decaying_tail(f, 0.0, rate=2.0, log_scale=math.log(2.0))
+    return -EULER_GAMMA + 2.0 * value.real

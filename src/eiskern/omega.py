@@ -35,12 +35,14 @@ _CLOSED_MOMENT_K = 5  # largest k for which the closed moment route keeps 11 dig
 
 
 def _sinh_half_over_pi(ax: float, factor: float) -> float:
-    """sinh(ax/2)/pi * factor for ax >= 0, in log space for ax > 1400 so that
-    only a product that is itself not a double raises (DomainError)."""
+    """sinh(ax/2)/pi * factor for ax >= 0, in log space for ax > 1400; DomainError there
+    where the product is not a double, or where the factor is 0 or nan (a brace that
+    rounded to 0, a ratio of overflowed terms), which leaves the product unknown."""
     if ax <= _LOG_SPACE_X:
         return math.sinh(0.5 * ax) / PI * factor
-    if factor == 0.0:
-        return 0.0
+    if not 0.0 < abs(factor) < math.inf:
+        raise DomainError(f"Omega-scale value at x = {ax:g} is not a double: its factor "
+                          f"of sinh(x/2)/pi evaluates to {factor}")
     try:
         mag = math.exp(0.5 * ax - math.log(_TWO_PI) + math.log(abs(factor)))
     except OverflowError:
@@ -231,9 +233,9 @@ def omega_ode_residual(x: float, h: float) -> float:
 
     |Omega'(x) - (1/2) coth(x/2) Omega(x) + (x/(2 pi^3)) sinh(x/2) E(x/(2 pi))|
     with Omega' a central difference of the digamma route and E the
-    alternating Mathieu forcing from mathieu_E.  At x = 0 every piece is
-    replaced by its limit, with E(0) = 2 eta(3) entering the (vanishing)
-    forcing term.
+    alternating Mathieu forcing from mathieu_E.  For |x| < 1e-8 the damping
+    term coth(x/2) Omega(x) is taken at x = 1e-6, near its limit; the one
+    forcing formula holds for every x, with mathieu_E's continuity value there.
     """
     if not (1e-7 <= h <= 1e-3):
         raise StepError("step h must lie in [1e-7, 1e-3]")
@@ -241,14 +243,9 @@ def omega_ode_residual(x: float, h: float) -> float:
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     d_omega = (omega_digamma(x + h) - omega_digamma(x - h)).real / (2.0 * h)
-    if abs(x) < 1e-8:
-        x_lim = 1e-6
-        damp = 0.5 * coth(0.5 * x_lim).real * omega_digamma(x_lim).real
-        forcing = (x / PI ** 3) * math.sinh(0.5 * x) * mathieu_E(0.0).value.real
-        return abs(d_omega - damp + forcing)
-    damp = 0.5 * coth(0.5 * x).real * omega_digamma(x).real
-    e_val = mathieu_E(x / _TWO_PI).value.real
-    forcing = (x / (2.0 * PI ** 3)) * math.sinh(0.5 * x) * e_val
+    x_damp = x if abs(x) >= 1e-8 else 1e-6
+    damp = 0.5 * coth(0.5 * x_damp).real * omega_digamma(x_damp).real
+    forcing = (x / (2.0 * PI ** 3)) * math.sinh(0.5 * x) * mathieu_E(x / _TWO_PI).value.real
     return abs(d_omega - damp + forcing)
 
 

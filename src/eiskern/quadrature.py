@@ -6,9 +6,9 @@ costs 21 integrand calls and returns K21 as its value and |K21 - G10| as its
 error.  A panel is accepted when that error falls below its share of the
 tolerance budget or within 1024 rounding floors eps*|half-width|*sum w_K |f|, where a
 cancelling integrand gains nothing from a bisection, and is bisected otherwise; the
-reported error adds the floor to each accepted |K21 - G10|.  Integrals to infinity
-have one tail rule, quad_decaying_tail: the caller states a majorant, and only this
-module picks the truncation point.
+reported error adds the floor to each accepted |K21 - G10|.  One call takes all the
+breakpoints of an integral.  Integrals to infinity have one tail rule, quad_decaying_tail:
+the caller states a majorant, and only this module picks the truncation point.
 """
 from __future__ import annotations
 
@@ -60,19 +60,17 @@ def _gk21(f: Callable[[float], complex], lo: float,
     return half * kronrod, abs(half * (kronrod - gauss)), _EPS * abs(half) * mag
 
 
-def adaptive_quad(f: Callable[[float], complex], a: float,
-                  b: float) -> tuple[complex, float, int]:
-    """Integrate f over [a, b]; returns (value, err_estimate, panel_count).
+def adaptive_quad(f: Callable[[float], complex], *edges: float) -> tuple[complex, float, int]:
+    """Integrate f over [edges[0], edges[-1]]; returns (value, err_estimate, panel_count).
 
-    panel_count counts every application of the rule.  Raises
-    QuadratureFailure when a subinterval still misses its budget after
-    _MAX_DEPTH bisections.
+    Each non-empty segment [edges[i], edges[i+1]] starts as one panel with its own
+    budget (QUADPACK qagp).  panel_count counts every application of the rule.  Raises
+    QuadratureFailure when a subinterval still misses its budget after _MAX_DEPTH bisections.
     """
-    if a == b:
-        return 0.0 + 0.0j, 0.0, 0
-    first = _gk21(f, a, b)
-    value, err, panels = 0.0 + 0.0j, 0.0, 1
-    stack = [(a, b, first, max(ABS_TOL, _REL_TOL * abs(first[0])), 0)]
+    segments = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo != hi]
+    stack = [(lo, hi, first, max(ABS_TOL, _REL_TOL * abs(first[0])), 0)  # popped left to right
+             for lo, hi in segments[::-1] for first in [_gk21(f, lo, hi)]]
+    value, err, panels = 0.0 + 0.0j, 0.0, len(stack)
     while stack:
         lo, hi, (est, disc, floor), budget, depth = stack.pop()
         if disc <= budget or disc <= 1024.0 * floor:
@@ -97,7 +95,7 @@ def quad_decaying_tail(f: Callable[[float], complex], a: float, rate: float,
     exponential and the tail over [T, oo) is at most e^log_scale times
     tail(T) = T^power e^(-rate T)/(slope (1 - e^-T)), slope = rate - power/T.
     T starts at a + max(8, 30/rate) and grows by 1.5 until tail(T) < ABS_TOL/40;
-    [a, T] is integrated by adaptive_quad on segments that double from length
+    [a, T] is one adaptive_quad call whose segments double in length from
     max(1, a), and e^log_scale tail(T) joins the error.
     """
     if rate <= 0:
@@ -116,13 +114,9 @@ def quad_decaying_tail(f: Callable[[float], complex], a: float, rate: float,
         T *= 1.5
     else:
         raise QuadratureFailure(f"no cut with a tail below {ABS_TOL / 40.0:.1e} up to T = {T:.3e}")
-    value, err, panels = 0.0 + 0.0j, 0.0, 0
-    lo, seg = a, max(1.0, a)
-    while lo < T:
-        hi = min(lo + seg, T)
-        v, e, p = adaptive_quad(f, lo, hi)
-        value += v
-        err += e
-        panels += p
-        lo, seg = hi, seg * 2.0
+    edges, seg = [a], max(1.0, a)
+    while edges[-1] < T:
+        edges.append(min(edges[-1] + seg, T))
+        seg *= 2.0
+    value, err, panels = adaptive_quad(f, *edges)
     return value, err + math.exp(log_scale + log_tail), panels

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -106,6 +107,34 @@ def test_eval_omega_not_a_double_exits_2(capsys):
     rc, _, err = run(["eval", "omega", "1e4"], capsys)
     assert rc == 2
     assert "not representable" in err
+
+
+@pytest.mark.parametrize("fn, args, argv, precondition", [
+    ("omega_digamma", (1e16,), ["eval", "omega", "1e300", "--route", "digamma"], "not a double"),
+    ("omega_eval", (1e300,), ["eval", "omega", "1e16"], "not a double"),
+    ("omega_bounds", (1e155,), None, "not a double"),
+    ("bernoulli_number", (-1,), ["eval", "bernoulli", "-2"], "n must be >= 0"),
+    ("bernoulli_poly", (-1, 0.5), ["eval", "bpoly", "-1", "0.5"], "n must be >= 0"),
+    ("pochhammer", (0.5, -1), ["eval", "pochhammer", "0.5", "-1"], "sigma >= 0"),
+    ("riemann_zeta", (math.nan,), ["eval", "zeta", "nan"], "requires s > 1"),
+    ("riemann_zeta", (math.inf,), None, "requires s > 1"),
+    ("eisenstein_integral", (2, 0.3 + 0.2j, "hyp"), None, "'exponential' or 'hyperbolic'"),
+])
+def test_typed_error_names_the_precondition(fn, args, argv, precondition, capsys):
+    # past |x| = 1400 the Omega brace rounds to 0 or zeta(3) x^2 overflows to a nan
+    # factor; negative indices, s = nan or inf and an unknown form break preconditions as well
+    with pytest.raises(eiskern.DomainError, match=re.escape(precondition)):
+        getattr(eiskern, fn)(*args)
+    if argv:
+        rc, out, err = run(argv, capsys)
+        assert rc == 2 and out == "" and precondition in err
+
+
+def test_eval_zeta_labels_the_branch_that_ran(capsys):
+    rc, out, _ = run(["eval", "zeta", "4"], capsys)
+    assert rc == 0 and "route=bernoulli," in out
+    rc, out, _ = run(["eval", "zeta", "3"], capsys)
+    assert rc == 0 and "route=via-eta," in out
 
 
 def test_eval_omega_complex_past_re_1400_exits_2(capsys):

@@ -114,8 +114,8 @@ def test_polylog_quadrature_stays_bounded(monkeypatch):
     from eiskern import quadrature
     panels, original = [], quadrature.adaptive_quad
 
-    def counting(f, a, b):
-        out = original(f, a, b)
+    def counting(f, *edges):
+        out = original(f, *edges)
         panels[-1] += out[2]
         return out
 

@@ -81,6 +81,27 @@ def test_one_tail_rule():
     assert offenders == []
 
 
+def test_one_call_per_integral():
+    # an integral's breakpoints go to one adaptive_quad call: no function outside
+    # quadrature.py calls it twice, or cuts a head off the integrand that it then
+    # hands to quad_decaying_tail
+    split = []
+    for name, text in _package_sources().items():
+        if name == "quadrature.py":
+            continue
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            integrands = defaultdict(list)
+            for c in ast.walk(fn):
+                if isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.args:
+                    integrands[c.func.id].append(ast.dump(c.args[0]))
+            head, tail = integrands["adaptive_quad"], integrands["quad_decaying_tail"]
+            if len(head) > 1 or set(head) & set(tail):
+                split.append((name, fn.name))
+    assert split == []
+
+
 def test_one_alternating_engine():
     # every alternating sum states where its moment sequence starts, and no series
     # regains a heuristic accelerator: the epsilon algorithm, whose estimate is no
