@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_complex(txt: str) -> complex:
-    cleaned = txt.strip().replace("i", "j")
+    cleaned = txt.strip()
+    if cleaned.endswith("i"):  # the imaginary unit; "inf" and "nan" keep their letters
+        cleaned = cleaned[:-1] + "j"
     try:
         return complex(cleaned)
     except ValueError:

@@ -211,10 +211,11 @@ def conjecture_double_sum(j: int, z: float) -> ConjectureCheck:
                 * sum_{n<=k} (-1)^n eta(2n+1)/(pi^(2n) (2(k-n)+1)!)
 
     evaluated next to the Fourier-series oracle.  The discrepancy is
-    returned for reporting; nothing here asserts it vanishes.
+    returned for reporting; nothing here asserts it vanishes.  j <= 84, where
+    (2j+1)! is a double.
     """
-    if j < 0:
-        raise DomainError("index j must be >= 0")
+    if not 0 <= j <= 84:
+        raise DomainError(f"conjecture checks require 0 <= j <= 84, where (2j+1)! is a double; got {j}")
     if not (0.0 < z < 1.0):
         raise DomainError("conjecture checks run on 0 < z < 1")
     total = 0.0

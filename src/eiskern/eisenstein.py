@@ -66,12 +66,19 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     terms exceeds that floor and max(REL_TOL*|value|, 1e-14*max(1, |value|)): from |Im z| of
     about 310 (r=2), 375 (r=1), 705 (r=3), 1305 (r=4); and when an extrapolated (not settled)
     stop comes at N < 3|z|, where the last correction need not bound the unsummed tail: from
-    |z| of about 11823/3 = 3941 (r = 5-8).
+    |z| of about 11823/3 = 3941 (r = 5-8).  DomainError where a term (z+k)^(-r) is not a double.
     """
     _require_order(r)
     z = as_complex(z)
     _guard_integer(z)
+    try:
+        return _direct(r, z)
+    except OverflowError:
+        raise DomainError(f"eisenstein_direct(r={r}, z={z}) requires every term (z+k)^(-r) "
+                          "to be a double") from None
 
+
+def _direct(r: int, z: complex) -> Evaluation:
     lead = [_rounded_pair(z, k, r) for k in range(3)]
     if r == 1:
         z2 = z * z

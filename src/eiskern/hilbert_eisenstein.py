@@ -164,7 +164,15 @@ def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     """S_r(x) = sum 2k/(k^2+x^2)^r (r > 1, 2r an integer) by Richardson in 1/N^2 on the
     endpoint-corrected sums (lead 2r - 2), or the alternating variant (r > 0).  Richardson
     needs N >> |x|: NonConvergence from |x| of about 335 (r = 1.5), 385 (r = 2), 505 (r = 3)
-    and 650 (r = 4)."""
+    and 650 (r = 4).  DomainError where a term's denominator (k^2+x^2)^r is not a double."""
+    try:
+        return _mathieu(r, x, alternating)
+    except OverflowError:
+        raise DomainError(f"mathieu(r={r}, x={x}) requires every (k^2 + x^2)^r of its terms "
+                          "to be a double") from None
+
+
+def _mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     if alternating:
         if r <= 0:
             raise DomainError("alternating Mathieu series requires r > 0")

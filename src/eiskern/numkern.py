@@ -54,10 +54,18 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 def bernoulli_poly(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
+    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k); DomainError where a
+    term or the sum is not a double, at every x from n = 259 on."""
     if n < 0:
         raise DomainError(f"Bernoulli index n must be >= 0, got {n}")
-    return float(sum(float(math.comb(n, k) * bernoulli_number(k)) * x ** (n - k) for k in range(n + 1)))
+    try:
+        value = float(sum(float(math.comb(n, k) * bernoulli_number(k)) * x ** (n - k) for k in range(n + 1)))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"bernoulli_poly({n}, {x}) requires every term C(n,k) B_k x^(n-k) "
+                          "and their sum to be doubles")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +236,15 @@ def _psi(r: int, z: complex) -> complex:
     lead, half, asy = _psi_asy(r)
     acc = 0.0 + 0.0j
     w = z
-    while w.real < _SHIFT_RE:  # 2*half = (-1)^(r+1) r!, the coefficient of the recurrence
-        acc += 2.0 * half * w ** -(r + 1) if r else -1.0 / w
-        w += 1.0
+    if r:
+        coef, power = 2.0 * half, -(r + 1)  # (-1)^(r+1) r!, the coefficient of the recurrence
+        while w.real < _SHIFT_RE:
+            acc += coef * w ** power
+            w += 1.0
+    else:
+        while w.real < _SHIFT_RE:
+            acc -= 1.0 / w
+            w += 1.0
     inv = 1.0 / w
     inv2 = inv * inv
     if r:
@@ -279,7 +293,8 @@ def zeta_closed_index(s: float) -> int:
 
 def riemann_zeta(s: float) -> float:
     """zeta(s) for s > 1; even integers s <= 170 use the exact Bernoulli closed form,
-    within 4.5e-16 relative of zeta(s) through s = 170."""
+    within 4.5e-16 relative of zeta(s) through s = 170; odd integers read the cached
+    eta_odd((s - 1)/2), the same double as dirichlet_eta(s)."""
     if not 1 < s < math.inf:
         raise DomainError(f"riemann_zeta requires s > 1 and finite, got {s}")
     m = zeta_closed_index(s)
@@ -288,7 +303,8 @@ def riemann_zeta(s: float) -> float:
         # PI^(2m) carries 2m times the rounding of PI; (1 + 2m*_PI_LO/PI) restores it
         return (float((-1) ** (m + 1)) * 2.0 ** (2 * m - 1) * PI ** (2 * m) * float(b)
                 / math.factorial(2 * m) * (1.0 + 2 * m * _PI_LO / PI))
-    return dirichlet_eta(s) / -math.expm1((1.0 - s) * math.log(2.0))
+    eta = eta_odd(int(s) // 2) if s == int(s) and int(s) % 2 else dirichlet_eta(s)
+    return eta / -math.expm1((1.0 - s) * math.log(2.0))
 
 
 def dirichlet_lambda(r: float) -> float:
@@ -298,9 +314,10 @@ def dirichlet_lambda(r: float) -> float:
     return -math.expm1(-r * math.log(2.0)) * riemann_zeta(r)
 
 
-# One entry per n asked for: he_taylor stops within power_series' 4000 terms,
-# the Omega Taylor coefficients at the largest k that omega_taylor or the
-# closed moment route (the caller's k) asks for, conj_bernoulli_half at m.
+# One entry per n asked for: he_taylor and zeta_odd_series stop within
+# power_series' 4000 terms, the Omega Taylor coefficients at the largest k that
+# omega_taylor or the closed moment route (the caller's k) asks for,
+# conj_bernoulli_half at m, and riemann_zeta at each odd integer s it is given.
 @functools.cache
 def eta_odd(n: int) -> float:
     """eta(2n+1), n >= 0: the odd eta values behind both Taylor expansions."""

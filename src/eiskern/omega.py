@@ -137,7 +137,8 @@ def omega_moment(k: int, route: str = "closed") -> float:
     its alternating sum cancels (relative error 7.9e-12 at k = 5, 1.5e-7 at
     k = 8), so larger k raise DomainError;
     route "quadrature": the defining integral;
-    route "series": (4^(-k)/pi)[1/(2k+1) + sum_n (-1)^n B_2n pi^(2n)/((2n)!(2k+2n+1))].
+    route "series": (4^(-k)/pi)[1/(2k+1) + sum_n (-1)^n B_2n pi^(2n)/((2n)!(2k+2n+1))],
+    k <= 511.
     """
     if k < 0:
         raise DomainError("moment index must be >= 0")
@@ -149,6 +150,8 @@ def omega_moment(k: int, route: str = "closed") -> float:
     if route == "quadrature":
         return 2.0 * adaptive_quad(lambda u: u ** (2 * k + 1) / math.tan(PI * u), 0.0, 0.5)[0].real
     if route == "series":
+        if k > 511:  # 4^512 = 2^1024 overflows
+            raise DomainError(f"series moment route requires k <= 511, where 4^k is a double; got {k}")
         # B_2n/(2n)! = 2 (-1)^(n+1) zeta(2n)/(2 pi)^(2n): the terms in pi^2 shrink by at most 1/4
         s, _, _ = power_series(lambda n: (-1) ** n * float(bernoulli_number(2 * n) / math.factorial(2 * n))
                                / (2 * k + 2 * n + 1), PI * PI, 0.25)

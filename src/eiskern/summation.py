@@ -1,11 +1,12 @@
 """One engine per kind of series, each with a known error bound, run on a property its
 caller states: Richardson in 1/N^2 with a stated leading exponent, on endpoint-corrected
 partial sums over a fixed ratio-1.5 step schedule, for monotone sums of rational terms;
-CRVZ (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000) from a stated start of the
-moment sequence for alternating sums; summation to the rounding of the sum with a stated
-geometric tail bound for power series.  Reported errors add a rounding floor to the
-truncation estimate, which decides convergence; a Richardson correction within its floor
-eps*sum|t_k| counts as converged.  No series runs the epsilon algorithm."""
+CRVZ (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000) as fixed weight tables for
+its two lengths, 32 and 24, from a stated start of the moment sequence for alternating
+sums; summation to the rounding of the sum with a stated geometric tail bound for power
+series.  Reported errors add a rounding floor to the truncation estimate, which decides
+convergence; a Richardson correction within its floor eps*sum|t_k| counts as converged.
+No series runs the epsilon algorithm."""
 from __future__ import annotations
 
 import functools
@@ -80,15 +81,32 @@ def richardson_limit(term: Callable[[int], complex], first: complex = 0.0, *,
     return value, corr + amp * ((j + 2) * _EPS * abs(value) + _EPS * mass), n, 0.0 if settled else corr
 
 
-def _crvz(terms: Sequence[complex], n: int) -> complex:
-    """CRVZ Algorithm 1: sum (-1)^k terms[k] over the first n terms; for
-    moment sequences the error is <= 2 (3+sqrt 8)^-n sum|terms[k]|."""
+def _crvz_weights(n: int) -> tuple[tuple[float, ...], float]:
+    """CRVZ Algorithm 1's weights for n terms, (c_0..c_(n-1), d): the recurrence
+    c_k = b_k - c_(k-1) from c_(-1) = -d, b_0 = -1, with
+    b_(k+1) = b_k (k+n)(k-n)/((k+1/2)(k+1)) and d = cosh(n log(3 + sqrt 8))."""
     d = math.cosh(n * math.log(3.0 + math.sqrt(8.0)))
-    b, c, s = -1.0, -d, 0.0 + 0.0j
+    b, c, cs = -1.0, -d, []
     for k in range(n):
         c = b - c
-        s += c * terms[k]
+        cs.append(c)
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    return tuple(cs), d
+
+
+_CRVZ = {n: _crvz_weights(n) for n in (32, 24)}  # the only two lengths alternating_sum asks for
+
+
+def _crvz(terms: Sequence[complex], n: int) -> complex:
+    """CRVZ Algorithm 1: sum (-1)^k terms[k] over the first n terms with the fixed weight
+    table of _CRVZ, (sum c_k terms[k]) / d, added left to right as the recurrence adds
+    them, so the same double; for moment sequences the error is <= 2 (3+sqrt 8)^-n
+    sum|terms[k]|.  A plain loop, since builtin sum() compensates float sums from
+    Python 3.12 on."""
+    c, d = _CRVZ[n]
+    s = 0.0 + 0.0j
+    for ck, t in zip(c, terms):
+        s += ck * t
     return s / d
 
 

@@ -130,6 +130,31 @@ def test_typed_error_names_the_precondition(fn, args, argv, precondition, capsys
         assert rc == 2 and out == "" and precondition in err
 
 
+@pytest.mark.parametrize("argv, precondition", [
+    (["mathieu", "200", "10.0", "--route", "alternating"], "(k^2 + x^2)^r of its terms to be a double"),
+    (["epsilon", "400", "0.01", "--route", "direct"], "every term (z+k)^(-r) to be a double"),
+    (["moment", "600", "--route", "series"], "requires k <= 511"),
+    (["bpoly", "400", "0.5"], "C(n,k) B_k x^(n-k) and their sum to be doubles"),
+    (["conjecture", "200", "0.3"], "require 0 <= j <= 84, where (2j+1)! is a double"),
+    (["conjecture", "85", "0.3"], "require 0 <= j <= 84, where (2j+1)! is a double"),
+    (["zeta", "inf"], "requires s > 1 and finite, got inf"),
+])
+def test_eval_past_the_double_range_exits_2(argv, precondition, capsys):
+    # a term that overflows a double (a denominator, a float power, 4^k, a Bernoulli
+    # coefficient) raises DomainError, where a raw OverflowError used to end with a traceback
+    rc, out, err = run(["eval", *argv], capsys)
+    assert rc == 2 and out == "" and precondition in err
+
+
+def test_parse_complex_maps_only_the_imaginary_unit():
+    from eiskern.cli import _parse_complex
+    assert _parse_complex(" 0.37+0.6i ") == 0.37 + 0.6j
+    assert _parse_complex("2i") == 2j and _parse_complex("1e4") == 1e4
+    assert _parse_complex("-inf") == -math.inf and math.isnan(_parse_complex("nan").real)
+    with pytest.raises(eiskern.ConfigError, match="cannot parse"):
+        _parse_complex("1+2k")
+
+
 def test_eval_zeta_labels_the_branch_that_ran(capsys):
     rc, out, _ = run(["eval", "zeta", "4"], capsys)
     assert rc == 0 and "route=bernoulli," in out

@@ -210,6 +210,52 @@ def test_polygamma_bounds_its_unit_shifts():
     assert abs(polygamma(1, -30000.7) - want) <= 1e-12 * abs(want)
 
 
+def _psi_shift_loop(r: int, z: complex) -> complex:
+    """The slow oracle for _psi's shift loop: its one-line form, which takes the
+    coefficient and the exponent apart at every unit shift; the asymptotic tail is _psi's."""
+    lead, half, asy = nk._psi_asy(r)
+    acc = 0.0 + 0.0j
+    w = z
+    while w.real < nk._SHIFT_RE:
+        acc += 2.0 * half * w ** -(r + 1) if r else -1.0 / w
+        w += 1.0
+    inv = 1.0 / w
+    inv2 = inv * inv
+    if r:
+        p = inv ** r
+        s = lead * p + half * p * inv
+        p *= inv2
+    else:
+        s = cmath.log(w) + half * inv
+        p = inv2
+    for a in asy:
+        s += a * p
+        p *= inv2
+    return s + acc
+
+
+def _outcome(f, *args):
+    try:
+        v = complex(f(*args))
+    except (ArithmeticError, DomainError, PoleError) as exc:
+        return type(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+def test_psi_shift_loop_is_bit_identical_to_its_one_line_form(monkeypatch):
+    # hoisting 2*half and -(r + 1) out of the loop, and r = 0's own loop acc -= 1/w,
+    # change no rounding: the same double, signed zeros included, at every point
+    grid = [complex(x, y) for x in [-100.0 + 1.37 * i for i in range(103)] + [-0.5, 0.25, 13.9, 40.0]
+            for y in (0.0, -0.0, 0.5, -3.25, 17.0)]
+    fast = [[_outcome(nk._psi, r, z) for z in grid] for r in range(9)]
+    public = [_outcome(digamma, z) for z in grid] + [
+        _outcome(polygamma, r, z) for r in range(1, 9) for z in grid]
+    monkeypatch.setattr(nk, "_psi", _psi_shift_loop)
+    assert fast == [[_outcome(_psi_shift_loop, r, z) for z in grid] for r in range(9)]
+    assert public == [_outcome(digamma, z) for z in grid] + [
+        _outcome(polygamma, r, z) for r in range(1, 9) for z in grid]
+
+
 # ---------------------------------------------------------------------------
 # zeta family
 

@@ -54,6 +54,60 @@ def test_alternating_sum_start_sums_the_head_exactly():
             alternating_sum(lambda k: 1.0 / k, start=start)
 
 
+def _crvz_recurrence(terms, n):
+    """The slow oracle for the weight table: CRVZ Algorithm 1 as its recurrence, which
+    rebuilds the weights c_k at every call."""
+    d = math.cosh(n * math.log(3.0 + math.sqrt(8.0)))
+    b, c, s = -1.0, -d, 0.0 + 0.0j
+    for k in range(n):
+        c = b - c
+        s += c * terms[k]
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    return s / d
+
+
+def _bits(v):
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+def test_crvz_weight_table_is_bit_identical_to_the_recurrence(monkeypatch):
+    # the table adds the same products in the same order as the recurrence, so every
+    # sum is the same double, signed zeros included; any float terms are admitted
+    from eiskern import summation
+    rng = random.Random(24)
+    for _ in range(200):
+        terms = [rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-20, 20) for _ in range(32)]
+        if rng.random() < 0.5:
+            terms = [complex(t, rng.gauss(0.0, abs(t))) for t in terms]
+        for n in (32, 24):
+            assert _bits(summation._crvz(terms, n)) == _bits(_crvz_recurrence(terms, n))
+
+    def moment_term(rng):
+        # sum_j a_j (k + c_j)^(-p_j): a combination of moment sequences for k > -c_j,
+        # complex where an a_j or a c_j is
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            a = rng.uniform(0.1, 3.0) * (1.0 if rng.random() < 0.5 else cmath.exp(1j * rng.uniform(0.0, 6.3)))
+            c = rng.uniform(-0.9, 5.0) + (1j * rng.uniform(-2.0, 2.0) if rng.random() < 0.3 else 0.0)
+            parts.append((a, c, rng.uniform(0.3, 4.0)))
+        return lambda k: sum(a * (k + c) ** -p for a, c, p in parts)
+
+    def outcome(term, start):
+        try:
+            value, err, _ = alternating_sum(term, start=start)
+        except NonConvergence as exc:
+            value, err = exc.partial.value, exc.partial.err_estimate
+        return _bits(value), _bits(err)
+
+    for start in range(1, 65):
+        term = moment_term(rng)
+        fast = outcome(term, start)
+        with monkeypatch.context() as m:
+            m.setattr(summation, "_crvz", _crvz_recurrence)
+            assert outcome(term, start) == fast
+
+
 def test_dirichlet_eta_terms_against_mpmath():
     mp = pytest.importorskip("mpmath")
     from eiskern import dirichlet_eta
