@@ -3,9 +3,10 @@
 verify runs named check suites over a configurable grid and emits a JSON
 report (one object per suite) to stdout or --out; any failing record in a
 non-report-only suite forces exit code 1 and configuration problems exit 2.
-eval computes a named function at given points, table and plotdata emit CSV
-with 17 significant digits.  Suites run one after another in the given
-order; setting SOURCE_DATE_EPOCH zeroes wall_time_ms so identical
+eval computes a named function at given points by the route --route names (by
+default its first route in REGISTRY; an unknown route exits 2); table and
+plotdata emit CSV with 17 significant digits.  Suites run one after another in
+the given order; setting SOURCE_DATE_EPOCH zeroes wall_time_ms so identical
 configurations produce byte-identical reports.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import hilbert_eisenstein as he
 from . import numkern as nk
 from . import omega as om
 from .controls import Evaluation
-from .errors import ConfigError, EiskernError
+from .errors import ConfigError, DomainError, EiskernError
 
 
 def _fmt17(v: float) -> str:
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=20260808, help="grid jitter seed")
 
     e = sub.add_parser("eval", help="evaluate a named function")
-    e.add_argument("fn", help=f"function name: conjecture, {', '.join(sorted(REGISTRY))}")
+    e.add_argument("fn", help=f"function name: {', '.join(REGISTRY)}")
     e.add_argument("args", nargs="*", help="numeric arguments (complex as a+bi)")
     e.add_argument("--route", help="representation to use where several exist")
     e.add_argument("--json", action="store_true", help="machine-readable output")
@@ -90,113 +91,82 @@ def _parse_real(txt: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# eval registry
+# eval: one table holds every function's arguments and routes
 
 def _wrap(value, route: str) -> Evaluation:
     v = complex(value)
     return Evaluation(v, 8e-16 * max(1.0, abs(v)), 0, route)
 
 
-def _eval_epsilon(args, route):
-    r, z = _parse_int(args[0]), _parse_complex(args[1])
-    route = route or ("closed" if r <= 3 else "polygamma")
-    if route == "direct":
-        return eis.eisenstein_direct(r, z)
-    if route == "closed":
+def _epsilon(r: int, z: complex) -> Evaluation:
+    """The default epsilon route: the closed form through r = 3, polygamma above."""
+    if r <= 3:
         return _wrap(eis.eisenstein_closed(r, z), "closed")
-    if route == "polygamma":
-        return _wrap(eis.eisenstein_polygamma(r, z), "polygamma")
-    if route in ("integral", "integral-exponential"):
-        return eis.eisenstein_integral(r, z)
-    if route == "integral-hyperbolic":
-        return eis.eisenstein_integral(r, z, form="hyperbolic")
-    raise ConfigError(f"unknown epsilon route {route!r}")
+    return _wrap(eis.eisenstein_polygamma(r, z), "polygamma")
 
 
-def _eval_he(args, route):
-    route = route or "closed"
-    real_axis = route in ("real", "eisenstein")
-    r, z = _parse_int(args[0]), (_parse_real if real_axis else _parse_complex)(args[1])
-    if route == "closed":
-        return _wrap(he.he_closed(r, z), "closed")
-    if route == "direct":
-        return he.he_direct(r, z)
-    if route == "taylor":
-        if r != 1:
-            raise ConfigError("the taylor route computes h_1 only; use r = 1")
-        return he.he_taylor(z)
-    if route == "real":
-        return _wrap(he.he_real(r, z), "real-axis")
-    if route == "eisenstein":
-        return _wrap(he.he_via_eisenstein(r, z), "via-eisenstein")
-    raise ConfigError(f"unknown he route {route!r}")
+def _he_taylor(r: int, z: complex) -> Evaluation:
+    if r != 1:
+        raise ConfigError("the taylor route computes h_1 only; use r = 1")
+    return he.he_taylor(z)
 
 
-def _eval_omega(args, route):
-    z = _parse_complex(args[0])
-    if route is None:
-        return om.omega_eval(z)
-    if route == "quadrature":
-        return om.omega_quadrature(z)
-    if route == "digamma":
-        return _wrap(om.omega_digamma(z), "digamma")
-    if route == "partial_fraction":
-        return om.omega_partial_fraction(z)
-    if route in ("taylor_moments", "taylor_eta"):
-        return om.omega_taylor(z, route.split("_", 1)[1])
-    raise ConfigError(f"unknown omega route {route!r}")
-
-
-def _eval_moment(args, route):
-    k = _parse_int(args[0])
-    return _wrap(om.omega_moment(k, route or "closed"), route or "closed")
-
-
-def _eval_zeta(args, _route):
-    s = _parse_real(args[0])
+def _zeta(s: float) -> Evaluation:
     return _wrap(nk.riemann_zeta(s), "bernoulli" if nk.zeta_closed_index(s) else "via-eta")
 
 
-def _eval_mathieu(args, route):
-    if route not in (None, "alternating"):
-        raise ConfigError(f"unknown mathieu route {route!r}")
-    return he.mathieu(_parse_real(args[0]), _parse_real(args[1]), route == "alternating")
+def _bernoulli(n: int) -> float:
+    try:
+        return float(nk.bernoulli_number(n))
+    except OverflowError:
+        raise DomainError(f"bernoulli({n}): B_{n} is not a double") from None
 
 
+_PARSERS = {"int": _parse_int, "real": _parse_real, "complex": _parse_complex}
+
+# name -> ("argument:kind ...", {--route value: evaluator}), in the order of `eval --help`.
+# The first route runs when --route is not given; a None key is a default without a --route
+# name of its own.  A bare number is labelled with its route name.  A route that reads its
+# arguments as other kinds is an (evaluator, "argument:kind ...") pair: the real-axis he
+# routes read z as a real argument, so complex z exits 2.
 REGISTRY = {
-    "epsilon": (2, _eval_epsilon, "epsilon r z [--route direct|closed|polygamma|integral"
-                                  "|integral-exponential|integral-hyperbolic]"),
-    "he": (2, _eval_he, "he r z [--route closed|direct|taylor|real|eisenstein]"),
-    "omega": (1, _eval_omega,
-              "omega z [--route quadrature|digamma|partial_fraction|taylor_moments|taylor_eta]"),
-    "psi": (1, lambda a, _r: _wrap(nk.digamma(_parse_complex(a[0])), "digamma"), "psi z"),
-    "polygamma": (2, lambda a, _r: _wrap(nk.polygamma(_parse_int(a[0]), _parse_complex(a[1])),
-                                         "polygamma"), "polygamma r z"),
-    "gamma": (1, lambda a, _r: _wrap(nk.gamma(_parse_complex(a[0])), "lanczos"), "gamma z"),
-    "zeta": (1, _eval_zeta, "zeta s"),
-    "eta": (1, lambda a, _r: _wrap(nk.dirichlet_eta(_parse_real(a[0])), "alternating"), "eta s"),
-    "lambda": (1, lambda a, _r: _wrap(nk.dirichlet_lambda(_parse_real(a[0])), "via-zeta"),
-               "lambda r"),
-    "bstar": (1, lambda a, _r: _wrap(cb.ramanujan_bstar(_parse_real(a[0])), "zeta"), "bstar alpha"),
-    "moment": (1, _eval_moment, "moment k [--route closed|quadrature|series]"),
-    "bernoulli": (1, lambda a, _r: _wrap(float(nk.bernoulli_number(_parse_int(a[0]))),
-                                         "recurrence"), "bernoulli n"),
-    "bpoly": (2, lambda a, _r: _wrap(nk.bernoulli_poly(_parse_int(a[0]), _parse_real(a[1])),
-                                     "recurrence"), "bpoly n x"),
-    "pochhammer": (2, lambda a, _r: _wrap(nk.pochhammer(_parse_complex(a[0]), _parse_int(a[1])),
-                                          "product"), "pochhammer rho sigma"),
-    "mathieu": (2, _eval_mathieu, "mathieu r x [--route alternating]"),
-    "mathieu_e": (1, lambda a, _r: he.mathieu_E(_parse_real(a[0])), "mathieu_e x"),
-    "conj_half": (1, lambda a, _r: _wrap(cb.conj_bernoulli_half(_parse_int(a[0]), _r or "eta"),
-                                         _r or "eta"), "conj_half m [--route eta|zeta]"),
-    "conj_periodic": (2, lambda a, _r: _wrap(cb.conj_bernoulli_periodic(
-        _parse_int(a[0]), _parse_real(a[1])), "fourier"), "conj_periodic n x"),
-    "genfun": (1, lambda a, _r: _wrap(cb.conj_bernoulli_genfun(_parse_complex(a[0])), "closed"),
-               "genfun z"),
-    "zeta_odd_conj": (1, lambda a, _r: _wrap(cb.zeta_odd_via_conj(_parse_int(a[0])),
-                                             "conjugate"), "zeta_odd_conj m"),
-    "fractional": (2, lambda a, _r: _wrap(cb.fractional_bernoulli(
-        _parse_real(a[0]), _parse_real(a[1])), "fourier"), "fractional alpha x"),
+    "conjecture": ("j:int z:real", {None: cb.conjecture_double_sum}),
+    "bernoulli": ("n:int", {"recurrence": _bernoulli}),
+    "bpoly": ("n:int x:real", {"recurrence": nk.bernoulli_poly}),
+    "bstar": ("alpha:real", {"zeta": cb.ramanujan_bstar}),
+    "conj_half": ("m:int", {form: (lambda m, form=form: cb.conj_bernoulli_half(m, form))
+                            for form in ("eta", "zeta")}),
+    "conj_periodic": ("n:int x:real", {"fourier": cb.conj_bernoulli_periodic}),
+    "epsilon": ("r:int z:complex", {
+        None: _epsilon, "direct": eis.eisenstein_direct, "closed": eis.eisenstein_closed,
+        "polygamma": eis.eisenstein_polygamma, "integral": eis.eisenstein_integral,
+        "integral-exponential": eis.eisenstein_integral,
+        "integral-hyperbolic": lambda r, z: eis.eisenstein_integral(r, z, form="hyperbolic")}),
+    "eta": ("s:real", {"alternating": nk.dirichlet_eta}),
+    "fractional": ("alpha:real x:real", {"fourier": cb.fractional_bernoulli}),
+    "gamma": ("z:complex", {"lanczos": nk.gamma}),
+    "genfun": ("z:complex", {"closed": cb.conj_bernoulli_genfun}),
+    "he": ("r:int z:complex", {
+        "closed": he.he_closed, "direct": he.he_direct, "taylor": _he_taylor,
+        "real": (lambda r, x: _wrap(he.he_real(r, x), "real-axis"), "r:int z:real"),
+        "eisenstein": (lambda r, x: _wrap(he.he_via_eisenstein(r, x), "via-eisenstein"),
+                       "r:int z:real")}),
+    "lambda": ("r:real", {"via-zeta": nk.dirichlet_lambda}),
+    "mathieu": ("r:real x:real", {None: lambda r, x: he.mathieu(r, x, False),
+                                  "alternating": lambda r, x: he.mathieu(r, x, True)}),
+    "mathieu_e": ("x:real", {None: he.mathieu_E}),
+    "moment": ("k:int", {m: (lambda k, m=m: om.omega_moment(k, m))
+                         for m in ("closed", "quadrature", "series")}),
+    "omega": ("z:complex", {
+        None: om.omega_eval, "quadrature": om.omega_quadrature, "digamma": om.omega_digamma,
+        "partial_fraction": om.omega_partial_fraction,
+        "taylor_moments": lambda z: om.omega_taylor(z, "moments"),
+        "taylor_eta": lambda z: om.omega_taylor(z, "eta")}),
+    "pochhammer": ("rho:complex sigma:int", {"product": nk.pochhammer}),
+    "polygamma": ("r:int z:complex", {"polygamma": nk.polygamma}),
+    "psi": ("z:complex", {"digamma": nk.digamma}),
+    "zeta": ("s:real", {None: _zeta}),
+    "zeta_odd_conj": ("m:int", {"conjugate": cb.zeta_odd_via_conj}),
 }
 
 
@@ -206,27 +176,32 @@ def _print_json(obj) -> None:
 
 
 def cmd_eval(ns) -> int:
-    if ns.fn == "conjecture":
-        if len(ns.args) != 2:
-            print("usage: eiskern eval conjecture j z", file=sys.stderr)
-            return 2
-        c = cb.conjecture_double_sum(_parse_int(ns.args[0]), _parse_real(ns.args[1]))
-        if ns.json:
-            _print_json({"fn": "conjecture", "double_sum": c.double_sum,
-                         "fourier": c.fourier, "discrepancy": c.discrepancy})
-        else:
-            print(f"double_sum={_fmt17(c.double_sum)} fourier={_fmt17(c.fourier)} "
-                  f"discrepancy={c.discrepancy:.3e}")
-        return 0
     if ns.fn not in REGISTRY:
-        print(f"unknown function {ns.fn!r}; known: conjecture, {', '.join(sorted(REGISTRY))}",
-              file=sys.stderr)
+        print(f"unknown function {ns.fn!r}; known: {', '.join(REGISTRY)}", file=sys.stderr)
         return 2
-    arity, fn, usage = REGISTRY[ns.fn]
-    if len(ns.args) != arity:
-        print(f"usage: eiskern eval {usage}", file=sys.stderr)
+    params, routes = REGISTRY[ns.fn]
+    if len(ns.args) != len(params.split()):
+        names = " ".join(p.split(":")[0] for p in params.split())
+        choice = f" [--route {'|'.join(filter(None, routes))}]" if len(routes) > 1 else ""
+        print(f"usage: eiskern eval {ns.fn} {names}{choice}", file=sys.stderr)
         return 2
-    ev = fn(ns.args, ns.route)
+    route = next(iter(routes)) if ns.route is None else ns.route
+    if route not in routes:
+        raise ConfigError(f"unknown {ns.fn} route {route!r}")
+    evaluator = routes[route]
+    if isinstance(evaluator, tuple):
+        evaluator, params = evaluator
+    kinds = (p.split(":")[1] for p in params.split())
+    ev = evaluator(*(_PARSERS[kind](a) for kind, a in zip(kinds, ns.args)))
+    if isinstance(ev, cb.ConjectureCheck):
+        if ns.json:
+            _print_json({"fn": ns.fn, **ev._asdict()})
+        else:
+            print(f"double_sum={_fmt17(ev.double_sum)} fourier={_fmt17(ev.fourier)} "
+                  f"discrepancy={ev.discrepancy:.3e}")
+        return 0
+    if not isinstance(ev, Evaluation):
+        ev = _wrap(ev, route)
     v = ev.value
     if ns.json:
         _print_json({"fn": ns.fn, "args": ns.args, "value": {"re": v.real, "im": v.imag},

@@ -52,12 +52,16 @@ def periodic_polylog(s: float, x: float) -> complex:
     (Bose-Einstein, DLMF 25.12.11): on [0, 1], t = u^m, m = ceil(3.5/s), so the integrand
     vanishes like u^(ms-1), ms - 1 >= 2.5, and adaptive_quad runs in v = m(1 - u) on [0, m],
     breakpoint 50; on [1, oo) quad_decaying_tail under the majorant t^(s-1)/(Gamma(s)(e^t - 1)).
-    Past s = 64 the first term w is the sum to within 2^(1-s), below its rounding.
+    Past s = 64 the first term (w, or 1 on the integers) is the sum to within 2^(1-s), below
+    its rounding; there the Euler-Maclaurin tail would also multiply an overflowed (s)_(2j-1)
+    by an underflowed power of 40 into nan.
     """
     d = x - round(x)  # exact signed distance to the nearest integer
     if abs(d) < 1e-12:
         if s <= 1.0:
             raise DomainError("polylog at integer x requires s > 1")
+        if s > _FIRST_TERM_ORDER:  # the first term, as off the integers below
+            return complex(1.0)
         return complex(sum(k ** (-s) for k in range(1, 41)) + power_tail(s, 40))
     if s <= 0.0:
         raise DomainError("polylog requires s > 0 away from the integers")

@@ -15,7 +15,7 @@ import sys
 
 from .controls import Evaluation
 from .errors import DomainError, NonConvergence, PoleError, UnsupportedOrder
-from .numkern import PI, as_complex, cot, csc2, digamma, polygamma
+from .numkern import PI, as_complex, as_order, cot, csc2, digamma, polygamma
 from .quadrature import quad_decaying_tail
 from .summation import REL_TOL, richardson_limit
 
@@ -29,11 +29,6 @@ def _guard_integer(z: complex) -> None:
     n = round(z.real)
     if abs(z - n) < INTEGER_GUARD:
         raise PoleError(f"eisenstein series has a pole at the integer {n}")
-
-
-def _require_order(r: int) -> None:
-    if r < 1:
-        raise UnsupportedOrder("order r must be a positive integer")
 
 
 def _rounded_pair(z: complex, k: int, r: int) -> complex:
@@ -68,7 +63,7 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     stop comes at N < 3|z|, where the last correction need not bound the unsummed tail: from
     |z| of about 11823/3 = 3941 (r = 5-8).  DomainError where a term (z+k)^(-r) is not a double.
     """
-    _require_order(r)
+    r = as_order(r)
     z = as_complex(z)
     _guard_integer(z)
     try:
@@ -89,6 +84,10 @@ def _direct(r: int, z: complex) -> Evaluation:
     # the paired terms are k^-q times a series in 1/k^2, q = r (r even) or r + 1 (r odd;
     # q = 2 for r = 1), so the tail of the endpoint-corrected sums starts at N^(1-q)
     value, err, used, corr = richardson_limit(term, first=lead[0], lead=2 * ((r - 1) // 2) + 1)
+    # complex powers through exponent 100 overflow to nan without raising: raise the
+    # OverflowError that eisenstein_direct maps to its DomainError
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise OverflowError("a term (z+k)^(-r) is not a double")
     if r > 8:  # a float power w^(-r) is rounded to about eps*r*(1 + |log w|) relative
         err += _EPS * r * math.fsum((1.0 + abs(cmath.log(w))) * abs(w) ** -r
                                     for w in (z + k for k in range(-used, used + 1)))
@@ -105,7 +104,7 @@ def eisenstein_closed(r: int, z) -> complex:
     numkern.cot, which underflows where sin^2 would overflow.  All three have period 1,
     so w = pi*(z - n) with n the nearest integer to Re z: pi*z would lose the distance
     to the pole at n to rounding."""
-    _require_order(r)
+    r = as_order(r)
     z = as_complex(z)
     _guard_integer(z)
     if r > 3:
@@ -118,7 +117,7 @@ def eisenstein_closed(r: int, z) -> complex:
 
 def eisenstein_polygamma(r: int, z) -> complex:
     """eps_r(z) = [psi_(r-1)(1-z) + (-1)^r psi_(r-1)(z)] / (r-1)!, psi_0 = psi."""
-    _require_order(r)
+    r = as_order(r)
     z = as_complex(z)
     _guard_integer(z)
     if r == 1:
@@ -180,7 +179,7 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
     eps*(sum_{|k|<4} (1 + r|log(zeta+k)|)|zeta+k|^(-r) + |value|).
     DomainError where the value or a head term is not a double.
     """
-    _require_order(r)
+    r = as_order(r)
     if form not in ("exponential", "hyperbolic"):
         raise DomainError(f"form must be 'exponential' or 'hyperbolic', got {form!r}")
     z = as_complex(z)
@@ -221,7 +220,7 @@ def product_identity_residual(r: int, z) -> complex:
     Closed trigonometric forms are used through order 3, the polygamma
     representation above.  Identically ~0 only for r = 1.
     """
-    _require_order(r)
+    r = as_order(r)
     z = as_complex(z)
     _guard_integer(z)
 

@@ -14,12 +14,13 @@ oracle-consistent version is implemented (see the test suite).
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 from .controls import Evaluation
 from .errors import DomainError, NonConvergence, PoleError
 from .eisenstein import eisenstein_closed, eisenstein_direct
-from .numkern import as_complex, digamma, dirichlet_eta, eta_odd, polygamma
+from .numkern import as_complex, as_order, digamma, dirichlet_eta, eta_odd, polygamma
 from .quadrature import quad_decaying_tail
 from .summation import REL_TOL, alternating_sum, power_series, richardson_limit
 
@@ -40,14 +41,24 @@ def he_direct(r: int, z) -> Evaluation:
     r = 1 reduces the symmetric sum to 2i sum_k (-1)^(k-1) k/(z^2+k^2);
     r >= 2 sums the normally convergent pairs (-1)^k [(z+ik)^(-r) - (z-ik)^(-r)].
     Both go through alternating_sum from k > |Im z| on (moment sequences): |Im z| < 4096.
+    DomainError where z^2 (r = 1) or a power (z +- ik)^r of a term is not a double.
     """
-    if r < 1:
-        raise DomainError("order r must be a positive integer")
+    r = as_order(r)
     z = as_complex(z)
     _guard_imaginary_integers(z)
     if z == 0 and r == 1:
         return Evaluation(_TWO_I_LOG2, 0.0, 0, "direct")
-    start = math.floor(abs(z.imag)) + 1
+    try:
+        ev = _he_direct(r, z, math.floor(abs(z.imag)) + 1)
+        if cmath.isfinite(ev.value) and math.isfinite(ev.err_estimate):
+            return ev
+    except OverflowError:  # complex powers past exponent 100 raise; through it they give nan
+        pass
+    raise DomainError(f"he_direct(r={r}, z={z}) requires z^2 and every power (z +- ik)^r "
+                      "of its terms to be doubles")
+
+
+def _he_direct(r: int, z: complex, start: int) -> Evaluation:
     if r == 1:
         z2 = z * z
         value, err, used = alternating_sum(lambda k: k / (z2 + k * k), start=start)
@@ -66,18 +77,17 @@ def he_closed(r: int, z) -> complex:
     r >= 2: i^r/(r-1)! {2^(1-r) psi_(r-1)(1-iz/2) + (-2)^(1-r) psi_(r-1)(1+iz/2)
                         - psi_(r-1)(1-iz) - (-1)^(r-1) psi_(r-1)(1+iz)}
     """
-    if r < 1:
-        raise DomainError("order r must be a positive integer")
+    r = as_order(r)
     z = as_complex(z)
     _guard_imaginary_integers(z)
     if r == 1:
         return 1j * _h1_brace(z)[0]
-    g = math.factorial(r - 1)
-    return (1j ** r / g) * (
-        2.0 ** (1 - r) * polygamma(r - 1, 1.0 - 0.5j * z)
-        + (-2.0) ** (1 - r) * polygamma(r - 1, 1.0 + 0.5j * z)
-        - polygamma(r - 1, 1.0 - 1j * z)
-        - (-1.0) ** (r - 1) * polygamma(r - 1, 1.0 + 1j * z))
+    # the bracket first: polygamma's DomainError comes before (r-1)! overflows a double
+    bracket = (2.0 ** (1 - r) * polygamma(r - 1, 1.0 - 0.5j * z)
+               + (-2.0) ** (1 - r) * polygamma(r - 1, 1.0 + 0.5j * z)
+               - polygamma(r - 1, 1.0 - 1j * z)
+               - (-1.0) ** (r - 1) * polygamma(r - 1, 1.0 + 1j * z))
+    return (1j ** r / math.factorial(r - 1)) * bracket
 
 
 def _h1_brace(w: complex) -> tuple[complex, float]:
@@ -110,8 +120,7 @@ def he_real(r: int, x: float) -> complex:
       r even:      2i (-1)^(r/2-1)/(r-1)!  Im{2^(1-r) psi_(r-1)(1+ix/2) - psi_(r-1)(1+ix)}
     and the result is purely imaginary by construction.
     """
-    if r < 1:
-        raise DomainError("order r must be a positive integer")
+    r = as_order(r)
     x = float(x)
     _guard_imaginary_integers(complex(x))
     if r == 1:
@@ -131,8 +140,7 @@ def he_via_eisenstein(r: int, x: float) -> complex:
     r >= 2: the eps_r / psi_(r-1) combination obtained by eliminating the
     reflected polygamma arguments from the closed form.
     """
-    if r < 1:
-        raise DomainError("order r must be a positive integer")
+    r = as_order(r)
     x = float(x)
     if x == 0.0:
         raise DomainError("he_via_eisenstein requires x != 0")
@@ -146,15 +154,14 @@ def he_via_eisenstein(r: int, x: float) -> complex:
             return eisenstein_closed(order, w)
         return eisenstein_direct(order, w).value
 
-    g = math.factorial(r - 1)
     sgn = (-1.0) ** (r - 1)
     ir = 1j ** r
+    # the polygamma bracket first: its DomainError comes before (r-1)! overflows a double
+    bracket = (2.0 ** (1 - r) * (polygamma(r - 1, 0.5j * x) + sgn * polygamma(r - 1, -0.5j * x))
+               - polygamma(r - 1, 1j * x) - sgn * polygamma(r - 1, -1j * x))
     e_part = ir * (2.0 ** (1 - r) * (eps(r, 0.5j * x) + sgn * eps(r, -0.5j * x))
                    - eps(r, 1j * x) - sgn * eps(r, -1j * x))
-    p_part = sgn * ir / g * (
-        2.0 ** (1 - r) * (polygamma(r - 1, 0.5j * x) + sgn * polygamma(r - 1, -0.5j * x))
-        - polygamma(r - 1, 1j * x) - sgn * polygamma(r - 1, -1j * x))
-    return e_part + p_part
+    return e_part + sgn * ir / math.factorial(r - 1) * bracket
 
 
 # ---------------------------------------------------------------------------

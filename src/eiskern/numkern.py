@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .controls import Evaluation
@@ -76,6 +77,18 @@ def as_complex(z) -> complex:
     if not cmath.isfinite(z):
         raise DomainError("argument must have finite real and imaginary part")
     return z
+
+
+def as_order(r) -> int:
+    """The order r of an Eisenstein or Hilbert-Eisenstein series or of polygamma: an
+    integer >= 1 in the sense of operator.index, so 2 and True pass and 2.0 does not."""
+    try:
+        order = operator.index(r)
+    except TypeError:
+        order = 0  # not an integer
+    if order < 1:
+        raise DomainError("order r must be a positive integer")
+    return order
 
 
 def _guard_nonpositive_integer(z: complex, what: str) -> None:
@@ -213,8 +226,7 @@ def polygamma(r: int, z) -> complex:
     of that r!-scaled sum is not a double: near 0 at high order, and at every z
     from r = 151, where the asymptotic coefficients overflow, and for Re z < 14 - 2^20.
     """
-    if r < 1:
-        raise DomainError("polygamma order must be >= 1 (use digamma for r = 0)")
+    r = as_order(r)  # digamma is psi_0
     z = as_complex(z)
     _guard_nonpositive_integer(z, "polygamma")
     if z.real < _SHIFT_RE - 2 ** 20:  # 2^20 unit shifts take about 0.4 s

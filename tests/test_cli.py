@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import eiskern
-from eiskern.cli import main
+from eiskern.cli import REGISTRY, main
 
 FAST_SUITES = "omega.moments,bstar.values,eisenstein.product,conjecture.double_sum"
 
@@ -138,6 +138,9 @@ def test_typed_error_names_the_precondition(fn, args, argv, precondition, capsys
     (["conjecture", "200", "0.3"], "require 0 <= j <= 84, where (2j+1)! is a double"),
     (["conjecture", "85", "0.3"], "require 0 <= j <= 84, where (2j+1)! is a double"),
     (["zeta", "inf"], "requires s > 1 and finite, got inf"),
+    (["bernoulli", "400"], "B_400 is not a double"),
+    (["he", "400", "0.5"], "a term of its r!-scaled series is not a double"),
+    (["fractional", "1e300", "0"], "the value is not a double"),
 ])
 def test_eval_past_the_double_range_exits_2(argv, precondition, capsys):
     # a term that overflows a double (a denominator, a float power, 4^k, a Bernoulli
@@ -214,6 +217,64 @@ def test_eval_mathieu_unknown_route_exits_2(capsys):
     for extra, route in (([], "series-richardson"), (["--route", "alternating"], "series-alternating")):
         rc, out, _ = run(["eval", "mathieu", "2", "1", *extra, "--json"], capsys)
         assert rc == 0 and json.loads(out)["route"] == route
+
+
+@pytest.mark.parametrize("fn", list(REGISTRY))
+def test_eval_checks_route_of_every_function(fn, capsys):
+    # a function without routes rejects every --route as well, where it used to ignore it
+    args = ["1"] * len(REGISTRY[fn][0].split())
+    rc, out, err = run(["eval", "--route", "bogus", fn, *args], capsys)
+    assert rc == 2 and out == ""
+    assert err == f"configuration error: unknown {fn} route 'bogus'\n"
+
+
+@pytest.mark.parametrize("fn, usage", [
+    ("he", "he r z [--route closed|direct|taylor|real|eisenstein]"),
+    ("omega", "omega z [--route quadrature|digamma|partial_fraction|taylor_moments|taylor_eta]"),
+    ("mathieu", "mathieu r x [--route alternating]"),
+    ("conj_half", "conj_half m [--route eta|zeta]"),
+    ("pochhammer", "pochhammer rho sigma"),
+    ("conjecture", "conjecture j z"),
+])
+def test_eval_usage_comes_from_the_route_table(fn, usage, capsys):
+    assert run(["eval", fn], capsys) == (2, "", f"usage: eiskern eval {usage}\n")
+
+
+_EDGE_INTS = ["0", "1", "3", "400"]
+_EDGE_REALS = ["0", "0.5", "-2.5", "1e-12", "1e300"]
+_EDGE_GRID = {"int": _EDGE_INTS, "real": _EDGE_REALS,
+              "complex": _EDGE_REALS + ["0.3+0.4i", "-3+2i", "0.5+1e300i"]}
+
+
+def test_eval_edge_grid_keeps_the_exit_code_contract(capsys):
+    # every function, by default and by each named route, on one grid per argument kind:
+    # exit 0 with a finite value and claim, or exit 2 with nothing on stdout; never a raw
+    # exception, never a nan
+    import itertools
+
+    failures, count = [], 0
+    for fn, (params, routes) in REGISTRY.items():
+        grids = [_EDGE_GRID[p.split(":")[1]] for p in params.split()]
+        for route in dict.fromkeys([None, *routes]):
+            for args in itertools.product(*grids):
+                argv = ["eval", *(["--route", route] if route else []), "--json", "--", fn, *args]
+                count += 1
+                try:
+                    rc, out, _ = run(argv, capsys)
+                except Exception as exc:  # noqa: BLE001 -- the contract excludes every one
+                    failures.append((argv, repr(exc)))
+                    continue
+                if rc == 0:
+                    doc = json.loads(out)
+                    numbers = ([doc["value"]["re"], doc["value"]["im"], doc["err_estimate"]]
+                               if "value" in doc else [doc["double_sum"], doc["fourier"]])
+                    if all(map(math.isfinite, numbers)):
+                        continue
+                elif rc == 2 and out == "":
+                    continue
+                failures.append((argv, rc, out))
+    assert count == 924
+    assert not failures, failures
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,20 @@ def test_polylog_boundary_values():
         assert abs(periodic_polylog(1e6, 0.01) - complex(mp.expjpi(0.02))) <= 1e-15
 
 
+def test_polylog_first_term_on_the_integers():
+    # past s = 64 the sum at integer x is its first term 1; the Euler-Maclaurin tail there
+    # multiplied an overflowed rising factorial by 0 into nan (fractional(1e300, 0) was nan)
+    from eiskern.summation import power_tail
+    for s in (64.5, 65.0, 100.0, 170.0, 1e3, 1e300):
+        for x in (0.0, 3.0, -2.0, 1e-13):
+            got = periodic_polylog(s, x)
+            assert got == 1.0 and math.copysign(1.0, got.imag) == 1.0
+            old = complex(sum(k ** (-s) for k in range(1, 41)) + power_tail(s, 40))
+            assert math.isnan(old.real) or (old.real, old.imag) == (got.real, got.imag)
+    with pytest.raises(DomainError, match="not a double"):
+        fractional_bernoulli(1e300, 0.0)
+
+
 def test_polylog_quadrature_stays_bounded(monkeypatch):
     # at most about 40 panels from s = 1e-12 to 64 and x down to 1e-11 from an integer
     from eiskern import conj_bernoulli as cb

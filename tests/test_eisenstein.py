@@ -335,3 +335,10 @@ def test_not_a_double_raises_typed_error():
     for r, z in ((140, 1e-3 + 1e-3j), (60, 1e-8 + 1e-8j), (160, 0.3 + 0.4j)):
         with pytest.raises(DomainError, match="not a double"):
             polygamma(r, z)
+
+
+def test_direct_raises_where_a_power_overflows_to_nan():
+    # CPython's complex powers through exponent 100 overflow to nan+nanj without raising:
+    # here (z+k)^100 past k of about 11000; the route raises the DomainError it documents
+    with pytest.raises(DomainError, match=r"every term \(z\+k\)\^\(-r\) to be a double"):
+        eisenstein_direct(100, -3.777286919096399 + 664.7098613310925j)

@@ -196,6 +196,21 @@ def test_mathieu_values():
     assert mathieu(2.0, 1.0, True).value.real == pytest.approx(brute, rel=1e-12)
 
 
+@pytest.mark.parametrize("fn, r, z", [
+    (he_direct, 3, 1e300), (he_direct, 1, 1e300), (he_direct, 21, -1e300),
+    (he_direct, 400, 1e-5 + 0.99999j),
+    (he_via_eisenstein, 100, 780.791502948219), (he_closed, 400, 0.3 + 0.4j),
+    (he_real, 400, 0.5), (he_via_eisenstein, 400, 0.5),
+])
+def test_past_the_double_range_raises_domain_error(fn, r, z):
+    # z^2 and complex powers through exponent 100 overflow to nan without raising, powers
+    # past it raise OverflowError, and (r-1)! past r = 171 is no double: each route raises
+    # DomainError, never a nan or a raw OverflowError (the closed forms evaluate their
+    # polygamma bracket first)
+    with pytest.raises(DomainError, match="doubles?$"):
+        fn(r, z)
+
+
 def test_mathieu_domain():
     with pytest.raises(DomainError):
         mathieu(1.0, 0.5, False)

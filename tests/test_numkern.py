@@ -192,6 +192,22 @@ def test_polygamma_pole_and_order_guards():
         polygamma(0, 1.0)
 
 
+def test_one_order_precondition_for_every_series_route():
+    # every Eisenstein and Hilbert-Eisenstein route and polygamma take an int r >= 1 in
+    # the sense of operator.index: a float order used to raise TypeError or, in he_direct,
+    # to return a number
+    import eiskern
+    names = ("eisenstein_direct", "eisenstein_closed", "eisenstein_polygamma",
+             "eisenstein_integral", "product_identity_residual", "he_direct", "he_closed",
+             "he_real", "he_via_eisenstein", "polygamma")
+    for name in names:
+        for r in (2.5, 2.0, 0, -1, "2", None):
+            with pytest.raises(DomainError, match="order r must be a positive integer"):
+                getattr(eiskern, name)(r, 0.3)
+    assert nk.as_order(True) == 1 and type(nk.as_order(True)) is int
+    assert polygamma(True, 0.3) == polygamma(1, 0.3)
+
+
 def test_polygamma_bounds_its_unit_shifts():
     # without a reflection polygamma shifts Re z up one unit at a time; past 2^20 shifts
     # it raises at once, where he_closed(2, 0.5+3e12i) would not return (and past Re z
