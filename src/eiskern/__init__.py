@@ -10,7 +10,7 @@ from .numkern import (EULER_GAMMA, PI, bernoulli_number, bernoulli_poly,
                       digamma, digamma_realpart_integral, dirichlet_eta,
                       dirichlet_lambda, gamma, pochhammer, polygamma,
                       riemann_zeta, zeta_odd_series)
-from .eisenstein import (eisenstein_closed, eisenstein_direct,
+from .eisenstein import (eisenstein_closed, eisenstein_direct, eisenstein_eval,
                          eisenstein_integral, eisenstein_polygamma,
                          product_identity_residual)
 from .hilbert_eisenstein import (he_closed, he_direct, he_real, he_taylor,
@@ -38,7 +38,7 @@ __all__ = [
     "dirichlet_lambda", "bernoulli_number", "bernoulli_poly", "pochhammer",
     "zeta_odd_series", "digamma_realpart_integral",
     "eisenstein_direct", "eisenstein_closed", "eisenstein_polygamma",
-    "eisenstein_integral", "product_identity_residual",
+    "eisenstein_integral", "eisenstein_eval", "product_identity_residual",
     "he_direct", "he_closed", "he_taylor", "he_real", "he_via_eisenstein",
     "mathieu", "mathieu_E",
     "omega_quadrature", "omega_digamma", "omega_partial_fraction",

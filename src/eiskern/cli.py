@@ -3,8 +3,9 @@
 verify runs named check suites over a configurable grid and emits a JSON
 report (one object per suite) to stdout or --out; any failing record in a
 non-report-only suite forces exit code 1 and configuration problems exit 2.
-eval computes a named function at given points by the route --route names (by
-default its first route in REGISTRY; an unknown route exits 2); table and
+eval computes a named function at given points by the route --route names, read
+from the table in eiskern.routes (by default its first route; an unknown route exits
+2); `--` may stand anywhere before arguments that start with `-`.  table and
 plotdata emit CSV with 17 significant digits.  Suites run one after another in
 the given order; setting SOURCE_DATE_EPOCH zeroes wall_time_ms so identical
 configurations produce byte-identical reports.
@@ -15,12 +16,11 @@ import argparse
 import sys
 
 from . import conj_bernoulli as cb
-from . import eisenstein as eis
-from . import hilbert_eisenstein as he
 from . import numkern as nk
 from . import omega as om
 from .controls import Evaluation
-from .errors import ConfigError, DomainError, EiskernError
+from .errors import ConfigError, EiskernError
+from .routes import ROUTES, _wrap
 
 
 def _fmt17(v: float) -> str:
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=20260808, help="grid jitter seed")
 
     e = sub.add_parser("eval", help="evaluate a named function")
-    e.add_argument("fn", help=f"function name: {', '.join(REGISTRY)}")
+    e.add_argument("fn", help=f"function name: {', '.join(ROUTES)}")
     e.add_argument("args", nargs="*", help="numeric arguments (complex as a+bi)")
     e.add_argument("--route", help="representation to use where several exist")
     e.add_argument("--json", action="store_true", help="machine-readable output")
@@ -91,83 +91,9 @@ def _parse_real(txt: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# eval: one table holds every function's arguments and routes
-
-def _wrap(value, route: str) -> Evaluation:
-    v = complex(value)
-    return Evaluation(v, 8e-16 * max(1.0, abs(v)), 0, route)
-
-
-def _epsilon(r: int, z: complex) -> Evaluation:
-    """The default epsilon route: the closed form through r = 3, polygamma above."""
-    if r <= 3:
-        return _wrap(eis.eisenstein_closed(r, z), "closed")
-    return _wrap(eis.eisenstein_polygamma(r, z), "polygamma")
-
-
-def _he_taylor(r: int, z: complex) -> Evaluation:
-    if r != 1:
-        raise ConfigError("the taylor route computes h_1 only; use r = 1")
-    return he.he_taylor(z)
-
-
-def _zeta(s: float) -> Evaluation:
-    return _wrap(nk.riemann_zeta(s), "bernoulli" if nk.zeta_closed_index(s) else "via-eta")
-
-
-def _bernoulli(n: int) -> float:
-    try:
-        return float(nk.bernoulli_number(n))
-    except OverflowError:
-        raise DomainError(f"bernoulli({n}): B_{n} is not a double") from None
-
+# eval: one route of the table in eiskern.routes
 
 _PARSERS = {"int": _parse_int, "real": _parse_real, "complex": _parse_complex}
-
-# name -> ("argument:kind ...", {--route value: evaluator}), in the order of `eval --help`.
-# The first route runs when --route is not given; a None key is a default without a --route
-# name of its own.  A bare number is labelled with its route name.  A route that reads its
-# arguments as other kinds is an (evaluator, "argument:kind ...") pair: the real-axis he
-# routes read z as a real argument, so complex z exits 2.
-REGISTRY = {
-    "conjecture": ("j:int z:real", {None: cb.conjecture_double_sum}),
-    "bernoulli": ("n:int", {"recurrence": _bernoulli}),
-    "bpoly": ("n:int x:real", {"recurrence": nk.bernoulli_poly}),
-    "bstar": ("alpha:real", {"zeta": cb.ramanujan_bstar}),
-    "conj_half": ("m:int", {form: (lambda m, form=form: cb.conj_bernoulli_half(m, form))
-                            for form in ("eta", "zeta")}),
-    "conj_periodic": ("n:int x:real", {"fourier": cb.conj_bernoulli_periodic}),
-    "epsilon": ("r:int z:complex", {
-        None: _epsilon, "direct": eis.eisenstein_direct, "closed": eis.eisenstein_closed,
-        "polygamma": eis.eisenstein_polygamma, "integral": eis.eisenstein_integral,
-        "integral-exponential": eis.eisenstein_integral,
-        "integral-hyperbolic": lambda r, z: eis.eisenstein_integral(r, z, form="hyperbolic")}),
-    "eta": ("s:real", {"alternating": nk.dirichlet_eta}),
-    "fractional": ("alpha:real x:real", {"fourier": cb.fractional_bernoulli}),
-    "gamma": ("z:complex", {"lanczos": nk.gamma}),
-    "genfun": ("z:complex", {"closed": cb.conj_bernoulli_genfun}),
-    "he": ("r:int z:complex", {
-        "closed": he.he_closed, "direct": he.he_direct, "taylor": _he_taylor,
-        "real": (lambda r, x: _wrap(he.he_real(r, x), "real-axis"), "r:int z:real"),
-        "eisenstein": (lambda r, x: _wrap(he.he_via_eisenstein(r, x), "via-eisenstein"),
-                       "r:int z:real")}),
-    "lambda": ("r:real", {"via-zeta": nk.dirichlet_lambda}),
-    "mathieu": ("r:real x:real", {None: lambda r, x: he.mathieu(r, x, False),
-                                  "alternating": lambda r, x: he.mathieu(r, x, True)}),
-    "mathieu_e": ("x:real", {None: he.mathieu_E}),
-    "moment": ("k:int", {m: (lambda k, m=m: om.omega_moment(k, m))
-                         for m in ("closed", "quadrature", "series")}),
-    "omega": ("z:complex", {
-        None: om.omega_eval, "quadrature": om.omega_quadrature, "digamma": om.omega_digamma,
-        "partial_fraction": om.omega_partial_fraction,
-        "taylor_moments": lambda z: om.omega_taylor(z, "moments"),
-        "taylor_eta": lambda z: om.omega_taylor(z, "eta")}),
-    "pochhammer": ("rho:complex sigma:int", {"product": nk.pochhammer}),
-    "polygamma": ("r:int z:complex", {"polygamma": nk.polygamma}),
-    "psi": ("z:complex", {"digamma": nk.digamma}),
-    "zeta": ("s:real", {None: _zeta}),
-    "zeta_odd_conj": ("m:int", {"conjugate": cb.zeta_odd_via_conj}),
-}
 
 
 def _print_json(obj) -> None:
@@ -176,10 +102,10 @@ def _print_json(obj) -> None:
 
 
 def cmd_eval(ns) -> int:
-    if ns.fn not in REGISTRY:
-        print(f"unknown function {ns.fn!r}; known: {', '.join(REGISTRY)}", file=sys.stderr)
+    if ns.fn not in ROUTES:
+        print(f"unknown function {ns.fn!r}; known: {', '.join(ROUTES)}", file=sys.stderr)
         return 2
-    params, routes = REGISTRY[ns.fn]
+    params, routes = ROUTES[ns.fn]
     if len(ns.args) != len(params.split()):
         names = " ".join(p.split(":")[0] for p in params.split())
         choice = f" [--route {'|'.join(filter(None, routes))}]" if len(routes) > 1 else ""
@@ -188,11 +114,9 @@ def cmd_eval(ns) -> int:
     route = next(iter(routes)) if ns.route is None else ns.route
     if route not in routes:
         raise ConfigError(f"unknown {ns.fn} route {route!r}")
-    evaluator = routes[route]
-    if isinstance(evaluator, tuple):
-        evaluator, params = evaluator
-    kinds = (p.split(":")[1] for p in params.split())
-    ev = evaluator(*(_PARSERS[kind](a) for kind, a in zip(kinds, ns.args)))
+    run, _, own_params = routes[route]
+    kinds = (p.split(":")[1] for p in (own_params or params).split())
+    ev = run(*(_PARSERS[kind](a) for kind, a in zip(kinds, ns.args)))
     if isinstance(ev, cb.ConjectureCheck):
         if ns.json:
             _print_json({"fn": ns.fn, **ev._asdict()})
@@ -201,7 +125,7 @@ def cmd_eval(ns) -> int:
                   f"discrepancy={ev.discrepancy:.3e}")
         return 0
     if not isinstance(ev, Evaluation):
-        ev = _wrap(ev, route)
+        ev = _wrap(ev, route or "default")
     v = ev.value
     if ns.json:
         _print_json({"fn": ns.fn, "args": ns.args, "value": {"re": v.real, "im": v.imag},
@@ -255,13 +179,10 @@ def cmd_verify(ns) -> int:
     cfg, names = _parse_verify_config(ns)
     results = run_suites(cfg, names)
     _write_out(report_text(results), ns)
-    failed = False
     for s in results:
         marker = " (report-only)" if s.report_only else ""
         print(f"{s.name}: pass={s.pass_count} fail={s.fail_count}{marker}", file=sys.stderr)
-        if not s.report_only and s.fail_count > 0:
-            failed = True
-    return 1 if failed else 0
+    return 1 if any(s.fail_count > 0 and not s.report_only for s in results) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -284,27 +205,21 @@ def cmd_table(ns) -> int:
     if ns.name == "moments":
         rows = [["k", "closed", "quadrature", "series", "max_disc"]]
         for k in range(6):
-            c = om.omega_moment(k, "closed")
-            q = om.omega_moment(k, "quadrature")
-            s = om.omega_moment(k, "series")
+            c, q, s = (om.omega_moment(k, route) for route in ("closed", "quadrature", "series"))
             rows.append([k, c, q, s, max(abs(c - q), abs(c - s), abs(q - s))])
     elif ns.name == "conj_bernoulli":
         rows = [["m", "eta_form", "zeta_form", "fourier_half", "max_disc"]]
         for m in range(7):
-            a = cb.conj_bernoulli_half(m, "eta")
-            b = cb.conj_bernoulli_half(m, "zeta")
+            a, b = cb.conj_bernoulli_half(m, "eta"), cb.conj_bernoulli_half(m, "zeta")
             f = cb.conj_bernoulli_periodic(m, 0.5)
             rows.append([m, a, b, f, max(abs(a - b), abs(a - f))])
     elif ns.name == "zeta_roundtrip":
         rows = [["argument", "via_conjugate", "series_oracle", "abs_disc"]]
         for m in (1, 2, 3):
-            a = cb.zeta_odd_via_conj(m)
-            b = nk.riemann_zeta(float(2 * m + 1))
+            a, b = cb.zeta_odd_via_conj(m), nk.riemann_zeta(float(2 * m + 1))
             rows.append([2 * m + 1, a, b, abs(a - b)])
     else:  # bstar
-        rows = [["alpha", "bstar"]]
-        for a in (2.0, 3.0, 4.0, 5.0):
-            rows.append([a, cb.ramanujan_bstar(a)])
+        rows = [["alpha", "bstar"]] + [[a, cb.ramanujan_bstar(a)] for a in (2.0, 3.0, 4.0, 5.0)]
     return _csv_out(rows, ns)
 
 
@@ -329,15 +244,15 @@ def cmd_plotdata(ns) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns, extra = parser.parse_known_args(argv)
+    # eval arguments after a `--` that follows an option are left over
+    if ns.command == "eval" and extra[:1] == ["--"]:
+        ns.args += extra[1:]
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    commands = {"verify": cmd_verify, "eval": cmd_eval, "table": cmd_table, "plotdata": cmd_plotdata}
     try:
-        if ns.command == "verify":
-            return cmd_verify(ns)
-        if ns.command == "eval":
-            return cmd_eval(ns)
-        if ns.command == "table":
-            return cmd_table(ns)
-        return cmd_plotdata(ns)
+        return commands[ns.command](ns)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -214,19 +214,15 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
     return Evaluation(total, err, panels, f"integral-{form}")
 
 
-def product_identity_residual(r: int, z) -> complex:
-    """eps_(r+2)(z) - eps_(r+1)(z)*eps_r(z), each factor by its best route.
+def eisenstein_eval(r: int, z) -> complex:
+    """Default route dispatch: the closed trigonometric form through r = 3, polygamma above."""
+    return (eisenstein_closed if as_order(r) <= 3 else eisenstein_polygamma)(r, z)
 
-    Closed trigonometric forms are used through order 3, the polygamma
-    representation above.  Identically ~0 only for r = 1.
-    """
+
+def product_identity_residual(r: int, z) -> complex:
+    """eps_(r+2)(z) - eps_(r+1)(z)*eps_r(z), each factor by eisenstein_eval.
+    Identically ~0 only for r = 1."""
     r = as_order(r)
     z = as_complex(z)
     _guard_integer(z)
-
-    def best(order: int) -> complex:
-        if order <= 3:
-            return eisenstein_closed(order, z)
-        return eisenstein_polygamma(order, z)
-
-    return best(r + 2) - best(r + 1) * best(r)
+    return eisenstein_eval(r + 2, z) - eisenstein_eval(r + 1, z) * eisenstein_eval(r, z)

@@ -1,0 +1,117 @@
+"""The route table: each object eiskern computes, its argument kinds and its routes.
+
+ROUTES maps an object to ("argument:kind ...", {route name: Route}) in eval --help order;
+`eval` runs the first route without --route (a None key is a default with no --route
+name), and verify's route-agreement records read both sides here, so a route has one
+name in --route, the table and the report.  An engine set names the engines (richardson,
+alternating, quadrature, power_series) and kernels (psi, cot, eta, bernoulli, polylog,
+zeta, lanczos, product) a route runs itself, a kernel in place of what runs inside it
+(eta(2n+1) is an alternating sum, digamma reflects through cot).  Evaluators look their
+library function up when they run, so a caller that rebinds a module attribute sees it.
+"""
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple
+
+from . import conj_bernoulli as cb
+from . import eisenstein as eis
+from . import hilbert_eisenstein as he
+from . import numkern as nk
+from . import omega as om
+from .controls import Evaluation
+from .errors import ConfigError, DomainError
+
+_LOG_MAX = 709.782712893384  # log of the largest double
+
+
+class Route(NamedTuple):
+    run: Callable
+    engines: frozenset
+    params: str | None = None  # argument kinds where they differ from the object's
+
+
+def _r(run: Callable, engines: str, params: str | None = None) -> Route:
+    return Route(run, frozenset(engines.split()), params)
+
+
+def _wrap(value, route: str) -> Evaluation:
+    v = complex(value)
+    return Evaluation(v, 8e-16 * max(1.0, abs(v)), 0, route)
+
+
+def _he_taylor(r: int, z: complex) -> Evaluation:
+    if r != 1:
+        raise ConfigError("the taylor route computes h_1 only; use r = 1")
+    return he.he_taylor(z)
+
+
+def _zeta(s: float) -> Evaluation:
+    return _wrap(nk.riemann_zeta(s), "bernoulli" if nk.zeta_closed_index(s) else "via-eta")
+
+
+def _bernoulli(n: int) -> float:
+    """B_n; from |B_2m| ~ 4 sqrt(pi m) (m/(pi e))^(2m), relative error O(1/m), DomainError
+    where it is no double (from n = 260) before the exact Fraction is built."""
+    m = n // 2
+    if n >= 2 and n % 2 == 0 and (math.log(4.0 * math.sqrt(math.pi * m))
+                                  + n * math.log(m / (math.pi * math.e)) >= _LOG_MAX):
+        raise DomainError(f"bernoulli({n}): B_{n} is not a double")
+    return float(nk.bernoulli_number(n))
+
+
+ROUTES = {
+    "conjecture": ("j:int z:real", {
+        None: _r(lambda j, z: cb.conjecture_double_sum(j, z), "bernoulli eta polylog")}),
+    "bernoulli": ("n:int", {"recurrence": _r(_bernoulli, "bernoulli")}),
+    "bpoly": ("n:int x:real", {"recurrence": _r(lambda n, x: nk.bernoulli_poly(n, x), "bernoulli")}),
+    "bstar": ("alpha:real", {"zeta": _r(lambda a: cb.ramanujan_bstar(a), "zeta")}),
+    "conj_half": ("m:int", {"eta": _r(lambda m: cb.conj_bernoulli_half(m, "eta"), "eta"),
+                            "zeta": _r(lambda m: cb.conj_bernoulli_half(m, "zeta"), "polylog")}),
+    "conj_periodic": ("n:int x:real", {
+        "fourier": _r(lambda n, x: cb.conj_bernoulli_periodic(n, x), "polylog")}),
+    "epsilon": ("r:int z:complex", {
+        None: _r(lambda r, z: eis.eisenstein_eval(r, z), "cot psi"),
+        "direct": _r(lambda r, z: eis.eisenstein_direct(r, z), "richardson"),
+        "closed": _r(lambda r, z: eis.eisenstein_closed(r, z), "cot"),
+        "polygamma": _r(lambda r, z: eis.eisenstein_polygamma(r, z), "psi"),
+        "integral": _r(lambda r, z: eis.eisenstein_integral(r, z), "quadrature"),
+        "integral-hyperbolic": _r(lambda r, z: eis.eisenstein_integral(r, z, "hyperbolic"),
+                                  "quadrature")}),
+    "eta": ("s:real", {"alternating": _r(lambda s: nk.dirichlet_eta(s), "alternating")}),
+    "fractional": ("alpha:real x:real", {
+        "fourier": _r(lambda a, x: cb.fractional_bernoulli(a, x), "polylog")}),
+    "gamma": ("z:complex", {"lanczos": _r(lambda z: nk.gamma(z), "lanczos")}),
+    "genfun": ("z:complex", {"closed": _r(lambda z: cb.conj_bernoulli_genfun(z), "psi cot"),
+                             "series": _r(lambda z: cb.conj_genfun_series(z), "power_series eta")}),
+    "he": ("r:int z:complex", {
+        "closed": _r(lambda r, z: he.he_closed(r, z), "psi"),
+        "direct": _r(lambda r, z: he.he_direct(r, z), "alternating"),
+        "taylor": _r(_he_taylor, "power_series eta"),
+        "real": _r(lambda r, x: he.he_real(r, x), "psi", "r:int z:real"),  # complex z exits 2
+        "eisenstein": _r(lambda r, x: he.he_via_eisenstein(r, x), "cot richardson psi",
+                         "r:int z:real")}),
+    "lambda": ("r:real", {"via-zeta": _r(lambda r: nk.dirichlet_lambda(r), "zeta")}),
+    "mathieu": ("r:real x:real", {
+        None: _r(lambda r, x: he.mathieu(r, x, False), "richardson"),
+        "alternating": _r(lambda r, x: he.mathieu(r, x, True), "alternating")}),
+    "mathieu_e": ("x:real", {None: _r(lambda x: he.mathieu_E(x), "quadrature eta")}),
+    "moment": ("k:int", {"closed": _r(lambda k: om.omega_moment(k, "closed"), "eta"),
+                         "quadrature": _r(lambda k: om.omega_moment(k, "quadrature"), "quadrature"),
+                         "series": _r(lambda k: om.omega_moment(k, "series"),
+                                      "power_series bernoulli")}),
+    "omega": ("z:complex", {
+        None: _r(lambda z: om.omega_eval(z), "psi quadrature"),
+        "quadrature": _r(lambda z: om.omega_quadrature(z), "quadrature"),
+        "digamma": _r(lambda z: om.omega_digamma(z), "psi"),
+        "partial-fraction": _r(lambda z: om.omega_partial_fraction(z), "alternating"),
+        "taylor-moments": _r(lambda z: om.omega_taylor(z, "moments"), "power_series bernoulli"),
+        "taylor-eta": _r(lambda z: om.omega_taylor(z, "eta"), "power_series eta"),
+        "pv-fold": _r(lambda z: om.omega_pv_hilbert(z), "quadrature")}),
+    "pochhammer": ("rho:complex sigma:int", {
+        "product": _r(lambda rho, sigma: nk.pochhammer(rho, sigma), "product")}),
+    "polygamma": ("r:int z:complex", {"polygamma": _r(lambda r, z: nk.polygamma(r, z), "psi")}),
+    "psi": ("z:complex", {"digamma": _r(lambda z: nk.digamma(z), "psi")}),
+    "zeta": ("s:real", {None: _r(_zeta, "bernoulli eta")}),
+    "zeta_odd_conj": ("m:int", {"conjugate": _r(lambda m: cb.zeta_odd_via_conj(m), "eta")}),
+}

@@ -6,9 +6,10 @@ passes and fails.  Records carry both discrepancies, the tolerance and policy
 that decided the pass flag, and an anchor string naming the identity being
 instantiated.  The suites in REPORT_ONLY never affect exit codes.
 
-Each gating record compares two code paths that differ in arithmetic, not
-only in order, sign or conjugation: a check whose sides run the same
-arithmetic reads 0 on every input and cannot fail.
+A route-agreement record (CheckSuite.agree) reads both sides through eiskern.routes;
+identity records and non-route helpers call the library.  Each gating record compares
+two code paths that differ in arithmetic, not only in order, sign or conjugation: a
+check whose sides run the same arithmetic reads 0 on every input and cannot fail.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import math
 import os
 import random
 import time
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -26,7 +28,9 @@ from . import eisenstein as eis
 from . import hilbert_eisenstein as he
 from . import numkern as nk
 from . import omega as om
+from .controls import Evaluation
 from .errors import ConfigError
+from .routes import ROUTES
 from .summation import alternating_sum
 
 LOG2 = math.log(2.0)
@@ -80,10 +84,11 @@ class CheckSuite:
         self.name = name
         self.override = override    # the --tol value replacing each gating tolerance
         self.records: list[CheckRecord] = []
-        self.pass_count = 0
-        self.fail_count = 0
+        self.pass_count = self.fail_count = 0
         self.wall_time_ms = 0.0
         self.report_only = report_only
+        self.agreements: list[tuple] = []  # (object, route, route) per agree record
+        self._values: dict = {}  # route values by (object, route, args); neither is reported
 
     def to_json(self) -> dict:
         return {
@@ -97,24 +102,31 @@ class CheckSuite:
 
     def check(self, inputs: str, lhs: complex, rhs: complex, tol: float,
               policy: str, anchor: str) -> None:
-        lhs = complex(lhs)
-        rhs = complex(rhs)
+        lhs, rhs = complex(lhs), complex(rhs)
         if self.override is not None and policy != "report":
             tol = self.override
         abs_disc = abs(lhs - rhs)
         rel_disc = abs_disc / max(abs(lhs), abs(rhs), 1e-300)
-        if policy == "abs":
-            ok = abs_disc <= tol
-        elif policy == "rel":
-            ok = rel_disc <= tol
-        elif policy == "abs_or_rel":
-            ok = abs_disc <= tol or rel_disc <= tol
-        elif policy == "report":
-            ok = True
-        else:
+        ok = {"abs": abs_disc <= tol, "rel": rel_disc <= tol, "report": True,
+              "abs_or_rel": abs_disc <= tol or rel_disc <= tol}.get(policy)
+        if ok is None:
             raise ConfigError(f"unknown pass policy {policy!r}")
         self.records.append(CheckRecord(self.name, inputs, lhs, rhs,
                                         abs_disc, rel_disc, tol, ok, policy, anchor))
+
+    def value(self, obj: str, route: str | None, args: tuple) -> complex:
+        """The value of one table route at args, computed once per suite."""
+        key = (obj, route, args)
+        if key not in self._values:
+            v = ROUTES[obj][1][route].run(*args)
+            self._values[key] = v.value if isinstance(v, Evaluation) else v
+        return self._values[key]
+
+    def agree(self, inputs: str, obj: str, a: str, b: str, args: tuple, tol: float,
+              policy: str, anchor: str) -> None:
+        """Record route a (lhs) against route b (rhs) of obj at the same args."""
+        self.agreements.append((obj, a, b))
+        self.check(inputs, self.value(obj, a, args), self.value(obj, b, args), tol, policy, anchor)
 
     def lower_bound(self, inputs: str, value: float, threshold: float,
                     anchor: str) -> None:
@@ -316,19 +328,13 @@ def run_numkern_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 def run_eisenstein_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
     anchor = "route agreement for the Eisenstein series"
+    pairs = (("direct", "polygamma", 1e-8), ("direct", "integral", 1e-8),
+             ("polygamma", "integral", 1e-8), ("direct", "closed", 1e-10),
+             ("closed", "integral", 1e-8))
     for z in strip_grid(cfg):
         for r in range(1, 7):
-            d = eis.eisenstein_direct(r, z).value
-            p = eis.eisenstein_polygamma(r, z)
-            q = eis.eisenstein_integral(r, z).value
-            tag = f"r={r} z={_fmt(z)}"
-            rec.check(f"{tag} direct/polygamma", d, p, 1e-8, "rel", anchor)
-            rec.check(f"{tag} direct/integral", d, q, 1e-8, "rel", anchor)
-            rec.check(f"{tag} polygamma/integral", p, q, 1e-8, "rel", anchor)
-            if r <= 3:
-                c = eis.eisenstein_closed(r, z)
-                rec.check(f"{tag} direct/closed", d, c, 1e-10, "rel", anchor)
-                rec.check(f"{tag} closed/integral", c, q, 1e-8, "rel", anchor)
+            for a, b, tol in pairs[:5 if r <= 3 else 3]:  # closed forms through r = 3
+                rec.agree(f"r={r} z={_fmt(z)} {a}/{b}", "epsilon", a, b, (r, z), tol, "rel", anchor)
 
 
 def run_eisenstein_properties(rec: CheckSuite, cfg: SuiteConfig) -> None:
@@ -367,9 +373,7 @@ def run_eisenstein_product(rec: CheckSuite, cfg: SuiteConfig) -> None:
 def run_he_closed(rec: CheckSuite, cfg: SuiteConfig) -> None:
     pts = axis_grid(cfg)[:19] + [3 + 0.5j]
     for z in pts:
-        d = he.he_direct(1, z).value
-        c = he.he_closed(1, z)
-        rec.check(f"z={_fmt(z)}", c, d, 1e-9, "rel",
+        rec.agree(f"z={_fmt(z)}", "he", "closed", "direct", (1, z), 1e-9, "rel",
                   "first-order HE closed digamma form vs direct summation")
     rec.check("z=0", he.he_closed(1, 0), 2j * LOG2, 1e-13, "abs",
               "HE value 2i log 2 at the origin")
@@ -381,18 +385,15 @@ def run_he_higher(rec: CheckSuite, cfg: SuiteConfig) -> None:
     pts = axis_grid(cfg)[:10]
     for z in pts:
         for r in (2, 3, 4, 5):
-            d = he.he_direct(r, z).value
-            c = he.he_closed(r, z)
-            rec.check(f"closed r={r} z={_fmt(z)}", c, d, 1e-8, "rel",
-                      "higher-order HE polygamma form vs direct summation")
+            rec.agree(f"closed r={r} z={_fmt(z)}", "he", "closed", "direct", (r, z), 1e-8,
+                      "rel", "higher-order HE polygamma form vs direct summation")
     for z in pts:
         for r in (1, 2, 3):
             lhs = he.he_closed(r, z) + he.he_closed(r, z + 1j)
             rhs = z ** (-r) - (z + 1j) ** (-r)
             rec.check(f"difference r={r} z={_fmt(z)}", lhs, rhs, 1e-9, "abs_or_rel",
                       "HE difference equation h_r(z) + h_r(z+i)")
-            sym = he.he_closed(r, -z)
-            rec.check(f"symmetry r={r} z={_fmt(z)}", sym,
+            rec.check(f"symmetry r={r} z={_fmt(z)}", he.he_closed(r, -z),
                       (-1.0) ** (r + 1) * he.he_closed(r, z), 1e-10, "abs_or_rel",
                       "HE symmetry h_r(-z) = (-1)^(r+1) h_r(z)")
     h = 1e-5
@@ -412,19 +413,16 @@ def run_he_higher(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for z in (0.5, -0.35, 0.3 + 0.3j, 0.2 - 0.6j, 0.85):
-        tv = he.he_taylor(z).value
-        rec.check(f"taylor z={_fmt(complex(z))}", tv, he.he_closed(1, z), 1e-8,
+        rec.agree(f"taylor z={_fmt(complex(z))}", "he", "taylor", "closed", (1, z), 1e-8,
                   "abs_or_rel", "HE Taylor expansion in eta values on the unit disc")
     for x in (0.5, 1.0, 1.7):
         for r in (1, 2, 3, 4):
-            rec.check(f"real-axis r={r} x={x}", he.he_real(r, x),
-                      he.he_direct(r, x).value, 1e-9, "abs_or_rel",
-                      "real-axis Re/Im split of the HE closed form")
+            rec.agree(f"real-axis r={r} x={x}", "he", "real", "direct", (r, x), 1e-9,
+                      "abs_or_rel", "real-axis Re/Im split of the HE closed form")
     for x in (0.5, 1.0, 1.3):
         for r in (2, 3):
-            rec.check(f"via-eisenstein r={r} x={x}", he.he_via_eisenstein(r, x),
-                      he.he_direct(r, x).value, 1e-8, "abs_or_rel",
-                      "HE through the classical Eisenstein series")
+            rec.agree(f"via-eisenstein r={r} x={x}", "he", "eisenstein", "direct", (r, x), 1e-8,
+                      "abs_or_rel", "HE through the classical Eisenstein series")
     for z in (0.7, 0.4 + 0.3j):
         s = 1.0 / z - alternating_sum(lambda k: 2.0 * z / (z * z + k * k), start=1)[0]
         rec.check(f"sinh expansion z={_fmt(complex(z))}", s, PI / cmath.sinh(PI * z),
@@ -440,23 +438,12 @@ def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 def run_omega_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
     anchor = "route agreement for the complete Omega function"
+    names = ("quadrature", "digamma", "partial-fraction", "taylor-moments", "taylor-eta")
     for z in disc_sample(cfg, 20, 5.0):
-        values = {
-            "quadrature": om.omega_quadrature(z).value,
-            "digamma": om.omega_digamma(z),
-            "partial-fraction": om.omega_partial_fraction(z).value,
-            "taylor-moments": om.omega_taylor(z, "moments").value,
-            "taylor-eta": om.omega_taylor(z, "eta").value,
-        }
-        names = list(values)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                rec.check(f"z={_fmt(z)} {a}/{b}", values[a], values[b], 1e-8,
-                          "abs_or_rel", anchor)
+        for a, b in combinations(names, 2):
+            rec.agree(f"z={_fmt(z)} {a}/{b}", "omega", a, b, (z,), 1e-8, "abs_or_rel", anchor)
     for x in (1.0, 5.0, 10.0, 18.0, 25.0, 30.0):
-        q = om.omega_quadrature(x).value
-        d = om.omega_digamma(x)
-        rec.check(f"real axis x={x}", q, d, 1e-8, "rel", anchor)
+        rec.agree(f"real axis x={x}", "omega", "quadrature", "digamma", (x,), 1e-8, "rel", anchor)
 
 
 def run_omega_symmetry(rec: CheckSuite, cfg: SuiteConfig) -> None:
@@ -475,30 +462,22 @@ def run_omega_symmetry(rec: CheckSuite, cfg: SuiteConfig) -> None:
 def run_omega_moments(rec: CheckSuite, cfg: SuiteConfig) -> None:
     rec.check("first moment", om.omega_moment(0, "closed"), LOG2 / PI, 1e-12, "abs",
               "first moment equals log(2)/pi")
+    forms = {"closed": "closed eta form", "quadrature": "defining integral",
+             "series": "Bernoulli series"}
     for k in range(6):
-        c = om.omega_moment(k, "closed")
-        q = om.omega_moment(k, "quadrature")
-        s = om.omega_moment(k, "series")
-        rec.check(f"k={k} closed/quadrature", c, q, 1e-10, "abs",
-                  "odd moment closed eta form vs defining integral")
-        rec.check(f"k={k} closed/series", c, s, 1e-10, "abs",
-                  "odd moment closed eta form vs Bernoulli series")
-        rec.check(f"k={k} quadrature/series", q, s, 1e-10, "abs",
-                  "odd moment defining integral vs Bernoulli series")
+        for a, b in combinations(forms, 2):
+            rec.agree(f"k={k} {a}/{b}", "moment", a, b, (k,), 1e-10, "abs",
+                      f"odd moment {forms[a]} vs {forms[b]}")
 
 
 def run_omega_bounds(rec: CheckSuite, cfg: SuiteConfig) -> None:
     anchor = "two-sided sinh-log bounds for Omega on the real line"
     for i in range(1, 81):
-        x = i / 10.0
-        lo, hi = om.omega_bounds(x)
-        val = om.omega_digamma(x).real
-        rec.lower_bound(f"x={x:.1f} lower", val - lo, 0.0, anchor)
-        rec.lower_bound(f"x={x:.1f} upper", hi - val, 0.0, anchor)
-        lo, hi = om.omega_bounds(-x)
-        val = om.omega_digamma(-x).real
-        rec.lower_bound(f"x={-x:.1f} lower", val - lo, 0.0, anchor)
-        rec.lower_bound(f"x={-x:.1f} upper", hi - val, 0.0, anchor)
+        for x in (i / 10.0, -(i / 10.0)):
+            lo, hi = om.omega_bounds(x)
+            val = om.omega_digamma(x).real
+            rec.lower_bound(f"x={x:.1f} lower", val - lo, 0.0, anchor)
+            rec.lower_bound(f"x={x:.1f} upper", hi - val, 0.0, anchor)
 
 
 def run_omega_asymptotic(rec: CheckSuite, cfg: SuiteConfig) -> None:
@@ -531,10 +510,8 @@ def run_omega_ode(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 def run_omega_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for z in (1.0, 2.0, 1 + 1j, -0.5 + 2j, 3.3):
-        pv = om.omega_pv_hilbert(z).value
-        q = om.omega_quadrature(z).value
-        rec.check(f"pv fold z={_fmt(complex(z))}", pv, q, 1e-9, "abs",
-                  "principal-value Hilbert fold equals the defining integral")
+        rec.agree(f"pv fold z={_fmt(complex(z))}", "omega", "pv-fold", "quadrature", (z,),
+                  1e-9, "abs", "principal-value Hilbert fold equals the defining integral")
     for zr in (-1.0, -0.5, 0.5, 1.0):
         z = complex(zr)
         lhs = -(z / (2.0 * cmath.sinh(z / 2.0))) * om.omega_digamma(z)
@@ -545,12 +522,9 @@ def run_omega_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 def run_conj_values(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for m in range(7):
-        rec.check(f"half-point m={m}", cb.conj_bernoulli_half(m, "eta"),
-                  cb.conj_bernoulli_half(m, "zeta"), 1e-13, "rel",
+        rec.agree(f"half-point m={m}", "conj_half", "eta", "zeta", (m,), 1e-13, "rel",
                   "conjugate Bernoulli half-point eta form vs zeta form")
-    q0 = om.omega_moment(0, "quadrature")
-    q1 = om.omega_moment(1, "quadrature")
-    q2 = om.omega_moment(2, "quadrature")
+    q0, q1, q2 = (om.omega_moment(k, "quadrature") for k in range(3))
     rec.check("moment combination m=0", -q0, cb.conj_bernoulli_half(0), 1e-9, "abs",
               "half-point value as the negated first moment")
     rec.check("moment combination m=1", q0 / 4.0 - q1, cb.conj_bernoulli_half(1),
@@ -569,9 +543,8 @@ def run_conj_values(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 def run_conj_roundtrips(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for m in range(1, 7):
-        ze = cb.zeta_even_euler(m)
         eta_route = nk.dirichlet_eta(float(2 * m)) / -math.expm1((1 - 2 * m) * LOG2)
-        rec.check(f"even zeta m={m}", ze, eta_route, 1e-12, "rel",
+        rec.check(f"even zeta m={m}", cb.zeta_even_euler(m), eta_route, 1e-12, "rel",
                   "Euler even-zeta closed form vs the alternating series")
     for m in (1, 2, 3, 4):
         rec.check(f"odd zeta m={m}", cb.zeta_odd_via_conj(m),
@@ -600,12 +573,11 @@ def run_conj_genfun(rec: CheckSuite, cfg: SuiteConfig) -> None:
     pts = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1 + 0.5j, -0.7 + 1.2j]
     for z in pts:
         z = complex(z)
-        g = cb.conj_bernoulli_genfun(z)
-        s = cb.conj_genfun_series(z)
         o = -(z / (2.0 * cmath.sinh(z / 2.0))) * om.omega_digamma(z)
         tag = _fmt(z)
-        rec.check(f"closed/series z={tag}", g, s, 1e-8, "abs",
+        rec.agree(f"closed/series z={tag}", "genfun", "closed", "series", (z,), 1e-8, "abs",
                   "generating-function closed branch vs coefficient series")
+        g, s = rec.value("genfun", "closed", (z,)), rec.value("genfun", "series", (z,))
         rec.check(f"closed/omega z={tag}", g, o, 1e-8, "abs",
                   "generating-function closed branch vs the Omega product")
         rec.check(f"series/omega z={tag}", s, o, 1e-8, "abs",

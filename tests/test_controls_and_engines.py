@@ -1,5 +1,6 @@
 """The result record, the quadrature rule, engine guards at the fixed
-budgets, reproducible suite runs, and no check that holds by construction."""
+budgets, reproducible suite runs, and no check that holds by construction:
+no two compared routes share an engine, and every route is compared."""
 from __future__ import annotations
 
 import ast
@@ -15,6 +16,7 @@ from eiskern import (Evaluation, NonConvergence, PoleError, QuadratureFailure,
                      eisenstein_direct, eisenstein_integral, mathieu_E,
                      omega_pv_hilbert, omega_quadrature)
 from eiskern.quadrature import _GK21, adaptive_quad, quad_decaying_tail
+from eiskern.routes import ROUTES
 from eiskern.suites import REPORT_ONLY, CheckSuite, SuiteConfig, report_text, run_suites
 
 
@@ -230,3 +232,59 @@ def test_no_gating_family_holds_by_construction(all_suites):
     exact = sorted(f for f, discs in families.items()
                    if len(discs) >= 3 and all(d == 0.0 for d in discs))
     assert exact == []
+
+
+# Route pairs that a gating agreement record compares although both run the engine
+# they share, each with its reason
+SHARED_ENGINE = {
+    ("omega", "taylor-moments", "taylor-eta"):
+        "one power_series stop rule over two coefficient tables, Bernoulli against eta",
+    ("omega", "pv-fold", "quadrature"):
+        "two integrands on the one Gauss-Kronrod rule; the fold adds its own series head",
+}
+# Routes of an object with several routes that no gating agreement record reads
+UNCHECKED = {
+    ("epsilon", None): "dispatches to the closed and polygamma routes, each checked",
+    ("epsilon", "integral-hyperbolic"): "the integral route with the other bracket form",
+    ("omega", None): "omega_eval dispatches to the digamma and quadrature routes",
+    ("mathieu", None): "checked only against the polygamma form -Im psi_1(1+ix)/x",
+    ("mathieu", "alternating"): "checked only against mathieu_E, another object",
+}
+
+
+def _gating_agreements(suites) -> set:
+    return {pair for s in suites if not s.report_only for pair in s.agreements}
+
+
+def _shared_engines(table, pairs) -> set:
+    return {(obj, a, b) for obj, a, b in pairs if table[obj][1][a].engines & table[obj][1][b].engines}
+
+
+def _unchecked_routes(table, pairs) -> set:
+    compared = {(obj, route) for obj, a, b in pairs for route in (a, b)}
+    return {(obj, route) for obj, (_, routes) in table.items() if len(routes) > 1
+            for route in routes if (obj, route) not in compared}
+
+
+def test_agreement_sides_share_no_engine(all_suites):
+    # the engine sets are declared in the route table: two routes that ran one engine
+    # could agree by construction
+    pairs = _gating_agreements(all_suites)
+    assert _shared_engines(ROUTES, pairs) == set(SHARED_ENGINE)
+    # a direct route that also ran psi would share it with the polygamma route
+    epsilon = dict(ROUTES["epsilon"][1])
+    epsilon["direct"] = epsilon["direct"]._replace(engines=frozenset({"richardson", "psi"}))
+    broken = {**ROUTES, "epsilon": (ROUTES["epsilon"][0], epsilon)}
+    assert _shared_engines(broken, pairs) - set(SHARED_ENGINE) == {("epsilon", "direct", "polygamma")}
+
+
+def test_every_route_is_compared(all_suites):
+    # every route of an object with two or more routes is one side of some gating
+    # agreement record, apart from the pinned exceptions
+    pairs = _gating_agreements(all_suites)
+    assert _unchecked_routes(ROUTES, pairs) == set(UNCHECKED)
+    # a second psi route that no record reads leaves both psi routes unchecked
+    psi = ROUTES["psi"]
+    broken = {**ROUTES, "psi": (psi[0], {**psi[1], "reflection": psi[1]["digamma"]})}
+    assert _unchecked_routes(broken, pairs) - set(UNCHECKED) == {("psi", "digamma"),
+                                                                 ("psi", "reflection")}
