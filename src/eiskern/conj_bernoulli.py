@@ -16,7 +16,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, doubles_only
 from .hilbert_eisenstein import he_closed, he_taylor
 from .numkern import PI, as_complex, bernoulli_poly, coth, digamma, eta_odd, riemann_zeta
 from .omega import _taylor_coefficient
@@ -29,16 +29,14 @@ _DIRECT_ORDER = 170  # 2 Gamma(a+1) is a double through a = 170
 _FIRST_TERM_ORDER = 64  # past it Li_s(w) rounds to w; through it t^(s-1), e^t stay doubles
 
 
+@doubles_only("order {a}: the value is not a double")
 def _prefactor(rest: float, a: float) -> float:
     """rest * 2 Gamma(a+1) (2 pi)^(-a), the scale of every Fourier and zeta form here; past
     a = _DIRECT_ORDER in log space, with DomainError where the product is no double either."""
     if a <= _DIRECT_ORDER:
         return 2.0 * math.gamma(a + 1.0) * _TWO_PI ** (-a) * rest
     log_scale = _LOG2 + math.lgamma(a + 1.0) - a * math.log(_TWO_PI)
-    try:
-        return math.copysign(math.exp(log_scale + math.log(abs(rest))), rest) if rest else rest
-    except OverflowError:
-        raise DomainError(f"order {a}: the value is not a double") from None
+    return math.copysign(math.exp(log_scale + math.log(abs(rest))), rest) if rest else rest
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import sys
 
 from .controls import Evaluation
-from .errors import DomainError, NonConvergence, PoleError, UnsupportedOrder
+from .errors import DomainError, NonConvergence, PoleError, UnsupportedOrder, doubles_only
 from .numkern import PI, as_complex, as_order, cot, csc2, digamma, polygamma
 from .quadrature import quad_decaying_tail
 from .summation import REL_TOL, richardson_limit
@@ -47,6 +47,7 @@ def _rounded_pair(z: complex, k: int, r: int) -> complex:
     return complex(re / den, im / den)
 
 
+@doubles_only("eisenstein_direct(r={r}, z={z}) requires every term (z+k)^(-r) to be a double")
 def eisenstein_direct(r: int, z) -> Evaluation:
     """Symmetric partial sums of the defining series.
 
@@ -66,14 +67,6 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     r = as_order(r)
     z = as_complex(z)
     _guard_integer(z)
-    try:
-        return _direct(r, z)
-    except OverflowError:
-        raise DomainError(f"eisenstein_direct(r={r}, z={z}) requires every term (z+k)^(-r) "
-                          "to be a double") from None
-
-
-def _direct(r: int, z: complex) -> Evaluation:
     lead = [_rounded_pair(z, k, r) for k in range(3)]
     if r == 1:
         z2 = z * z
@@ -84,8 +77,8 @@ def _direct(r: int, z: complex) -> Evaluation:
     # the paired terms are k^-q times a series in 1/k^2, q = r (r even) or r + 1 (r odd;
     # q = 2 for r = 1), so the tail of the endpoint-corrected sums starts at N^(1-q)
     value, err, used, corr = richardson_limit(term, first=lead[0], lead=2 * ((r - 1) // 2) + 1)
-    # complex powers through exponent 100 overflow to nan without raising: raise the
-    # OverflowError that eisenstein_direct maps to its DomainError
+    # complex powers through exponent 100 overflow to nan without raising, and a nan
+    # passes the convergence tests below
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise OverflowError("a term (z+k)^(-r) is not a double")
     if r > 8:  # a float power w^(-r) is rounded to about eps*r*(1 + |log w|) relative
@@ -164,6 +157,8 @@ def _integrand_factory(r: int, zeta: complex, form: str):
     return integrand
 
 
+@doubles_only("eisenstein_integral(r={r}, z={z}) requires eps_r and every head term "
+              "(zeta+k)^(-r), |k| < 4, to be doubles")
 def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
     """Strip-reduced integral representation with the terms |k| < 4 summed.
 
@@ -196,17 +191,11 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
     f = _integrand_factory(r, zeta, form)
     rate = _HEAD - abs(zeta.real)  # decay of the slower exponential
     shifts = [zeta + k for k in range(1 - _HEAD, _HEAD)]
-    try:
-        head = [w ** (-r) for w in shifts]
-        value, err, panels = quad_decaying_tail(f, 0.0, rate, power=r - 1,
-                                                log_scale=math.log(2.0) - math.lgamma(r))
-        value += complex(math.fsum(h.real for h in head), math.fsum(h.imag for h in head))
-        total = sign * value
-    except OverflowError:
-        total = math.inf
-    if not cmath.isfinite(total):
-        raise DomainError(f"integral route needs eps_{r} and (zeta+k)^(-{r}), |k| < {_HEAD}, "
-                          f"to be doubles; zeta = {zeta}")
+    head = [w ** (-r) for w in shifts]
+    value, err, panels = quad_decaying_tail(f, 0.0, rate, power=r - 1,
+                                            log_scale=math.log(2.0) - math.lgamma(r))
+    value += complex(math.fsum(h.real for h in head), math.fsum(h.imag for h in head))
+    total = sign * value
     # each (zeta+k)^(-r) is rounded with relative error up to about eps*r*|log(zeta+k)|
     # (CPython powers past r = 100 through exp(r log(zeta+k)))
     head_floor = math.fsum((1.0 + r * abs(cmath.log(w))) * abs(h) for w, h in zip(shifts, head))

@@ -1,4 +1,8 @@
-"""Exception types shared by every evaluator in the package."""
+"""Exception types shared by every evaluator in the package, and the one rule for
+values that are not doubles."""
+import cmath
+import functools
+
 from .controls import Evaluation
 
 
@@ -36,3 +40,26 @@ class StepError(EiskernError):
 
 class ConfigError(EiskernError):
     """Invalid CLI / suite configuration."""
+
+
+def doubles_only(message: str):
+    """Decorator for a function whose value must be a double: an OverflowError or a
+    ZeroDivisionError inside it, a result that is not finite, or an Evaluation whose
+    value or err_estimate is not finite becomes DomainError(message), the message
+    formatted with the call's arguments by parameter name.  Library errors pass through."""
+    def decorate(f):
+        names = f.__code__.co_varnames[:f.__code__.co_argcount]
+
+        @functools.wraps(f)
+        def wrapper(*args, **kwargs):
+            try:
+                v = f(*args, **kwargs)
+                if (cmath.isfinite(v.value) and cmath.isfinite(v.err_estimate)
+                        if v.__class__ is Evaluation else cmath.isfinite(v)):
+                    return v
+            except (OverflowError, ZeroDivisionError):
+                pass
+            raise DomainError(message.format(**dict(zip(names, args)), **kwargs))
+
+        return wrapper
+    return decorate

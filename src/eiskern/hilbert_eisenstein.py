@@ -14,11 +14,10 @@ oracle-consistent version is implemented (see the test suite).
 """
 from __future__ import annotations
 
-import cmath
 import math
 
 from .controls import Evaluation
-from .errors import DomainError, NonConvergence, PoleError
+from .errors import DomainError, NonConvergence, PoleError, doubles_only
 from .eisenstein import eisenstein_closed, eisenstein_direct
 from .numkern import as_complex, as_order, digamma, dirichlet_eta, eta_odd, polygamma
 from .quadrature import quad_decaying_tail
@@ -35,6 +34,8 @@ def _guard_imaginary_integers(z: complex) -> None:
         raise PoleError(f"Hilbert-Eisenstein series has a pole at {1j * k}")
 
 
+@doubles_only("he_direct(r={r}, z={z}) requires z^2 and every power (z +- ik)^r "
+              "of its terms to be doubles")
 def he_direct(r: int, z) -> Evaluation:
     """Direct summation of the defining series.
 
@@ -48,17 +49,7 @@ def he_direct(r: int, z) -> Evaluation:
     _guard_imaginary_integers(z)
     if z == 0 and r == 1:
         return Evaluation(_TWO_I_LOG2, 0.0, 0, "direct")
-    try:
-        ev = _he_direct(r, z, math.floor(abs(z.imag)) + 1)
-        if cmath.isfinite(ev.value) and math.isfinite(ev.err_estimate):
-            return ev
-    except OverflowError:  # complex powers past exponent 100 raise; through it they give nan
-        pass
-    raise DomainError(f"he_direct(r={r}, z={z}) requires z^2 and every power (z +- ik)^r "
-                      "of its terms to be doubles")
-
-
-def _he_direct(r: int, z: complex, start: int) -> Evaluation:
+    start = math.floor(abs(z.imag)) + 1
     if r == 1:
         z2 = z * z
         value, err, used = alternating_sum(lambda k: k / (z2 + k * k), start=start)
@@ -167,19 +158,12 @@ def he_via_eisenstein(r: int, x: float) -> complex:
 # ---------------------------------------------------------------------------
 # Mathieu series
 
+@doubles_only("mathieu(r={r}, x={x}) requires every (k^2 + x^2)^r of its terms to be a double")
 def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     """S_r(x) = sum 2k/(k^2+x^2)^r (r > 1, 2r an integer) by Richardson in 1/N^2 on the
     endpoint-corrected sums (lead 2r - 2), or the alternating variant (r > 0).  Richardson
     needs N >> |x|: NonConvergence from |x| of about 335 (r = 1.5), 385 (r = 2), 505 (r = 3)
     and 650 (r = 4).  DomainError where a term's denominator (k^2+x^2)^r is not a double."""
-    try:
-        return _mathieu(r, x, alternating)
-    except OverflowError:
-        raise DomainError(f"mathieu(r={r}, x={x}) requires every (k^2 + x^2)^r of its terms "
-                          "to be a double") from None
-
-
-def _mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     if alternating:
         if r <= 0:
             raise DomainError("alternating Mathieu series requires r > 0")

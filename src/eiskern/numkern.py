@@ -25,16 +25,18 @@ import cmath
 import functools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 from .controls import Evaluation
-from .errors import DomainError, NonConvergence, PoleError
+from .errors import DomainError, NonConvergence, PoleError, doubles_only
 from .quadrature import quad_decaying_tail
 from .summation import alternating_sum, power_series
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 PI = math.pi
 _PI_LO = 1.2246467991473532e-16  # pi - PI
+LOG_MAX = math.log(sys.float_info.max)
 
 POLE_GUARD = 1e-12  # hard rejection radius around poles
 
@@ -54,19 +56,25 @@ def bernoulli_number(n: int) -> Fraction:
     return -sum(math.comb(n + 1, k) * bernoulli_number(k) for k in (0, 1, *range(2, n, 2))) / (n + 1)
 
 
+def log_bernoulli(n: int) -> float:
+    """log |B_n| for even n >= 2 from |B_n| = 2 n! zeta(n)/(2 pi)^n, with zeta(n) taken as 1:
+    a lower bound, short by log zeta(n) < 2^(2-n)."""
+    return math.log(2.0) + math.lgamma(n + 1) - n * math.log(2.0 * PI)
+
+
+@doubles_only("bernoulli_poly({n}, {x}) requires every term C(n,k) B_k x^(n-k) "
+              "and their sum to be doubles")
 def bernoulli_poly(n: int, x: float) -> float:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k); DomainError where a
     term or the sum is not a double, at every x from n = 259 on."""
     if n < 0:
         raise DomainError(f"Bernoulli index n must be >= 0, got {n}")
-    try:
-        value = float(sum(float(math.comb(n, k) * bernoulli_number(k)) * x ** (n - k) for k in range(n + 1)))
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"bernoulli_poly({n}, {x}) requires every term C(n,k) B_k x^(n-k) "
-                          "and their sum to be doubles")
-    return value
+    # a C(n,k) B_k past the largest double by a factor e is no double whatever x is:
+    # rejected before any exact B_k is built; nearer, the exact terms decide
+    if any(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + log_bernoulli(k)
+           > LOG_MAX + 1.0 for k in range(2, n + 1, 2)):
+        raise OverflowError("a coefficient C(n,k) B_k is not a double")
+    return float(sum(float(math.comb(n, k) * bernoulli_number(k)) * x ** (n - k) for k in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +175,7 @@ def _log_gamma(z: complex) -> complex:
     return (w + 0.5) * cmath.log(t) - t + cmath.log(math.sqrt(2.0 * PI) * x)
 
 
+@doubles_only("gamma({z}) is not representable in double precision")
 def gamma(z) -> complex:
     """Gamma function, principal value, complex arguments admitted.
 
@@ -196,10 +205,7 @@ def gamma(z) -> complex:
                 return v
     except (OverflowError, DomainError):
         pass
-    try:
-        return cmath.exp(_log_gamma(z))
-    except OverflowError:
-        raise DomainError(f"gamma({z}) is not representable in double precision") from None
+    return cmath.exp(_log_gamma(z))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,7 @@ def digamma(z) -> complex:
     return _psi(0, z)
 
 
+@doubles_only("polygamma({r}, {z}): a term of its r!-scaled series is not a double")
 def polygamma(r: int, z) -> complex:
     """Polygamma psi_r(z), r >= 1; shift-then-asymptotic scheme.
 
@@ -231,13 +238,7 @@ def polygamma(r: int, z) -> complex:
     _guard_nonpositive_integer(z, "polygamma")
     if z.real < _SHIFT_RE - 2 ** 20:  # 2^20 unit shifts take about 0.4 s
         raise DomainError(f"polygamma({r}, {z}) requires Re z >= 14 - 2^20")
-    try:
-        value = _psi(r, z)
-    except (OverflowError, ZeroDivisionError):  # w^-(r+1) overflows, or its reciprocal underflows
-        value = complex(math.inf)
-    if not cmath.isfinite(value):
-        raise DomainError(f"polygamma({r}, {z}): a term of its r!-scaled series is not a double")
-    return value
+    return _psi(r, z)  # w^-(r+1) may overflow, or its reciprocal underflow to 0
 
 
 def _psi(r: int, z: complex) -> complex:
@@ -339,6 +340,7 @@ def eta_odd(n: int) -> float:
 # ---------------------------------------------------------------------------
 # Pochhammer
 
+@doubles_only("({rho})_{sigma} is not representable in double precision")
 def pochhammer(rho, sigma: int) -> complex:
     """Rising factorial (rho)_sigma as a finite product; (rho)_0 = 1, (0)_0 = 1.
 
@@ -353,15 +355,13 @@ def pochhammer(rho, sigma: int) -> complex:
     out = 1.0 + 0.0j
     for i in range(sigma):
         out *= rho + i
-    if not cmath.isfinite(out):
-        raise DomainError(f"({rho})_{sigma} is not representable in double precision")
     return out
 
 
 # ---------------------------------------------------------------------------
 # odd-zeta power series and its digamma closed forms
 
-_ZETA_ODD_VARIANTS = ("plain", "alternating", "real_part")
+_ZETA_ODD_VARIANTS = ("plain", "alternating")
 
 
 def zeta_odd_series(z, variant: str = "plain") -> Evaluation:
@@ -370,7 +370,7 @@ def zeta_odd_series(z, variant: str = "plain") -> Evaluation:
     variant "plain":        sum zeta(2k+1) z^(2k)        = -[psi(1+z)+psi(1-z)]/2 - gamma
     variant "alternating":  sum (-1)^(k-1) zeta(2k+1) z^(2k)
                                                          = [psi(1+iz)+psi(1-iz)]/2 + gamma
-    variant "real_part":    same series, z real,          = gamma + Re psi(1+iz)
+                                                         = gamma + Re psi(1+iz) at real z
 
     Returns the digamma form; the truncated-series value and the discrepancy
     between the two representations land in Evaluation.diagnostics.
@@ -378,14 +378,12 @@ def zeta_odd_series(z, variant: str = "plain") -> Evaluation:
     if variant not in _ZETA_ODD_VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     z = as_complex(z)
-    if variant == "real_part" and z.imag != 0.0:
-        raise DomainError("real_part variant requires real z")
     if abs(z) >= 1.0:
         raise DomainError("zeta_odd_series requires |z| < 1")
 
     if variant == "plain":
         closed = -0.5 * (digamma(1.0 + z) + digamma(1.0 - z)) - EULER_GAMMA
-    elif variant == "alternating":
+    elif z.imag:
         closed = 0.5 * (digamma(1.0 + 1j * z) + digamma(1.0 - 1j * z)) + EULER_GAMMA
     else:
         closed = complex(EULER_GAMMA + digamma(1.0 + 1j * z).real)

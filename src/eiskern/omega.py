@@ -19,7 +19,7 @@ import math
 import sys
 
 from .controls import Evaluation
-from .errors import DomainError, StepError
+from .errors import DomainError, StepError, doubles_only
 from .hilbert_eisenstein import _h1_brace, he_direct, mathieu_E
 from .numkern import PI, as_complex, bernoulli_number, coth, eta_odd, riemann_zeta
 from .quadrature import adaptive_quad
@@ -34,6 +34,7 @@ _LOG_SPACE_X = 1400.0  # sinh(x/2) overflows past x ~ 1420.9; beyond this, log s
 _CLOSED_MOMENT_K = 5  # largest k for which the closed moment route keeps 11 digits
 
 
+@doubles_only("Omega-scale value at x = {ax:g} is not representable in double precision")
 def _sinh_half_over_pi(ax: float, factor: float) -> float:
     """sinh(ax/2)/pi * factor for ax >= 0, in log space for ax > 1400; DomainError there
     where the product is not a double, or where the factor is 0 or nan (a brace that
@@ -43,12 +44,7 @@ def _sinh_half_over_pi(ax: float, factor: float) -> float:
     if not 0.0 < abs(factor) < math.inf:
         raise DomainError(f"Omega-scale value at x = {ax:g} is not a double: its factor "
                           f"of sinh(x/2)/pi evaluates to {factor}")
-    try:
-        mag = math.exp(0.5 * ax - math.log(_TWO_PI) + math.log(abs(factor)))
-    except OverflowError:
-        raise DomainError(f"Omega-scale value at x = {ax:g} is not representable "
-                          "in double precision") from None
-    return math.copysign(mag, factor)
+    return math.copysign(math.exp(0.5 * ax - math.log(_TWO_PI) + math.log(abs(factor))), factor)
 
 
 def _require_re_in_range(z: complex) -> None:

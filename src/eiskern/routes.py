@@ -11,7 +11,6 @@ library function up when they run, so a caller that rebinds a module attribute s
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 from . import conj_bernoulli as cb
@@ -21,8 +20,6 @@ from . import numkern as nk
 from . import omega as om
 from .controls import Evaluation
 from .errors import ConfigError, DomainError
-
-_LOG_MAX = 709.782712893384  # log of the largest double
 
 
 class Route(NamedTuple):
@@ -51,11 +48,9 @@ def _zeta(s: float) -> Evaluation:
 
 
 def _bernoulli(n: int) -> float:
-    """B_n; from |B_2m| ~ 4 sqrt(pi m) (m/(pi e))^(2m), relative error O(1/m), DomainError
-    where it is no double (from n = 260) before the exact Fraction is built."""
-    m = n // 2
-    if n >= 2 and n % 2 == 0 and (math.log(4.0 * math.sqrt(math.pi * m))
-                                  + n * math.log(m / (math.pi * math.e)) >= _LOG_MAX):
+    """B_n; DomainError where numkern.log_bernoulli shows it is no double (from n = 260),
+    before the exact Fraction is built."""
+    if n >= 2 and n % 2 == 0 and nk.log_bernoulli(n) >= nk.LOG_MAX:
         raise DomainError(f"bernoulli({n}): B_{n} is not a double")
     return float(nk.bernoulli_number(n))
 

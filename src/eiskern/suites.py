@@ -312,8 +312,8 @@ def run_numkern_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
                   via_eta, 1e-12, "rel",
                   "B_2m = (-1)^(m+1) 2 (2m)! zeta(2m)/(2 pi)^(2m), zeta(2m) from eta(2m)")
 
-    for z, variant in ((0.5, "plain"), (0.5, "alternating"), (0.5, "real_part"),
-                       (0.3, "plain"), (-0.4, "alternating")):
+    for z, variant in ((0.5, "plain"), (0.5, "alternating"), (0.3, "plain"),
+                       (-0.4, "alternating")):
         ev = nk.zeta_odd_series(z, variant)
         rec.check(f"odd-zeta series {variant} z={z}", ev.diagnostics["series_value"],
                   ev.value, 1e-10, "abs_or_rel",
@@ -510,14 +510,8 @@ def run_omega_ode(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 def run_omega_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for z in (1.0, 2.0, 1 + 1j, -0.5 + 2j, 3.3):
-        rec.agree(f"pv fold z={_fmt(complex(z))}", "omega", "pv-fold", "quadrature", (z,),
-                  1e-9, "abs", "principal-value Hilbert fold equals the defining integral")
-    for zr in (-1.0, -0.5, 0.5, 1.0):
-        z = complex(zr)
-        lhs = -(z / (2.0 * cmath.sinh(z / 2.0))) * om.omega_digamma(z)
-        rhs = cb.conj_genfun_series(z)
-        rec.check(f"generating link z={zr}", lhs, rhs, 1e-8, "abs",
-                  "exponential generating function of half-point conjugate values")
+        rec.agree(f"pv fold z={_fmt(complex(z))}", "omega", "pv-fold", "digamma", (z,),
+                  1e-9, "abs", "principal-value Hilbert fold equals the digamma closed form")
 
 
 def run_conj_values(rec: CheckSuite, cfg: SuiteConfig) -> None:

@@ -104,6 +104,58 @@ def test_one_call_per_integral():
     assert split == []
 
 
+def test_doubles_only_maps_each_way_out_of_the_double_range():
+    from eiskern.errors import DomainError, doubles_only
+
+    @doubles_only("f({r}, {z}) needs a double")
+    def f(r, z, how="value"):
+        ev = Evaluation(z, 0.0, 1, "test")
+        if how == "stop":
+            raise NonConvergence("stop", ev)
+        if how == "overflow":
+            return 10.0 ** 400
+        if how == "zero":
+            return z / 0
+        return {"value": z, "evaluation": ev, "claim": ev._replace(err_estimate=math.inf)}[how]
+
+    assert f(1, 2.5) == 2.5 and f(1, 2j, "evaluation").value == 2j
+    for r, z, how in ((1, math.nan, "value"), (2, complex(math.inf, 0), "evaluation"),
+                      (3, 1.0, "claim"), (4, 1.0, "overflow"), (5, 1.0, "zero")):
+        with pytest.raises(DomainError, match=re.escape(f"f({r}, {z}) needs a double")):
+            f(r, z, how=how)
+    with pytest.raises(DomainError, match=r"f\(6, 1.0\)"):
+        f(z=1.0, r=6, how="zero")
+    with pytest.raises(NonConvergence) as exc:  # a library error passes with its partial
+        f(7, 1.5, "stop")
+    assert exc.value.partial.value == 1.5
+    assert f.__name__ == "f"  # the perf tracer rebinds functions by name
+
+
+def test_one_rule_for_values_that_are_not_doubles():
+    # errors.doubles_only alone turns an OverflowError or a ZeroDivisionError into a
+    # DomainError; numkern.gamma keeps its fallback from the direct forms to log space.
+    # A bare except, Exception or ArithmeticError would catch both as well
+    wide = {"OverflowError", "ZeroDivisionError", "ArithmeticError", "Exception", "BaseException"}
+
+    def catches(handler: ast.ExceptHandler) -> bool:
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return handler.type is None or any(isinstance(t, ast.Name) and t.id in wide for t in types)
+
+    sites = []
+    for name, text in sorted(_package_sources().items()):
+        if name == "errors.py":
+            continue
+        tree = ast.parse(text)
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions come first, so a node keeps the outermost
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        sites += [(name, owner.get(h)) for h in ast.walk(tree)
+                  if isinstance(h, ast.ExceptHandler) and catches(h)]
+    assert sites == [("numkern.py", "gamma")] * 2
+
+
 def test_one_alternating_engine():
     # every alternating sum states where its moment sequence starts, and no series
     # regains a heuristic accelerator: the epsilon algorithm, whose estimate is no
@@ -239,8 +291,6 @@ def test_no_gating_family_holds_by_construction(all_suites):
 SHARED_ENGINE = {
     ("omega", "taylor-moments", "taylor-eta"):
         "one power_series stop rule over two coefficient tables, Bernoulli against eta",
-    ("omega", "pv-fold", "quadrature"):
-        "two integrands on the one Gauss-Kronrod rule; the fold adds its own series head",
 }
 # Routes of an object with several routes that no gating agreement record reads
 UNCHECKED = {

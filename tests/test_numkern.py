@@ -389,18 +389,24 @@ def test_zeta_odd_series_plain_value():
     assert ev.diagnostics["pair_discrepancy"] < 1e-11
 
 
-def test_zeta_odd_series_alternating_matches_real_part():
-    a = zeta_odd_series(0.5, "alternating")
-    b = zeta_odd_series(0.5, "real_part")
-    assert abs(a.value - b.value) < 1e-13
-    assert a.value.real == pytest.approx(0.24832930767207, abs=1e-12)
+def test_zeta_odd_series_alternating_value():
+    # truncated series oracle: sum_k (-1)^(k-1) zeta(2k+1) (1/2)^(2k), k <= 40
+    series = sum((-1) ** (k - 1) * zeta_oracle(2.0 * k + 1.0) * 0.25 ** k for k in range(1, 41))
+    ev = zeta_odd_series(0.5, "alternating")
+    assert ev.value.real == pytest.approx(series, rel=1e-11)
+    assert ev.value.real == pytest.approx(0.24832930767207, abs=1e-12)
+    assert ev.diagnostics["pair_discrepancy"] < 1e-11
+    # off the real axis both digamma terms are taken
+    ev = zeta_odd_series(0.3 + 0.2j, "alternating")
+    assert abs(ev.value - ev.diagnostics["series_value"]) < 1e-13
 
 
-def test_zeta_odd_series_real_part_calls_digamma_once(monkeypatch):
+def test_zeta_odd_series_alternating_calls_digamma_once_at_real_z(monkeypatch):
+    # at real z psi(1-iz) is the conjugate of psi(1+iz): one call gives the real part
     calls = []
     digamma_ = nk.digamma
     monkeypatch.setattr(nk, "digamma", lambda z: calls.append(z) or digamma_(z))
-    ev = zeta_odd_series(0.5, "real_part")
+    ev = zeta_odd_series(0.5, "alternating")
     assert calls == [1 + 0.5j]
     assert ev.value == complex(EULER_GAMMA + digamma_(1 + 0.5j).real)
 
@@ -409,7 +415,7 @@ def test_zeta_odd_series_domain():
     with pytest.raises(DomainError):
         zeta_odd_series(1.2, "plain")
     with pytest.raises(DomainError):
-        zeta_odd_series(0.3 + 0.2j, "real_part")
+        zeta_odd_series(0.5, "real_part")
 
 
 # ---------------------------------------------------------------------------
