@@ -14,10 +14,10 @@ import math
 import sys
 
 from .controls import Evaluation
-from .errors import DomainError, NonConvergence, PoleError, UnsupportedOrder, doubles_only
+from .errors import DomainError, PoleError, UnsupportedOrder, doubles_only
 from .numkern import PI, as_complex, as_order, cot, csc2, digamma, polygamma
 from .quadrature import quad_decaying_tail
-from .summation import REL_TOL, richardson_limit
+from .summation import richardson_limit
 
 INTEGER_GUARD = 1e-10  # hard floor; verification grids keep distance >= 0.05
 _EPS = sys.float_info.epsilon
@@ -54,15 +54,11 @@ def eisenstein_direct(r: int, z) -> Evaluation:
     r = 1 uses the paired form 1/z + sum_k 2z/(z^2 - k^2), tail O(1/N); r >= 2 pairs
     (z+k)^(-r) + (z-k)^(-r).  Terms k <= 2, which carry most rounding where the value is
     small beside them, are rounded once from exact integers (r <= 8); past r = 8 the float
-    powers add eps*r*sum (1 + |log(z+k)|)|z+k|^(-r) to err_estimate.  The endpoint-corrected
-    sums S_N - t_N/2 miss the value by N^-lead (c_0 + c_1/N^2 + ...), lead = 2*floor((r-1)/2) + 1;
-    Richardson in 1/N^2 over N = round(8*1.5^j) = 8, 12, ..., 11823 stops once its extrapolate
-    moves <= 3e-13*|value| or within the rounding floor eps*sum|t_k| (so eps_odd(1/2) = 0 stops
-    at 40 to 91 terms).  NonConvergence (last estimate in `partial`) when the correction at 11823
-    terms exceeds that floor and max(REL_TOL*|value|, 1e-14*max(1, |value|)): from |Im z| of
-    about 310 (r=2), 375 (r=1), 705 (r=3), 1305 (r=4); and when an extrapolated (not settled)
-    stop comes at N < 3|z|, where the last correction need not bound the unsummed tail: from
-    |z| of about 11823/3 = 3941 (r = 5-8).  DomainError where a term (z+k)^(-r) is not a double.
+    powers add eps*r*sum (1 + |log(z+k)|)|z+k|^(-r) to err_estimate.  Richardson extrapolates
+    the endpoint-corrected sums from N >= 3|z| on (absolute floor 1e-14), so the domain is
+    |z| <= 11823/3 for every r: NonConvergence (last estimate in `partial`) past it and
+    from |Im z| of about 310 (r=2), 375 (r=1), 705 (r=3), 1305 (r=4).  DomainError where a
+    term (z+k)^(-r) is not a double.
     """
     r = as_order(r)
     z = as_complex(z)
@@ -76,20 +72,12 @@ def eisenstein_direct(r: int, z) -> Evaluation:
 
     # the paired terms are k^-q times a series in 1/k^2, q = r (r even) or r + 1 (r odd;
     # q = 2 for r = 1), so the tail of the endpoint-corrected sums starts at N^(1-q)
-    value, err, used, corr = richardson_limit(term, first=lead[0], lead=2 * ((r - 1) // 2) + 1)
-    # complex powers through exponent 100 overflow to nan without raising, and a nan
-    # passes the convergence tests below
-    if not (cmath.isfinite(value) and math.isfinite(err)):
-        raise OverflowError("a term (z+k)^(-r) is not a double")
+    value, err, used = richardson_limit(term, first=lead[0], lead=2 * ((r - 1) // 2) + 1,
+                                        start=3.0 * abs(z), floor=1e-14)
     if r > 8:  # a float power w^(-r) is rounded to about eps*r*(1 + |log w|) relative
         err += _EPS * r * math.fsum((1.0 + abs(cmath.log(w))) * abs(w) ** -r
                                     for w in (z + k for k in range(-used, used + 1)))
-    ev = Evaluation(value, err, used, "direct")
-    if corr > max(REL_TOL * abs(value), 1e-14 * max(1.0, abs(value))):
-        raise NonConvergence(f"eisenstein_direct(r={r}): correction {corr:.2e} after {used} terms", ev)
-    if corr and used < 3.0 * abs(z):
-        raise NonConvergence(f"eisenstein_direct(r={r}): extrapolated after {used} < 3|z| terms", ev)
-    return ev
+    return Evaluation(value, err, used, "direct")
 
 
 def eisenstein_closed(r: int, z) -> complex:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 
 from .controls import Evaluation
-from .errors import DomainError, NonConvergence, PoleError, doubles_only
+from .errors import DomainError, PoleError, doubles_only
 from .eisenstein import eisenstein_closed, eisenstein_direct
 from .numkern import as_complex, as_order, digamma, dirichlet_eta, eta_odd, polygamma
 from .quadrature import quad_decaying_tail
-from .summation import REL_TOL, alternating_sum, power_series, richardson_limit
+from .summation import alternating_sum, power_series, richardson_limit
 
 IM_AXIS_GUARD = 1e-10  # hard floor; suites keep distance >= 0.05
 
@@ -161,9 +161,9 @@ def he_via_eisenstein(r: int, x: float) -> complex:
 @doubles_only("mathieu(r={r}, x={x}) requires every (k^2 + x^2)^r of its terms to be a double")
 def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     """S_r(x) = sum 2k/(k^2+x^2)^r (r > 1, 2r an integer) by Richardson in 1/N^2 on the
-    endpoint-corrected sums (lead 2r - 2), or the alternating variant (r > 0).  Richardson
-    needs N >> |x|: NonConvergence from |x| of about 335 (r = 1.5), 385 (r = 2), 505 (r = 3)
-    and 650 (r = 4).  DomainError where a term's denominator (k^2+x^2)^r is not a double."""
+    endpoint-corrected sums (lead 2r - 2) from N >= 3|x|, so on |x| <= 11823/3, or the
+    alternating S~_r (r > 0).  NonConvergence also from |x| of about 335 (r = 1.5), 385 (r = 2),
+    505 (r = 3), 650 (r = 4) and 1925 (r = 10).  DomainError where a term is no double."""
     if alternating:
         if r <= 0:
             raise DomainError("alternating Mathieu series requires r > 0")
@@ -175,11 +175,9 @@ def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     x2 = float(x) ** 2
     # 2k/(k^2+x^2)^r = 2 sum_j C(-r, j) x^(2j) k^(1-2r-2j): past N > |x| the tail of the
     # endpoint-corrected sums is N^(2-2r) times a series in 1/N^2 when 2r is an integer
-    value, err, used, corr = richardson_limit(lambda k: 2.0 * k / (k * k + x2) ** r, lead=2 * r - 2)
-    ev = Evaluation(complex(value.real), err, used, "series-richardson")
-    if corr > REL_TOL * abs(value):
-        raise NonConvergence(f"mathieu(r={r}, x={x}): correction {corr:.2e} after {used} terms", ev)
-    return ev
+    value, err, used = richardson_limit(lambda k: 2.0 * k / (k * k + x2) ** r, lead=2 * r - 2,
+                                        start=3.0 * abs(float(x)), floor=0.0)
+    return Evaluation(complex(value.real), err, used, "series-richardson")
 
 
 def mathieu_E(x: float) -> Evaluation:

@@ -37,10 +37,12 @@ def _wrap(value, route: str) -> Evaluation:
     return Evaluation(v, 8e-16 * max(1.0, abs(v)), 0, route)
 
 
-def _he_taylor(r: int, z: complex) -> Evaluation:
-    if r != 1:
-        raise ConfigError("the taylor route computes h_1 only; use r = 1")
-    return he.he_taylor(z)
+def _order_only(order: int, what: str, run: Callable) -> Callable:
+    def only(r, z) -> Evaluation:  # a route that computes one order r only
+        if r != order:
+            raise ConfigError(f"this route computes {what} only; use r = {order}")
+        return run(z)
+    return only
 
 
 def _zeta(s: float) -> Evaluation:
@@ -82,14 +84,15 @@ ROUTES = {
     "he": ("r:int z:complex", {
         "closed": _r(lambda r, z: he.he_closed(r, z), "psi"),
         "direct": _r(lambda r, z: he.he_direct(r, z), "alternating"),
-        "taylor": _r(_he_taylor, "power_series eta"),
+        "taylor": _r(_order_only(1, "h_1", lambda z: he.he_taylor(z)), "power_series eta"),
         "real": _r(lambda r, x: he.he_real(r, x), "psi", "r:int z:real"),  # complex z exits 2
         "eisenstein": _r(lambda r, x: he.he_via_eisenstein(r, x), "cot richardson psi",
                          "r:int z:real")}),
     "lambda": ("r:real", {"via-zeta": _r(lambda r: nk.dirichlet_lambda(r), "zeta")}),
-    "mathieu": ("r:real x:real", {
-        None: _r(lambda r, x: he.mathieu(r, x, False), "richardson"),
-        "alternating": _r(lambda r, x: he.mathieu(r, x, True), "alternating")}),
+    "mathieu": ("r:real x:real", {None: _r(lambda r, x: he.mathieu(r, x, False), "richardson")}),
+    "mathieu_alternating": ("r:real x:real", {
+        "alternating": _r(lambda r, x: he.mathieu(r, x, True), "alternating"),
+        "integral": _r(_order_only(2, "S~_2", lambda x: he.mathieu_E(x)), "quadrature eta")}),
     "mathieu_e": ("x:real", {None: _r(lambda x: he.mathieu_E(x), "quadrature eta")}),
     "moment": ("k:int", {"closed": _r(lambda k: om.omega_moment(k, "closed"), "eta"),
                          "quadrature": _r(lambda k: om.omega_moment(k, "quadrature"), "quadrature"),

@@ -18,7 +18,7 @@ import math
 import os
 import random
 import time
-from itertools import combinations
+from itertools import accumulate, combinations, islice, repeat, takewhile
 from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -35,6 +35,7 @@ from .summation import alternating_sum
 
 LOG2 = math.log(2.0)
 PI = math.pi
+GRID_NODES = 1024  # the most nodes a grid may have, 42 times the default grid's 24
 
 
 class GridSpec(NamedTuple):
@@ -201,15 +202,10 @@ def report_text(suites: list[CheckSuite]) -> str:
 # ---------------------------------------------------------------------------
 # grids
 
-def _axis(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0:
-        raise ConfigError("grid step must be positive")
-    vals = []
-    v = lo
-    while v <= hi + 1e-9:
-        vals.append(v)
-        v += step
-    return vals
+def _axis(lo: float, hi: float, step: float, most: int | None = None) -> list[float]:
+    """lo, lo + step, ... through hi, summed as a running total; at most `most` values."""
+    return list(islice(takewhile(lambda v: v <= hi + 1e-9, accumulate(repeat(step), initial=lo)),
+                       most))
 
 
 def _clamp_strip(x: float, margin: float = 0.05) -> float:
@@ -428,8 +424,8 @@ def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
         rec.check(f"sinh expansion z={_fmt(complex(z))}", s, PI / cmath.sinh(PI * z),
                   1e-12, "abs", "alternating partial fractions of pi/sinh(pi z)")
     for x in (0.5, 1.0, 3.0):
-        rec.check(f"mathieu alternating r=2 x={x}", he.mathieu(2, x, True).value,
-                  he.mathieu_E(x).value, 1e-12, "rel",
+        rec.agree(f"mathieu alternating r=2 x={x}", "mathieu_alternating", "alternating",
+                  "integral", (2, x), 1e-12, "rel",
                   "alternating Mathieu series against its integral form")
         rec.check(f"mathieu r=2 x={x}", he.mathieu(2, x, False).value,
                   -nk.polygamma(1, 1.0 + 1j * x).imag / x, 1e-12, "rel",
@@ -628,10 +624,20 @@ REPORT_ONLY = {"omega.asymptotic", "conjecture.double_sum"}
 
 
 def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
-    """Run the named suites in order, each body recording into its own CheckSuite."""
+    """Run the named suites in order, each body recording into its own CheckSuite; first a
+    ConfigError for an unknown suite, a grid that is not finite, steps by <= 0 or has no
+    node or more than GRID_NODES, and a tolerance override that is no finite number >= 0."""
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    g = cfg.grid
+    if not (all(map(math.isfinite, g)) and g.step > 0 and 1 <= math.prod(
+            len(_axis(lo, hi, g.step, GRID_NODES + 1)) for lo, hi in (g[:2], g[2:4])) <= GRID_NODES):
+        raise ConfigError(f"grid {tuple(g)} needs finite values, a positive step and 1 to "
+                          f"{GRID_NODES} nodes (re_min <= re_max, im_min <= im_max)")
+    for name, tol in cfg.tolerance_overrides.items():
+        if not 0.0 <= tol < math.inf:  # a nan tolerance fails every record
+            raise ConfigError(f"tolerance {tol!r} of suite {name} is not a finite number >= 0")
     results = []
     for name in names:
         suite = CheckSuite(name, cfg.tolerance_overrides.get(name), report_only=name in REPORT_ONLY)

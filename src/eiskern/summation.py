@@ -1,12 +1,12 @@
-"""One engine per kind of series, each with a known error bound, run on a property its
-caller states: Richardson in 1/N^2 with a stated leading exponent, on endpoint-corrected
-partial sums over a fixed ratio-1.5 step schedule, for monotone sums of rational terms;
-CRVZ (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000) as fixed weight tables for
-its two lengths, 32 and 24, from a stated start of the moment sequence for alternating
-sums; summation to the rounding of the sum with a stated geometric tail bound for power
-series.  Reported errors add a rounding floor to the truncation estimate, which decides
-convergence; a Richardson correction within its floor eps*sum|t_k| counts as converged.
-No series runs the epsilon algorithm."""
+"""One engine per kind of series, each with a known error bound, run on properties its
+caller states: Richardson in 1/N^2 with a stated leading exponent, start and absolute floor,
+on endpoint-corrected partial sums over a fixed ratio-1.5 step schedule, for monotone sums
+of rational terms; CRVZ (Cohen-Rodriguez Villegas-Zagier, Exp. Math. 9, 2000) as fixed
+weight tables for its two lengths, 32 and 24, from a stated start of the moment sequence
+for alternating sums; summation to the rounding of the sum with a stated geometric tail
+bound for power series.  Each engine judges its own stop: it returns (value, err_estimate,
+terms), a truncation estimate plus a rounding floor, or raises NonConvergence with its
+last Evaluation as `partial`.  No series runs the epsilon algorithm."""
 from __future__ import annotations
 
 import functools
@@ -18,7 +18,7 @@ from .controls import Evaluation
 from .errors import DomainError, NonConvergence
 
 _EPS = sys.float_info.epsilon
-REL_TOL = 1e-12  # NonConvergence past 128*REL_TOL (alternating sums) or REL_TOL (Richardson callers)
+REL_TOL = 1e-12  # NonConvergence past 128*REL_TOL (alternating sums) or REL_TOL (Richardson)
 _RATIO_STEPS = tuple(round(8 * 1.5 ** j) for j in range(19))  # 8, 12, 18, ..., 11823 <= 16384
 _RATIO_TOL = 3e-13  # stopping at REL_TOL, Richardson on _RATIO_STEPS loses digits
 _POWER_TERMS = 4000  # he_taylor needs 2660 terms at |z| = 0.993
@@ -43,42 +43,47 @@ def _richardson_weights(lead: float) -> tuple[tuple[tuple[float, ...], float], .
     return tuple(rows)
 
 
-def richardson_limit(term: Callable[[int], complex], first: complex = 0.0, *,
-                     lead: float) -> tuple[complex, float, int, float]:
+def richardson_limit(term: Callable[[int], complex], first: complex = 0.0, *, lead: float,
+                     start: float, floor: float) -> tuple[complex, float, int]:
     """Extrapolate S = first + sum_{k>=1} term(k) from partial sums at N in _RATIO_STEPS.
 
-    The caller states the series' leading tail exponent `lead`: the endpoint-corrected
-    partial sum T_N = S_N - t_N/2 misses S by h^lead (c_0 + c_1 h^2 + ...), h = 1/N,
-    when the terms expand in every other power of 1/k (the half last term cancels the
-    odd Euler-Maclaurin corrections).  Row j combines every T_N so far with the weights
-    of _richardson_weights (Romberg's case of Richardson extrapolation; Bulirsch-Stoer
-    1964); each block of terms enters the running sum in one exactly rounded fsum.
-    Stops after the first row j >= 1 whose correction corr = |R_j - R_(j-1)| is at most
-    _RATIO_TOL*|R_j| or within the rounding floor eps*sum|t_k|, which settles sums whose
-    value cancels to about 0.  Returns (value, err_estimate = corr
-    + L_j*((j + 2)*eps*|value| + eps*sum|t_k|), N, corr), where L_j = sum|w| (<= 14.9
-    for lead >= 1) amplifies the rounding of the T_N, each carrying one rounding per
-    block of the running sum and one for the endpoint correction; corr reads 0 once
-    within that floor, and the caller judges convergence from corr.
-    """
-    ns = _RATIO_STEPS
+    The caller states the tail exponent `lead`, the `start` from which it holds and an absolute
+    `floor` below which the value counts as 0.  For N >= start the endpoint-corrected sum
+    T_N = S_N - t_N/2 misses S by h^lead (c_0 + c_1 h^2 + ...), h = 1/N, when the terms expand
+    in every other power of 1/k (the half last term cancels the odd Euler-Maclaurin corrections).
+    Row j combines every T_N so far with the weights of _richardson_weights (Romberg's case;
+    Bulirsch-Stoer 1964); each block of terms enters the running sum in one fsum.  Stops at the
+    first row j >= 1 with N >= start whose corr = |R_j - R_(j-1)| is at most _RATIO_TOL*|R_j|
+    or settles within eps*sum|t_k|.  Returns (value, corr + L_j*((j + 2)*eps*|value|
+    + eps*sum|t_k|), N), L_j = sum|w| (<= 14.9 for lead >= 1) amplifying one rounding of T_N
+    per block and the endpoint's.  NonConvergence (last estimate in `partial`) if no row stops
+    and the last neither settles nor has corr <= max(REL_TOL*|value|, floor): always for
+    start > 11823.  OverflowError where a term or the value is no double."""
     rows = _richardson_weights(lead)
     acc, mass = complex(first), abs(first)  # mass = |first| + sum |t_k|
     ts: list[complex] = []                  # T_N at each step so far
     value = 0.0 + 0.0j
-    for j, n in enumerate(ns):
-        block = [term(k) for k in range(ns[j - 1] + 1 if j else 1, n + 1)]
+    for j, n in enumerate(_RATIO_STEPS):
+        block = [term(k) for k in range(_RATIO_STEPS[j - 1] + 1 if j else 1, n + 1)]
+        mass += sum(map(abs, block))
+        if not math.isfinite(mass):  # before fsum, which raises ValueError on inf - inf
+            raise OverflowError(f"richardson: a term up to k = {n} is not a double")
         acc = complex(math.fsum([acc.real, *(t.real for t in block)]),
                       math.fsum([acc.imag, *(t.imag for t in block)]))
-        mass += sum(map(abs, block))
         ts.append(acc - 0.5 * block[-1])
         weights, amp = rows[j]
         prev, value = value, sum(w * t for w, t in zip(weights, ts))
         corr = abs(value - prev) if j else abs(value)
         settled = corr <= _EPS * mass
-        if j and (settled or corr <= _RATIO_TOL * abs(value)):
+        if j and n >= start and (settled or corr <= _RATIO_TOL * abs(value)):
             break
-    return value, corr + amp * ((j + 2) * _EPS * abs(value) + _EPS * mass), n, 0.0 if settled else corr
+    err = corr + amp * ((j + 2) * _EPS * abs(value) + _EPS * mass)
+    if not math.isfinite(err):  # with finite terms, only where the extrapolate overflowed
+        raise OverflowError("richardson: the extrapolated value is not a double")
+    if n < start or not settled and corr > max(REL_TOL * abs(value), floor):
+        raise NonConvergence(f"richardson: no stop at N >= {start:.6g} in {n} terms, last "
+                             f"correction {corr:.2e}", Evaluation(value, err, n, "richardson"))
+    return value, err, n
 
 
 def _crvz_weights(n: int) -> tuple[tuple[float, ...], float]:

@@ -130,7 +130,7 @@ def test_typed_error_names_the_precondition(fn, args, argv, precondition, capsys
 
 
 @pytest.mark.parametrize("argv, precondition", [
-    (["mathieu", "200", "10.0", "--route", "alternating"], "(k^2 + x^2)^r of its terms to be a double"),
+    (["mathieu_alternating", "200", "10.0"], "(k^2 + x^2)^r of its terms to be a double"),
     (["epsilon", "400", "0.01", "--route", "direct"], "every term (z+k)^(-r) to be a double"),
     (["moment", "600", "--route", "series"], "requires k <= 511"),
     (["bpoly", "400", "0.5"], "C(n,k) B_k x^(n-k) and their sum to be doubles"),
@@ -244,9 +244,28 @@ def test_eval_mathieu_unknown_route_exits_2(capsys):
     rc, out, err = run(["eval", "mathieu", "2", "1", "--route", "bogus"], capsys)
     assert rc == 2 and out == ""
     assert "unknown mathieu route 'bogus'" in err
-    for extra, route in (([], "series-richardson"), (["--route", "alternating"], "series-alternating")):
-        rc, out, _ = run(["eval", "mathieu", "2", "1", *extra, "--json"], capsys)
-        assert rc == 0 and json.loads(out)["route"] == route
+    rc, out, _ = run(["eval", "mathieu", "2", "1", "--json"], capsys)
+    assert rc == 0 and json.loads(out)["route"] == "series-richardson"
+
+
+def test_eval_mathieu_objects_are_two_functions(capsys):
+    # S_2 and the alternating series S~_2 are different functions, so each is its own
+    # object; the alternating one's integral route (mathieu_E) computes r = 2 only
+    rc, out, _ = run(["eval", "mathieu", "2", "1"], capsys)
+    assert rc == 0 and out.startswith("mathieu(2, 1) = 0.79423354275931857  (route=series-richardson")
+    for extra, shown in (([], "0.38171255654242348  (route=series-alternating"),
+                         (["--route", "integral"], "0.381712556542423")):
+        rc, out, _ = run(["eval", "mathieu_alternating", "2", "1", *extra], capsys)
+        assert rc == 0 and out.startswith(f"mathieu_alternating(2, 1) = {shown}"), out
+    rc, out, err = run(["eval", "mathieu_alternating", "3", "1", "--route", "integral"], capsys)
+    assert rc == 2 and out == "" and "S~_2 only; use r = 2" in err
+
+
+def test_eval_direct_raises_where_it_once_printed_a_silent_zero(capsys):
+    # every term up to k of about 290 underflows to 0; past |z| = 11823/3 the direct
+    # route cannot reach N >= 3|z| and exits 2 instead of printing 0 with a zero claim
+    rc, out, err = run(["eval", "epsilon", "--route", "direct", "--", "100", "-5000.5"], capsys)
+    assert rc == 2 and out == "" and "N >= 15001.5" in err
 
 
 @pytest.mark.parametrize("fn", list(ROUTES))
@@ -262,7 +281,8 @@ def test_eval_checks_route_of_every_function(fn, capsys):
     ("he", "he r z [--route closed|direct|taylor|real|eisenstein]"),
     ("omega", "omega z [--route quadrature|digamma|partial-fraction|taylor-moments|taylor-eta"
                "|pv-fold]"),
-    ("mathieu", "mathieu r x [--route alternating]"),
+    ("mathieu", "mathieu r x"),
+    ("mathieu_alternating", "mathieu_alternating r x [--route alternating|integral]"),
     ("conj_half", "conj_half m [--route eta|zeta]"),
     ("pochhammer", "pochhammer rho sigma"),
     ("conjecture", "conjecture j z"),
@@ -309,7 +329,7 @@ def test_eval_edge_grid_keeps_the_exit_code_contract(capsys):
                 elif rc == 2 and out == "":
                     continue
                 failures.append((argv, rc, out))
-    assert count == 908
+    assert count == 958
     assert not failures, failures
     assert not slow, slow
 
@@ -387,6 +407,39 @@ def test_verify_grid_flag(tmp_path, capsys):
     assert rc == 0
     rc, _, err = run(["verify", "--suites", "eisenstein.product", "--grid", "1,2,3"], capsys)
     assert rc == 2
+
+
+def test_verify_grid_with_a_bound_that_is_no_finite_double_exits_2(capsys):
+    # an inf bound made the grid axis append nodes until memory ran out
+    for grid in ("0,inf,0,1,0.4", "0.1,0.9,nan,1.5,0.4", "0.1,0.9,-1.5,1.5,inf"):
+        rc, out, err = run(["verify", "--suites", "eisenstein.routes", "--grid", grid], capsys)
+        assert rc == 2 and out == "" and "needs finite values, a positive step" in err, grid
+
+
+def test_verify_grid_node_count_is_bounded(capsys):
+    # a step of 1e-7 asks for 2.4e14 nodes, and a step below the rounding of a bound never
+    # moves off it; suites.GRID_NODES = 1024 (32 x 32) is the most
+    for grid in ("0.1,0.9,-1.5,1.5,1e-7", "0.1,0.9,-1.5,1.5,0.05", "0,1e308,-1e308,1e308,1e-300",
+                 "0,31,0,32,1", "1e20,1e20,0,1,1"):
+        rc, out, err = run(["verify", "--suites", "eisenstein.routes", "--grid", grid], capsys)
+        assert rc == 2 and out == "" and "1 to 1024 nodes" in err, grid
+    rc, _, _ = run(["verify", "--suites", "bstar.values", "--grid", "0,31,0,31,1"], capsys)
+    assert rc == 0
+
+
+def test_verify_empty_grid_exits_2(capsys):
+    # re_min > re_max built no node: eisenstein.routes passed 0 of 0 records and exited 0
+    for grid in ("0.9,0.1,-1.5,1.5,0.4", "0.1,0.9,1.5,-1.5,0.4"):
+        rc, out, err = run(["verify", "--suites", "eisenstein.routes", "--grid", grid], capsys)
+        assert rc == 2 and out == "" and "1 to 1024 nodes" in err, grid
+
+
+def test_verify_tolerance_that_is_no_finite_nonnegative_number_exits_2(capsys):
+    # a nan tolerance failed all 576 records of eisenstein.routes with exit 1
+    for tol in ("nan", "inf", "-1e-9"):
+        rc, out, err = run(["verify", "--suites", "eisenstein.routes",
+                            "--tol", f"eisenstein.routes={tol}"], capsys)
+        assert rc == 2 and out == "" and "finite number >= 0" in err, tol
 
 
 def test_verify_stdout_json(capsys):

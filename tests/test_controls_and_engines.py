@@ -156,6 +156,20 @@ def test_one_rule_for_values_that_are_not_doubles():
     assert sites == [("numkern.py", "gamma")] * 2
 
 
+def test_only_the_engines_judge_convergence():
+    # each series engine stops on the property its caller states and raises NonConvergence
+    # itself, with its last estimate: a route that judged an engine's result after the
+    # fact could exempt a stop the engine made too early
+    def raised(node: ast.Raise) -> str | None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+
+    sites = sorted({name for name, text in _package_sources().items()
+                    for node in ast.walk(ast.parse(text))
+                    if isinstance(node, ast.Raise) and raised(node) == "NonConvergence"})
+    assert sites == ["summation.py"]
+
+
 def test_one_alternating_engine():
     # every alternating sum states where its moment sequence starts, and no series
     # regains a heuristic accelerator: the epsilon algorithm, whose estimate is no
@@ -222,7 +236,7 @@ def test_direct_nonconvergence_far_from_real_axis():
     with pytest.raises(NonConvergence) as info:
         eisenstein_direct(2, 0.3 + 1000j)
     last = info.value.partial
-    assert isinstance(last, Evaluation) and last.route == "direct"
+    assert isinstance(last, Evaluation) and last.route == "richardson"
     assert last.terms_used == 11823 and last.err_estimate > 1e-14
 
 
@@ -297,8 +311,6 @@ UNCHECKED = {
     ("epsilon", None): "dispatches to the closed and polygamma routes, each checked",
     ("epsilon", "integral-hyperbolic"): "the integral route with the other bracket form",
     ("omega", None): "omega_eval dispatches to the digamma and quadrature routes",
-    ("mathieu", None): "checked only against the polygamma form -Im psi_1(1+ix)/x",
-    ("mathieu", "alternating"): "checked only against mathieu_E, another object",
 }
 
 

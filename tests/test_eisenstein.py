@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from eiskern import (DomainError, PoleError, UnsupportedOrder,
+from eiskern import (DomainError, NonConvergence, PoleError, UnsupportedOrder,
                      eisenstein_closed, eisenstein_direct, eisenstein_integral,
                      eisenstein_polygamma, polygamma, product_identity_residual)
 
@@ -342,3 +342,22 @@ def test_direct_raises_where_a_power_overflows_to_nan():
     # here (z+k)^100 past k of about 11000; the route raises the DomainError it documents
     with pytest.raises(DomainError, match=r"every term \(z\+k\)\^\(-r\) to be a double"):
         eisenstein_direct(100, -3.777286919096399 + 664.7098613310925j)
+
+
+def test_direct_sums_past_early_terms_that_underflow():
+    # at (100, -2000.5) every term up to k of about 290 underflows to 0, so the first rows
+    # settle on 0 after 12 terms; Richardson holds its stop until N >= 3|z| and sums the
+    # real value (the terms at k = 2000 and 2001 give 2 * 0.5^-100 = 2.535e30)
+    ev = eisenstein_direct(100, -2000.5)
+    want = eisenstein_polygamma(100, -2000.5)
+    assert ev.terms_used == 7882 and abs(want) > 2.5e30
+    assert abs(ev.value - want) <= ev.err_estimate
+
+
+def test_direct_domain_ends_at_a_third_of_the_last_step():
+    # the expansion in 1/N^2 holds from N >= 3|z|, and the last step is 11823 terms: every
+    # |z| > 11823/3 raises for every order, the silent zero at (100, -5000.5) included
+    for r, z in ((1, 3941.5 + 0.3j), (2, -3942.5), (5, 0.3 + 3942j), (8, 3942.2),
+                 (12, -3941.3 - 1j), (100, -5000.5)):
+        with pytest.raises(NonConvergence, match=r"N >= "):
+            eisenstein_direct(r, z)

@@ -121,35 +121,85 @@ def test_dirichlet_eta_terms_against_mpmath():
 def test_richardson_limit_stops_at_convergence():
     # the ratio-1.5 schedule runs to 11823 terms; for sum 1/k^2 the 91-term row repeats
     # the 61-term row bit for bit, so the table stops there on its rounding floor
-    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2, lead=1)
-    assert n == 91 and corr <= 3e-13 * abs(v)
+    v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, lead=1, start=1, floor=0.0)
+    assert n == 91 and abs(v - math.pi ** 2 / 6.0) <= err
     # sum k^(-3/2), tail N^(-1/2) (c_0 + c_1/N^2 + ...): the ratio test stops it at 91
-    v, err, n, corr = richardson_limit(lambda k: k ** -1.5, lead=0.5)
-    assert n == 91 and 0.0 < corr <= 3e-13 * abs(v)
-    # a sum that cancels to about 0 stops on its rounding floor, with corr read as 0; its
-    # error is that floor eps*sum|t_k| times the row's noise amplification (<= 14.9)
-    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2, first=-math.pi ** 2 / 6.0, lead=1)
+    zeta32 = 2.6123753486854883  # zeta(3/2) rounded once (mpmath)
+    v, err, n = richardson_limit(lambda k: k ** -1.5, lead=0.5, start=1, floor=0.0)
+    assert n == 91 and abs(v - zeta32) <= err <= 1e-11
+    # a sum that cancels to about 0 stops on its rounding floor; its error is that floor
+    # eps*sum|t_k| times the row's noise amplification (<= 14.9)
+    v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, first=-math.pi ** 2 / 6.0, lead=1,
+                                 start=1, floor=0.0)
     mass = math.pi ** 2 / 3.0
-    assert corr == 0.0 and n < 11823 and abs(v) <= err <= 14.9 * 2.3e-16 * mass
-    # a tail in N^(-1/2) has no expansion in N^-1, N^-3, ...: the whole schedule runs
-    # and the correction it returns is left for the caller to judge
-    v, err, n, corr = richardson_limit(lambda k: k ** -1.5, lead=1)
-    assert n == 11823 and corr > 1e-4
+    assert n < 11823 and abs(v) <= err <= 14.9 * 2.3e-16 * mass
+    # a tail in N^(-1/2) has no expansion in N^-1, N^-3, ...: the whole schedule runs and
+    # the engine itself raises, with its last estimate as the partial
+    with pytest.raises(NonConvergence) as info:
+        richardson_limit(lambda k: k ** -1.5, lead=1, start=1, floor=0.0)
+    last = info.value.partial
+    assert last.route == "richardson" and last.terms_used == 11823 and last.err_estimate > 1e-4
+
+
+def test_richardson_limit_never_stops_before_start():
+    # the expansion is stated to hold from N >= start only: neither a converged row nor a
+    # settled one (the sum cancelling to 0) ends the table before it
+    for start, want in ((0, 91), (91, 91), (91.5, 137), (1000, 1038), (11823, 11823)):
+        v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, lead=1, start=start, floor=0.0)
+        assert n == want and abs(v - math.pi ** 2 / 6.0) <= err, start
+        v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, first=-math.pi ** 2 / 6.0, lead=1,
+                                     start=start, floor=0.0)
+        assert n == want and abs(v) <= err <= 1e-13, start
+
+
+def test_richardson_limit_raises_when_start_lies_past_the_schedule():
+    # 11823 is the last step, so a start past it can never be met: the value so far is
+    # right, but the engine cannot vouch for it
+    with pytest.raises(NonConvergence, match="N >= 11824") as info:
+        richardson_limit(lambda k: 1.0 / k ** 2, lead=1, start=11824, floor=0.0)
+    last = info.value.partial
+    assert last.route == "richardson" and last.terms_used == 11823
+    assert abs(last.value - math.pi ** 2 / 6.0) <= last.err_estimate
+
+
+def test_richardson_limit_floor_counts_a_small_value_as_zero():
+    # with the wrong lead the last correction of 1e-12 k^(-3/2) is about 1e-15: far above
+    # REL_TOL*|value|, but below an absolute floor of 1e-14 the caller states, so the
+    # value is accepted as correct to that floor
+    term = lambda k: 1e-12 * k ** -1.5
+    v, err, n = richardson_limit(term, lead=1, start=1, floor=1e-14)
+    assert n == 11823 and abs(v - 2.6123753486854883e-12) <= 1e-14
+    with pytest.raises(NonConvergence):
+        richardson_limit(term, lead=1, start=1, floor=0.0)
+
+
+def test_richardson_limit_raises_overflow_for_a_term_that_is_no_double():
+    # a nan term would pass every convergence test and leave as NonConvergence with a nan
+    # partial; inf and -inf in one block would make fsum raise ValueError
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf), (math.inf, -math.inf)):
+        pair = bad if isinstance(bad, tuple) else (1.0 / 49 ** 2, bad)
+        term = lambda k: pair[k - 49] if k in (49, 50) else 1.0 / k ** 2
+        with pytest.raises(OverflowError, match="k = 61"):
+            richardson_limit(term, lead=1, start=1, floor=0.0)
+    # finite terms whose magnitudes overflow together, and an extrapolate that overflows
+    with pytest.raises(OverflowError, match="k = 8"):
+        richardson_limit(lambda k: 1e308, lead=1, start=1, floor=0.0)
+    with pytest.raises(OverflowError, match="extrapolated value"):
+        richardson_limit(lambda k: 1.0 / k ** 2, first=1.7e308, lead=1, start=1, floor=0.0)
 
 
 def test_richardson_limit_basel():
     # sum 1/k^2 with tail ~ 1/N: Richardson recovers pi^2/6 from few terms
-    v, err, n, corr = richardson_limit(lambda k: 1.0 / k ** 2, lead=1)
+    v, err, n = richardson_limit(lambda k: 1.0 / k ** 2, lead=1, start=1, floor=0.0)
     assert v.real == pytest.approx(math.pi ** 2 / 6.0, abs=1e-14)
     assert abs(v.real - math.pi ** 2 / 6.0) <= err < 1e-12
-    assert 0.0 <= corr < err  # err adds the amplified rounding floors to the last correction
 
 
 def test_richardson_limit_zeta4_with_known_exponents():
     # sum k^-4: T_N = S_N - N^-4/2 misses zeta(4) by N^-3 (1/3 + c_1/N^2 + ...); at
     # 61 terms the table is exact to the last bit (the 1/N table took 205 terms)
     zeta4 = 1.0823232337111381  # zeta(4) = pi^4/90 rounded once (mpmath)
-    v, err, n, corr = richardson_limit(lambda k: k ** -4.0, lead=3)
+    v, err, n = richardson_limit(lambda k: k ** -4.0, lead=3, start=1, floor=0.0)
     assert n <= 61 and abs(v.real - zeta4) <= 2e-16 * zeta4 and abs(v.real - zeta4) <= err
 
 
@@ -183,9 +233,9 @@ def test_richardson_lead_matches_the_tail_at_every_call_site(monkeypatch):
     assert callers == {"eisenstein", "hilbert_eisenstein"}  # a new call site needs a case here
     seen = {}
     for module in (eis, he):
-        def spy(term, first=0.0, *, lead, real=module.richardson_limit):
+        def spy(term, first=0.0, *, lead, real=module.richardson_limit, **stated):
             seen.update(term=term, first=first, lead=lead)
-            return real(term, first, lead=lead)
+            return real(term, first, lead=lead, **stated)
         monkeypatch.setattr(module, "richardson_limit", spy)
 
     def slope(exact):
