@@ -3,8 +3,7 @@ function and conjugate Bernoulli numbers, each computable by at least two
 independent representations, plus a verification CLI that machine-checks
 the identities, bounds and conjectures relating them."""
 
-from .controls import Evaluation
-from .errors import (ConfigError, DomainError, EiskernError, NonConvergence,
+from .errors import (ConfigError, DomainError, EiskernError, Evaluation, NonConvergence,
                      PoleError, QuadratureFailure, StepError, UnsupportedOrder)
 from .numkern import (EULER_GAMMA, PI, bernoulli_number, bernoulli_poly,
                       digamma, digamma_realpart_integral, dirichlet_eta,

@@ -5,9 +5,10 @@ report (one object per suite) to stdout or --out; any failing record in a
 non-report-only suite forces exit code 1 and configuration problems exit 2.
 eval computes a named function at given points by the route --route names, read
 from the table in eiskern.routes (by default its first route; an unknown route exits
-2); `--` may stand anywhere before arguments that start with `-`.  table and
-plotdata emit CSV with 17 significant digits.  Suites run one after another in
-the given order; setting SOURCE_DATE_EPOCH zeroes wall_time_ms so identical
+2), and labels the value with that name (a default without one keeps the label of the
+function it dispatches to); `--` may stand anywhere before arguments that start with `-`.
+table and plotdata emit CSV with 17 significant digits.  Suites run one after another
+in the given order; setting SOURCE_DATE_EPOCH zeroes wall_time_ms so identical
 configurations produce byte-identical reports.
 """
 from __future__ import annotations
@@ -18,8 +19,7 @@ import sys
 from . import conj_bernoulli as cb
 from . import numkern as nk
 from . import omega as om
-from .controls import Evaluation
-from .errors import ConfigError, EiskernError
+from .errors import ConfigError, EiskernError, Evaluation
 from .routes import ROUTES, _wrap
 
 
@@ -126,6 +126,8 @@ def cmd_eval(ns) -> int:
         return 0
     if not isinstance(ev, Evaluation):
         ev = _wrap(ev, route or "default")
+    elif route is not None:  # the table's name, as in --route and the verify report
+        ev = ev._replace(route=route)
     v = ev.value
     if ns.json:
         _print_json({"fn": ns.fn, "args": ns.args, "value": {"re": v.real, "im": v.imag},

@@ -129,10 +129,6 @@ def conj_bernoulli_genfun(z) -> complex:
     z = as_complex(z)
     if abs(z) >= _TWO_PI:
         raise DomainError("generating function branch requires |z| < 2*pi")
-    for k in range(1, 5):
-        for sgn in (1.0, -1.0):
-            if abs(z - sgn * k * (1.0 + 1.0j)) < 1e-10:
-                raise DomainError("argument on the excluded lattice (1+i)Z")
     if z.imag == 0.0 or abs(z) < 0.1:
         return 0.5j * z / PI * he_closed(1, z / _TWO_PI)
     return (-(z / PI) * (_LOG2 + digamma(1.0 + 1j * z / (4.0 * PI))

@@ -13,8 +13,7 @@ import cmath
 import math
 import sys
 
-from .controls import Evaluation
-from .errors import DomainError, PoleError, UnsupportedOrder, doubles_only
+from .errors import DomainError, Evaluation, PoleError, UnsupportedOrder, doubles_only
 from .numkern import PI, as_complex, as_order, cot, csc2, digamma, polygamma
 from .quadrature import quad_decaying_tail
 from .summation import richardson_limit

@@ -1,9 +1,28 @@
-"""Exception types shared by every evaluator in the package, and the one rule for
-values that are not doubles."""
+"""The result record and the exception types shared by every evaluator in the package,
+and the one rule for values that are not doubles.
+
+Complex arguments and results are plain Python ``complex`` throughout the
+package; only finite values are admitted into any operation's domain.
+"""
 import cmath
 import functools
+from typing import NamedTuple
 
-from .controls import Evaluation
+
+class Evaluation(NamedTuple):
+    """The common result of every series, quadrature and closed-form route: a value
+    plus an a posteriori error estimate, the terms or panels it took and its route.
+
+    err_estimate is, for the series engines, the last-term (or last
+    extrapolation correction) estimate plus a rounding floor; for quadrature
+    the accumulated |K21 - G10| of the accepted panels plus the rounding floor
+    eps*|half-width|*sum w_K|f| of each.
+    """
+
+    value: complex
+    err_estimate: float
+    terms_used: int
+    route: str
 
 
 class EiskernError(Exception):

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .controls import Evaluation
-from .errors import DomainError, PoleError, doubles_only
+from .errors import DomainError, Evaluation, PoleError, doubles_only
 from .eisenstein import eisenstein_closed, eisenstein_direct
 from .numkern import as_complex, as_order, digamma, dirichlet_eta, eta_odd, polygamma
 from .quadrature import quad_decaying_tail

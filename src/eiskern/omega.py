@@ -18,8 +18,7 @@ import functools
 import math
 import sys
 
-from .controls import Evaluation
-from .errors import DomainError, StepError, doubles_only
+from .errors import DomainError, Evaluation, StepError, doubles_only
 from .hilbert_eisenstein import _h1_brace, he_direct, mathieu_E
 from .numkern import PI, as_complex, bernoulli_number, coth, eta_odd, riemann_zeta
 from .quadrature import adaptive_quad

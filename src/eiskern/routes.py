@@ -18,8 +18,7 @@ from . import eisenstein as eis
 from . import hilbert_eisenstein as he
 from . import numkern as nk
 from . import omega as om
-from .controls import Evaluation
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, Evaluation
 
 
 class Route(NamedTuple):

@@ -28,8 +28,7 @@ from . import eisenstein as eis
 from . import hilbert_eisenstein as he
 from . import numkern as nk
 from . import omega as om
-from .controls import Evaluation
-from .errors import ConfigError
+from .errors import ConfigError, EiskernError, Evaluation
 from .routes import ROUTES
 from .summation import alternating_sum
 
@@ -119,7 +118,11 @@ class CheckSuite:
         """The value of one table route at args, computed once per suite."""
         key = (obj, route, args)
         if key not in self._values:
-            v = ROUTES[obj][1][route].run(*args)
+            try:
+                v = ROUTES[obj][1][route].run(*args)
+            except EiskernError as exc:  # the same class, its message naming the call
+                exc.args = (f"{obj} route {route} at {args}: {exc}",)
+                raise
             self._values[key] = v.value if isinstance(v, Evaluation) else v
         return self._values[key]
 
@@ -294,9 +297,10 @@ def run_numkern_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
         rec.check(f"fd r={r} z={_fmt(z)}", fd, nk.polygamma(r, z), 1e-5, "rel",
                   "polygamma as derivative of the previous order")
 
+    # zeta as the Euler-Maclaurin sum of the polylog at x = 0: riemann_zeta divides eta
     for s in (1.5, 2.0, 3.0, 4.5):
         rec.check(f"eta/zeta s={s}", nk.dirichlet_eta(s),
-                  -math.expm1((1 - s) * LOG2) * nk.riemann_zeta(s), 1e-12, "rel",
+                  -math.expm1((1 - s) * LOG2) * cb.periodic_polylog(s, 0.0).real, 1e-12, "rel",
                   "eta(s) = (1 - 2^(1-s)) zeta(s)")
 
     # dirichlet_eta, not riemann_zeta: zeta at even integers is computed from B_2m
@@ -308,12 +312,10 @@ def run_numkern_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
                   via_eta, 1e-12, "rel",
                   "B_2m = (-1)^(m+1) 2 (2m)! zeta(2m)/(2 pi)^(2m), zeta(2m) from eta(2m)")
 
-    for z, variant in ((0.5, "plain"), (0.5, "alternating"), (0.3, "plain"),
-                       (-0.4, "alternating")):
-        ev = nk.zeta_odd_series(z, variant)
-        rec.check(f"odd-zeta series {variant} z={z}", ev.diagnostics["series_value"],
-                  ev.value, 1e-10, "abs_or_rel",
-                  "odd zeta power series against its digamma closed form")
+    for z in (complex(0.5), 0.5j, complex(0.3), complex(0.0, -0.4)):
+        rec.check(f"odd-zeta series z={_fmt(z)}", nk.zeta_odd_series(z).value,
+                  -0.5 * (nk.digamma(1.0 + z) + nk.digamma(1.0 - z)) - nk.EULER_GAMMA,
+                  1e-10, "abs_or_rel", "odd zeta power series against its digamma closed form")
 
     for t, want in ((0.0, -nk.EULER_GAMMA), (PI, nk.digamma(1 + 0.5j).real),
                     (2 * PI, nk.digamma(1 + 1j).real)):
@@ -351,10 +353,10 @@ def run_eisenstein_properties(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 
 def run_eisenstein_product(rec: CheckSuite, cfg: SuiteConfig) -> None:
+    # eps_3 by polygamma: the closed eps_3, pi^3 cot csc^2, is the arithmetic of eps_1 * eps_2
     for z in strip_grid(cfg):
-        res = eis.product_identity_residual(1, z)
-        rec.check(f"r=1 z={_fmt(z)}", res + eis.eisenstein_closed(3, z),
-                  eis.eisenstein_closed(3, z), 1e-9, "rel",
+        rec.check(f"r=1 z={_fmt(z)}", eis.eisenstein_closed(1, z) * eis.eisenstein_closed(2, z),
+                  eis.eisenstein_polygamma(3, z), 1e-9, "rel",
                   "product identity eps_3 = eps_1 * eps_2")
     res = eis.product_identity_residual(2, 0.5)
     rec.check("r=2 z=0.5 exact value", res, PI ** 4 / 3.0, 1e-10, "rel",
@@ -390,8 +392,8 @@ def run_he_higher(rec: CheckSuite, cfg: SuiteConfig) -> None:
             rec.check(f"difference r={r} z={_fmt(z)}", lhs, rhs, 1e-9, "abs_or_rel",
                       "HE difference equation h_r(z) + h_r(z+i)")
             rec.check(f"symmetry r={r} z={_fmt(z)}", he.he_closed(r, -z),
-                      (-1.0) ** (r + 1) * he.he_closed(r, z), 1e-10, "abs_or_rel",
-                      "HE symmetry h_r(-z) = (-1)^(r+1) h_r(z)")
+                      (-1.0) ** (r + 1) * rec.value("he", "direct", (r, z)), 1e-10,
+                      "abs_or_rel", "HE symmetry h_r(-z) = (-1)^(r+1) h_r(z)")
     h = 1e-5
     for z in pts[:5]:
         for r in (1, 2, 3):
@@ -536,9 +538,10 @@ def run_conj_roundtrips(rec: CheckSuite, cfg: SuiteConfig) -> None:
         eta_route = nk.dirichlet_eta(float(2 * m)) / -math.expm1((1 - 2 * m) * LOG2)
         rec.check(f"even zeta m={m}", cb.zeta_even_euler(m), eta_route, 1e-12, "rel",
                   "Euler even-zeta closed form vs the alternating series")
+    # zeta_odd_via_conj reads eta(2m+1), as riemann_zeta does: zeta here is the polylog sum
     for m in (1, 2, 3, 4):
         rec.check(f"odd zeta m={m}", cb.zeta_odd_via_conj(m),
-                  nk.riemann_zeta(float(2 * m + 1)), 1e-12, "rel",
+                  cb.periodic_polylog(2 * m + 1, 0.0).real, 1e-12, "rel",
                   "odd zeta recovered from conjugate Bernoulli numbers")
     for a in (1.5, 2.5, 3.2):
         b = cb.fractional_bernoulli(a, 0.0)
@@ -563,7 +566,8 @@ def run_conj_genfun(rec: CheckSuite, cfg: SuiteConfig) -> None:
     pts = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1 + 0.5j, -0.7 + 1.2j]
     for z in pts:
         z = complex(z)
-        o = -(z / (2.0 * cmath.sinh(z / 2.0))) * om.omega_digamma(z)
+        # Omega by partial fractions: at real z the closed branch is omega_digamma's brace
+        o = -(z / (2.0 * cmath.sinh(z / 2.0))) * om.omega_partial_fraction(z).value
         tag = _fmt(z)
         rec.agree(f"closed/series z={tag}", "genfun", "closed", "series", (z,), 1e-8, "abs",
                   "generating-function closed branch vs coefficient series")
@@ -626,7 +630,9 @@ REPORT_ONLY = {"omega.asymptotic", "conjecture.double_sum"}
 def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
     """Run the named suites in order, each body recording into its own CheckSuite; first a
     ConfigError for an unknown suite, a grid that is not finite, steps by <= 0 or has no
-    node or more than GRID_NODES, and a tolerance override that is no finite number >= 0."""
+    node or more than GRID_NODES, and a tolerance override that is no finite number >= 0.
+    An EiskernError from a suite keeps its class; its message gains the suite's name, and
+    the object, route and arguments where it came through CheckSuite.value."""
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
@@ -642,7 +648,11 @@ def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
     for name in names:
         suite = CheckSuite(name, cfg.tolerance_overrides.get(name), report_only=name in REPORT_ONLY)
         started = time.perf_counter()
-        SUITES[name](suite, cfg)
+        try:
+            SUITES[name](suite, cfg)
+        except EiskernError as exc:
+            exc.args = (f"suite {name}: {exc}",)
+            raise
         if os.environ.get("SOURCE_DATE_EPOCH") is None:  # set: byte-identical reports
             suite.wall_time_ms = (time.perf_counter() - started) * 1000.0
         suite.pass_count = sum(r.passed for r in suite.records)

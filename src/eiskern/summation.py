@@ -14,8 +14,7 @@ import math
 import sys
 from typing import Callable, Sequence
 
-from .controls import Evaluation
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, Evaluation, NonConvergence
 
 _EPS = sys.float_info.epsilon
 REL_TOL = 1e-12  # NonConvergence past 128*REL_TOL (alternating sums) or REL_TOL (Richardson)

@@ -213,8 +213,11 @@ def test_genfun_complex_branch():
 def test_genfun_domain_guards():
     with pytest.raises(DomainError):
         conj_bernoulli_genfun(7.0)
-    with pytest.raises(DomainError):
-        conj_bernoulli_genfun(1 + 1j)
+    # G is analytic at k(1+i), on the disc for |k| <= 4: the closed branch meets the series
+    for k in (1, 2, 3, 4, -1, -2, -3, -4):
+        for dz in (0.0, 1e-8, 1e-8j):
+            z = k * (1 + 1j) + dz
+            assert abs(conj_bernoulli_genfun(z) - conj_genfun_series(z)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,16 @@ import ast
 import json
 import math
 import re
+import sys
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from eiskern import eisenstein as eis
+from eiskern import hilbert_eisenstein as he
+from eiskern import numkern as nk
+from eiskern import omega as om
 from eiskern import (Evaluation, NonConvergence, PoleError, QuadratureFailure,
                      eisenstein_direct, eisenstein_integral, mathieu_E,
                      omega_pv_hilbert, omega_quadrature)
@@ -20,9 +25,11 @@ from eiskern.routes import ROUTES
 from eiskern.suites import REPORT_ONLY, CheckSuite, SuiteConfig, report_text, run_suites
 
 
-def test_evaluation_diagnostics_default():
-    ev = Evaluation(1 + 0j, 0.0, 3, "test")
-    assert ev.diagnostics == {}
+def test_evaluation_has_four_fields():
+    import eiskern.errors
+    assert Evaluation is eiskern.errors.Evaluation
+    assert Evaluation._fields == ("value", "err_estimate", "terms_used", "route")
+    assert Evaluation(1 + 0j, 0.0, 3, "test").route == "test"
 
 
 def test_gauss_kronrod_rule():
@@ -298,6 +305,52 @@ def test_no_gating_family_holds_by_construction(all_suites):
     exact = sorted(f for f, discs in families.items()
                    if len(discs) >= 3 and all(d == 0.0 for d in discs))
     assert exact == []
+
+
+# Families whose two sides once ran one kernel: the records that did, that kernel's
+# bindings, and a scale factor 1 + delta for it that moves one side past the tolerance.
+# A family that holds on only some inputs escapes the guard above.
+_SHARED_KERNEL_FAMILIES = {
+    "product r=1": ("eisenstein.product", r"r=1 ", [(eis, "cot"), (eis, "csc2")], 1e-9),
+    "eta/zeta": ("numkern.identities", r"eta/zeta s=(1\.5|3\.0|4\.5)$",
+                 [(nk, "dirichlet_eta")], 1e-9),
+    "odd zeta": ("conj.roundtrips", r"odd zeta ", [(nk, "dirichlet_eta")], 1e-9),
+    "he symmetry": ("he.higher", r"symmetry ", [(he, "digamma"), (he, "polygamma")], 1e-9),
+    # |G| < 1 at these points, against 1e-8 absolute
+    "genfun closed/omega": ("conj.genfun", r"closed/omega z=[-\d.]+$",
+                            [(he, "_h1_brace"), (om, "_h1_brace")], 1e-7),
+}
+
+
+def _clear_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eiskern."):
+            for f in vars(module).values():
+                if callable(getattr(f, "cache_clear", None)):
+                    f.cache_clear()
+
+
+@pytest.mark.parametrize("suite, family, kernels, delta", _SHARED_KERNEL_FAMILIES.values(),
+                         ids=list(_SHARED_KERNEL_FAMILIES))
+def test_a_family_fails_when_the_kernel_its_sides_shared_moves(suite, family, kernels, delta,
+                                                               monkeypatch):
+    # two sides that both ran the scaled kernel would move together and pass
+    def scaled(f):  # _h1_brace returns the brace and its rounding bound
+        def g(*args):
+            v = f(*args)
+            return (v[0] * (1 + delta), v[1]) if isinstance(v, tuple) else v * (1 + delta)
+        return g
+
+    for module, name in kernels:
+        monkeypatch.setattr(module, name, scaled(getattr(module, name)))
+    _clear_caches()
+    try:
+        records = run_suites(SuiteConfig(), [suite])[0].records
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    chosen = [r for r in records if re.match(family, r.inputs)]
+    assert chosen and not all(r.passed for r in chosen)
 
 
 # Route pairs that a gating agreement record compares although both run the engine

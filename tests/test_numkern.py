@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from eiskern import (EULER_GAMMA, DomainError, PoleError, bernoulli_number,
+from eiskern import (EULER_GAMMA, DomainError, NonConvergence, PoleError, bernoulli_number,
                      bernoulli_poly, digamma, digamma_realpart_integral,
                      dirichlet_eta, dirichlet_lambda, gamma, pochhammer,
                      polygamma, riemann_zeta, zeta_odd_series)
@@ -375,47 +375,42 @@ def test_pochhammer_exact_zero():
 # odd-zeta series
 
 def test_zeta_odd_series_at_zero():
-    ev = zeta_odd_series(0.0, "plain")
-    assert abs(ev.value) < 1e-14
-    assert abs(ev.diagnostics["series_value"]) == 0.0
+    ev = zeta_odd_series(0.0)
+    assert ev.value == 0 and ev.err_estimate == 0 and ev.route == "series"
 
 
 def test_zeta_odd_series_plain_value():
     # truncated series oracle: sum_k zeta(2k+1) (1/2)^(2k), k <= 40
     series = sum(zeta_oracle(2.0 * k + 1.0) * 0.25 ** k for k in range(1, 41))
-    ev = zeta_odd_series(0.5, "plain")
+    ev = zeta_odd_series(0.5)
     assert ev.value.real == pytest.approx(series, rel=1e-11)
-    assert ev.value.real == pytest.approx(2 * LOG2 - 1.0, rel=1e-13)
-    assert ev.diagnostics["pair_discrepancy"] < 1e-11
+    # the digamma form -[psi(3/2) + psi(1/2)]/2 - gamma = 2 log 2 - 1
+    assert abs(ev.value - (2 * LOG2 - 1.0)) <= ev.err_estimate < 1e-14
 
 
 def test_zeta_odd_series_alternating_value():
-    # truncated series oracle: sum_k (-1)^(k-1) zeta(2k+1) (1/2)^(2k), k <= 40
-    series = sum((-1) ** (k - 1) * zeta_oracle(2.0 * k + 1.0) * 0.25 ** k for k in range(1, 41))
-    ev = zeta_odd_series(0.5, "alternating")
+    # at iz the series alternates: sum_k (-1)^k zeta(2k+1) (1/2)^(2k), k <= 40
+    series = sum((-1) ** k * zeta_oracle(2.0 * k + 1.0) * 0.25 ** k for k in range(1, 41))
+    ev = zeta_odd_series(0.5j)
     assert ev.value.real == pytest.approx(series, rel=1e-11)
-    assert ev.value.real == pytest.approx(0.24832930767207, abs=1e-12)
-    assert ev.diagnostics["pair_discrepancy"] < 1e-11
-    # off the real axis both digamma terms are taken
-    ev = zeta_odd_series(0.3 + 0.2j, "alternating")
-    assert abs(ev.value - ev.diagnostics["series_value"]) < 1e-13
-
-
-def test_zeta_odd_series_alternating_calls_digamma_once_at_real_z(monkeypatch):
-    # at real z psi(1-iz) is the conjugate of psi(1+iz): one call gives the real part
-    calls = []
-    digamma_ = nk.digamma
-    monkeypatch.setattr(nk, "digamma", lambda z: calls.append(z) or digamma_(z))
-    ev = zeta_odd_series(0.5, "alternating")
-    assert calls == [1 + 0.5j]
-    assert ev.value == complex(EULER_GAMMA + digamma_(1 + 0.5j).real)
+    assert ev.value == pytest.approx(-0.24832930767207, abs=1e-12)
+    # off both axes, against the digamma form from the oracle
+    z = 0.3 + 0.2j
+    ev = zeta_odd_series(z)
+    closed = -0.5 * (digamma_oracle(1 + z) + digamma_oracle(1 - z)) - EULER_GAMMA
+    assert abs(ev.value - closed) < 1e-13
 
 
 def test_zeta_odd_series_domain():
-    with pytest.raises(DomainError):
-        zeta_odd_series(1.2, "plain")
-    with pytest.raises(DomainError):
-        zeta_odd_series(0.5, "real_part")
+    for z in (1.2, 1.0, -1j):
+        with pytest.raises(DomainError):
+            zeta_odd_series(z)
+    # 4000 terms reach the rounding of the sum up to |z| of about 0.9961 on the real axis
+    ev = zeta_odd_series(0.996)
+    closed = -0.5 * (digamma(1.996) + digamma(0.004)) - EULER_GAMMA
+    assert ev.terms_used <= 4000 and abs(ev.value - closed) <= ev.err_estimate
+    with pytest.raises(NonConvergence):
+        zeta_odd_series(0.997)
 
 
 # ---------------------------------------------------------------------------
