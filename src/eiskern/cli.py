@@ -17,7 +17,6 @@ import argparse
 import sys
 
 from . import conj_bernoulli as cb
-from . import numkern as nk
 from . import omega as om
 from .errors import ConfigError, EiskernError, Evaluation
 from .routes import ROUTES, _wrap
@@ -216,7 +215,7 @@ def cmd_table(ns) -> int:
     elif ns.name == "zeta_roundtrip":
         rows = [["argument", "via_conjugate", "series_oracle", "abs_disc"]]
         for m in (1, 2, 3):
-            a, b = cb.zeta_odd_via_conj(m), nk.riemann_zeta(float(2 * m + 1))
+            a, b = cb.zeta_odd_via_conj(m), cb.periodic_polylog(2 * m + 1, 0.0).real
             rows.append([2 * m + 1, a, b, abs(a - b)])
     else:  # bstar
         rows = [["alpha", "bstar"]] + [[a, cb.ramanujan_bstar(a)] for a in (2.0, 3.0, 4.0, 5.0)]

@@ -52,8 +52,10 @@ def periodic_polylog(s: float, x: float) -> complex:
     breakpoint 50; on [1, oo) quad_decaying_tail under the majorant t^(s-1)/(Gamma(s)(e^t - 1)).
     Past s = 64 the first term (w, or 1 on the integers) is the sum to within 2^(1-s), below
     its rounding; there the Euler-Maclaurin tail would also multiply an overflowed (s)_(2j-1)
-    by an underflowed power of 40 into nan.
+    by an underflowed power of 40 into nan.  DomainError unless s and x are finite.
     """
+    if not (math.isfinite(s) and math.isfinite(x)):
+        raise DomainError(f"polylog requires finite s and x, got s = {s}, x = {x}")
     d = x - round(x)  # exact signed distance to the nearest integer
     if abs(d) < 1e-12:
         if s <= 1.0:
@@ -153,7 +155,7 @@ def conj_genfun_series(z) -> complex:
 # zeta representations
 
 def zeta_odd_via_conj(m: int) -> float:
-    """zeta(2m+1) = (-1)^m 2^(2m) pi^(2m+1) B~_(2m+1)(1) / (2m+1)!.
+    """zeta(2m+1) = (-1)^m B~_(2m+1)(1) / (2 (2m+1)! (2 pi)^(-2m-1)), one quotient at every m.
 
     B~_(2m+1)(1) is recovered from the half-point value through B~_(2m+1)(1/2) =
     (2^(-2m) - 1) B~_(2m+1)(1), so DomainError from m = 130 on, where that is no double.
@@ -161,10 +163,7 @@ def zeta_odd_via_conj(m: int) -> float:
     if m < 1:
         raise DomainError("odd-zeta representation needs m >= 1")
     b_one = conj_bernoulli_half(m) / (2.0 ** (-2 * m) - 1.0)
-    if 2 * m + 1 > _DIRECT_ORDER:  # the prefactor of conj_bernoulli_half, as a double
-        return (-1.0) ** m * b_one / _prefactor(1.0, 2 * m + 1)
-    return ((-1.0) ** m * 2.0 ** (2 * m) * PI ** (2 * m + 1)
-            * b_one / math.factorial(2 * m + 1))
+    return (-1.0) ** m * b_one / _prefactor(1.0, 2 * m + 1)
 
 
 def zeta_even_euler(m: int) -> float:
@@ -188,8 +187,8 @@ def fractional_bernoulli(alpha: float, x: float) -> float:
 
 def ramanujan_bstar(alpha: float) -> float:
     """Sign-free fractional Bernoulli number B*_alpha = 2 Gamma(alpha+1) zeta(alpha) / (2 pi)^alpha."""
-    if alpha <= 1:
-        raise DomainError("ramanujan_bstar requires alpha > 1")
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"ramanujan_bstar requires alpha > 1 and finite, got {alpha}")
     return _prefactor(riemann_zeta(alpha), alpha)
 
 
@@ -215,7 +214,7 @@ def conjecture_double_sum(j: int, z: float) -> ConjectureCheck:
     if not 0 <= j <= 84:
         raise DomainError(f"conjecture checks require 0 <= j <= 84, where (2j+1)! is a double; got {j}")
     if not (0.0 < z < 1.0):
-        raise DomainError("conjecture checks run on 0 < z < 1")
+        raise DomainError(f"conjecture checks run on finite z with 0 < z < 1, got {z}")
     total = 0.0
     for k in range(j + 1):
         inner = PI * 4.0 ** k * _taylor_coefficient(k)  # Omega's z^(2k+1) coefficient = inner/(pi 4^k)

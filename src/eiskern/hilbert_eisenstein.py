@@ -41,13 +41,12 @@ def he_direct(r: int, z) -> Evaluation:
     r = 1 reduces the symmetric sum to 2i sum_k (-1)^(k-1) k/(z^2+k^2);
     r >= 2 sums the normally convergent pairs (-1)^k [(z+ik)^(-r) - (z-ik)^(-r)].
     Both go through alternating_sum from k > |Im z| on (moment sequences): |Im z| < 4096.
+    The origin takes the same series: h_1(0) = 2i log 2 to the last bit, from 32 terms.
     DomainError where z^2 (r = 1) or a power (z +- ik)^r of a term is not a double.
     """
     r = as_order(r)
     z = as_complex(z)
     _guard_imaginary_integers(z)
-    if z == 0 and r == 1:
-        return Evaluation(_TWO_I_LOG2, 0.0, 0, "direct")
     start = math.floor(abs(z.imag)) + 1
     if r == 1:
         z2 = z * z
@@ -108,11 +107,10 @@ def he_real(r: int, x: float) -> complex:
       r = 1:       2i log 2 + 2i Re{psi(1+ix/2) - psi(1+ix)}
       r >= 3 odd:  2i (-1)^((r-1)/2)/(r-1)! Re{2^(1-r) psi_(r-1)(1+ix/2) - psi_(r-1)(1+ix)}
       r even:      2i (-1)^(r/2-1)/(r-1)!  Im{2^(1-r) psi_(r-1)(1+ix/2) - psi_(r-1)(1+ix)}
-    and the result is purely imaginary by construction.
+    and the result is purely imaginary by construction; no pole lies on the real axis.
     """
     r = as_order(r)
     x = float(x)
-    _guard_imaginary_integers(complex(x))
     if r == 1:
         inner = digamma(1.0 + 0.5j * x) - digamma(1.0 + 1j * x)
         return _TWO_I_LOG2 + 2j * inner.real
@@ -162,7 +160,9 @@ def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     """S_r(x) = sum 2k/(k^2+x^2)^r (r > 1, 2r an integer) by Richardson in 1/N^2 on the
     endpoint-corrected sums (lead 2r - 2) from N >= 3|x|, so on |x| <= 11823/3, or the
     alternating S~_r (r > 0).  NonConvergence also from |x| of about 335 (r = 1.5), 385 (r = 2),
-    505 (r = 3), 650 (r = 4) and 1925 (r = 10).  DomainError where a term is no double."""
+    505 (r = 3), 650 (r = 4) and 1925 (r = 10).  DomainError where r, x or a term is no double."""
+    if not (math.isfinite(r) and math.isfinite(x)):
+        raise DomainError(f"Mathieu series requires finite r and x, got r = {r}, x = {x}")
     if alternating:
         if r <= 0:
             raise DomainError("alternating Mathieu series requires r > 0")
@@ -187,6 +187,8 @@ def mathieu_E(x: float) -> Evaluation:
     2*eta(3).
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"mathieu_E requires a finite x, got {x}")
     if abs(x) < 1e-8:
         val = 2.0 * dirichlet_eta(3.0)
         return Evaluation(complex(val), 4e-16 * val, 0, "continuity-limit")

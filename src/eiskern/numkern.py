@@ -61,7 +61,7 @@ def log_bernoulli(n: int) -> float:
     return math.log(2.0) + math.lgamma(n + 1) - n * math.log(2.0 * PI)
 
 
-@doubles_only("bernoulli_poly({n}, {x}) requires every term C(n,k) B_k x^(n-k) "
+@doubles_only("bernoulli_poly({n}, {x}) requires a finite x, every term C(n,k) B_k x^(n-k) "
               "and their sum to be doubles")
 def bernoulli_poly(n: int, x: float) -> float:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k); DomainError where a
@@ -288,11 +288,9 @@ def _psi_asy(r: int) -> tuple[float, float, tuple[float, ...]]:
 # zeta family on the real line
 
 def dirichlet_eta(s: float) -> float:
-    """Dirichlet eta(s) = sum (-1)^(n-1) n^(-s), s > 0; eta(1) = log 2 exactly."""
-    if s <= 0:
-        raise DomainError("dirichlet_eta requires s > 0")
-    if s == 1.0:
-        return math.log(2.0)
+    """Dirichlet eta(s) = sum (-1)^(n-1) n^(-s), finite s > 0, one alternating sum at every s."""
+    if not 0 < s < math.inf:
+        raise DomainError(f"dirichlet_eta requires s > 0 and finite, got {s}")
     value, _, _ = alternating_sum(lambda k: k ** (-s), start=1)
     return value.real
 
@@ -321,8 +319,8 @@ def riemann_zeta(s: float) -> float:
 
 def dirichlet_lambda(r: float) -> float:
     """lambda(r) = sum_{k>=0} (2k+1)^(-r) = (1 - 2^(-r)) zeta(r), r > 1."""
-    if r <= 1:
-        raise DomainError("dirichlet_lambda requires r > 1")
+    if not 1 < r < math.inf:
+        raise DomainError(f"dirichlet_lambda requires r > 1 and finite, got {r}")
     return -math.expm1(-r * math.log(2.0)) * riemann_zeta(r)
 
 

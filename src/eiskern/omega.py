@@ -55,11 +55,9 @@ def _require_re_in_range(z: complex) -> None:
 
 def omega_quadrature(z) -> Evaluation:
     """Adaptive quadrature of the definition over [0, 1/2]; the rule never samples
-    u = 0, where sinh(zu) cot(pi u) tends to z/pi."""
+    u = 0, where sinh(zu) cot(pi u) tends to z/pi.  At z = 0 one panel gives 0, claim 0."""
     z = as_complex(z)
     _require_re_in_range(z)
-    if z == 0:
-        return Evaluation(0.0 + 0.0j, 0.0, 0, "quadrature")
     value, err, panels = adaptive_quad(lambda u: cmath.sinh(z * u) / math.tan(PI * u), 0.0, 0.5)
     return Evaluation(2.0 * value, 2.0 * err, panels, "quadrature")
 
@@ -80,8 +78,6 @@ def _omega_digamma(z: complex) -> tuple[complex, float]:
     if z.imag != 0.0 and abs(z) >= _TWO_PI:
         raise DomainError("digamma route for complex z requires |z| < 2*pi; "
                           "use the quadrature or partial-fraction route")
-    if z == 0:
-        return 0.0 + 0.0j, 0.0
     brace, rounding = _h1_brace(z / _TWO_PI)
     if z.imag == 0.0 and abs(z.real) > _LOG_SPACE_X:
         v = _sinh_half_over_pi(abs(z.real), brace.real)
@@ -161,15 +157,13 @@ def omega_taylor(z, variant: str = "eta") -> Evaluation:
     from their Bernoulli series; variant "eta": the rearranged double sum with
     explicit eta coefficients.  The two coefficient sets are computed
     independently (Bernoulli numbers against eta(2n+1)), so their agreement
-    is a check of both.
+    is a check of both.  At z = 0 the series stops after its 4 terms at 0, claim 0.
     """
     if variant not in ("moments", "eta"):
         raise DomainError(f"unknown taylor variant {variant!r}")
     z = as_complex(z)
     if abs(z) >= _TWO_PI:
         raise DomainError("taylor routes require |z| < 2*pi")
-    if z == 0:
-        return Evaluation(0.0 + 0.0j, 0.0, 0, f"taylor-{variant}")
     coefficient = _moment_coefficient if variant == "moments" else _taylor_coefficient
     z2 = z * z
     s, err, used = power_series(coefficient, z2, abs(z2) / (4.0 * PI * PI))
@@ -185,17 +179,15 @@ def omega_bounds(x: float) -> tuple[float, float]:
     lower = (1/pi) sinh(x/2) log((zeta(3) x^2 + 8 pi^2)/(3 x^2 + 2 pi^2)),
     upper the same with numerator/denominator coefficient pattern swapped.
     Computed in log space for |x| > 1400; DomainError where a bound is not a
-    double.
+    double.  At x = 0 (either sign) sinh(0) makes both bounds 0.
     """
     x = float(x)
-    if x == 0.0:
-        return 0.0, 0.0
     ax = abs(x)
     lo = _sinh_half_over_pi(
         ax, math.log((_ZETA3 * ax * ax + 8.0 * PI * PI) / (3.0 * ax * ax + 2.0 * PI * PI)))
     hi = _sinh_half_over_pi(
         ax, math.log((3.0 * ax * ax + 8.0 * PI * PI) / (_ZETA3 * ax * ax + 2.0 * PI * PI)))
-    if x > 0:
+    if x >= 0:
         return lo, hi
     return -hi, -lo
 
@@ -262,13 +254,10 @@ def omega_pv_hilbert(z) -> Evaluation:
 
     PV int_(-1/2)^(1/2) e^(zu) cot(pi u) du  =  int_0^(1/2) (e^(zu) - e^(-zu)) cot(pi u) du,
     evaluated without rewriting the difference as 2 sinh so the fold stays an
-    independent code path.
+    independent code path.  At z = 0 one panel gives 0, claim 8e-16 of cancellation.
     """
     z = as_complex(z)
     _require_re_in_range(z)
-    if z == 0:
-        return Evaluation(0.0 + 0.0j, 0.0, 0, "pv-fold")
-
     def f(u: float) -> complex:
         return (cmath.exp(z * u) - cmath.exp(-z * u)) / math.tan(PI * u)
 

@@ -418,7 +418,7 @@ def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
             rec.agree(f"real-axis r={r} x={x}", "he", "real", "direct", (r, x), 1e-9,
                       "abs_or_rel", "real-axis Re/Im split of the HE closed form")
     for x in (0.5, 1.0, 1.3):
-        for r in (2, 3):
+        for r in (1, 2, 3, 4):
             rec.agree(f"via-eisenstein r={r} x={x}", "he", "eisenstein", "direct", (r, x), 1e-8,
                       "abs_or_rel", "HE through the classical Eisenstein series")
     for z in (0.7, 0.4 + 0.3j):

@@ -128,9 +128,9 @@ def alternating_sum(term: Callable[[int], complex], *, start: int) -> tuple[comp
     terms = [term(k) for k in range(1, start + 32)]
     value = _crvz(terms[start - 1:], 32)
     trunc = abs(value - _crvz(terms[start - 1:], 24))
-    if start > 1:  # (-1)^(k-1) term(k) for k < start, and for k = start the tail's CRVZ value
-        signed = [t if k % 2 else -t for k, t in enumerate(terms[:start - 1] + [value], 1)]
-        value = complex(math.fsum(t.real for t in signed), math.fsum(t.imag for t in signed))
+    # (-1)^(k-1) term(k) for k < start, and for k = start the tail's CRVZ value
+    signed = [t if k % 2 else -t for k, t in enumerate(terms[:start - 1] + [value], 1)]
+    value = complex(math.fsum(t.real for t in signed), math.fsum(t.imag for t in signed))
     err = trunc + math.sqrt(len(terms)) * _EPS * sum(map(abs, terms))
     if trunc > max(128.0 * REL_TOL * abs(value), 1e-16):
         raise NonConvergence("alternating series: CRVZ did not reach 128*REL_TOL",

@@ -317,14 +317,30 @@ _EDGE_INTS = ["0", "1", "3", "400"]
 _EDGE_REALS = ["0", "0.5", "-2.5", "1e-12", "1e300"]
 _EDGE_GRID = {"int": _EDGE_INTS, "real": _EDGE_REALS,
               "complex": _EDGE_REALS + ["0.3+0.4i", "-3+2i", "0.5+1e300i"]}
+# arguments in every route's domain, into which the grid sets one value that is not finite
+_IN_DOMAIN = {"conjecture": "1 0.3", "bernoulli": "2", "bpoly": "2 0.3", "bstar": "2.5",
+              "conj_half": "1", "conj_periodic": "1 0.3", "epsilon": "2 0.3+0.4i", "eta": "1.5",
+              "fractional": "1.5 0.3", "gamma": "0.3+0.4i", "genfun": "0.3+0.4i", "he": "1 0.5",
+              "lambda": "2.5", "mathieu": "2 0.5", "mathieu_alternating": "2 0.5",
+              "mathieu_e": "0.5", "moment": "1", "omega": "0.5", "pochhammer": "0.3+0.4i 2",
+              "polygamma": "1 0.3+0.4i", "psi": "0.3+0.4i", "zeta": "2.5", "zeta_odd_conj": "1"}
 
 
 def test_eval_edge_grid_keeps_the_exit_code_contract(capsys):
     # every function, by default and by each named route, on one grid per argument kind:
     # exit 0 with a finite value and claim, or exit 2 with nothing on stdout, within 0.5 s;
-    # never a raw exception, never a nan
+    # never a raw exception, never a nan.  Then from arguments in every route's domain, one
+    # real or complex argument at a time set to nan, inf or -inf: exit 2 with nothing on
+    # stdout and a message that names finiteness (or, where a route computes one order
+    # only, the order it computes)
     import itertools
     import time
+
+    def attempt(argv):
+        try:
+            return run(argv, capsys)
+        except Exception as exc:  # noqa: BLE001 -- the contract excludes every one
+            failures.append((argv, repr(exc)))
 
     failures, slow, count = [], [], 0
     for fn, (params, routes) in ROUTES.items():
@@ -334,14 +350,12 @@ def test_eval_edge_grid_keeps_the_exit_code_contract(capsys):
                 argv = ["eval", *(["--route", route] if route else []), "--json", "--", fn, *args]
                 count += 1
                 started = time.perf_counter()
-                try:
-                    rc, out, _ = run(argv, capsys)
-                except Exception as exc:  # noqa: BLE001 -- the contract excludes every one
-                    failures.append((argv, repr(exc)))
+                result = attempt(argv)
+                if time.perf_counter() - started > 0.5:
+                    slow.append(argv)
+                if result is None:
                     continue
-                finally:
-                    if time.perf_counter() - started > 0.5:
-                        slow.append(argv)
+                rc, out, _ = result
                 if rc == 0:
                     doc = json.loads(out)
                     numbers = ([doc["value"]["re"], doc["value"]["im"], doc["err_estimate"]]
@@ -352,6 +366,24 @@ def test_eval_edge_grid_keeps_the_exit_code_contract(capsys):
                     continue
                 failures.append((argv, rc, out))
     assert count == 958
+
+    assert set(_IN_DOMAIN) == set(ROUTES)
+    count = 0
+    for fn, (params, routes) in ROUTES.items():
+        base = _IN_DOMAIN[fn].split()
+        for route in dict.fromkeys([None, *routes]):
+            options = ["--route", route] if route else []
+            assert run(["eval", *options, "--", fn, *base], capsys)[0] == 0, (fn, route)
+            kinds = (routes.get(route, next(iter(routes.values()))).params or params).split()
+            for i, kind in enumerate(kinds):
+                for bad in ("nan", "inf", "-inf") if not kind.endswith(":int") else ():
+                    argv = ["eval", *options, "--", fn, *base[:i], bad, *base[i + 1:]]
+                    count += 1
+                    result = attempt(argv)
+                    if result and not (result[0] == 2 and result[1] == "" and
+                                       ("finite" in result[2] or "only; use r =" in result[2])):
+                        failures.append((argv, *result))
+    assert count == 165
     assert not failures, failures
     assert not slow, slow
 
@@ -513,8 +545,10 @@ def test_table_zeta_roundtrip(capsys):
     rc, out, _ = run(["table", "zeta_roundtrip"], capsys)
     lines = out.strip().split("\n")
     assert len(lines) == 4
-    for line in lines[1:]:
-        assert float(line.split(",")[3]) < 1e-12
+    discs = [float(line.split(",")[3]) for line in lines[1:]]
+    # the oracle is the Euler-Maclaurin sum, no eta value: three exact zeros would say
+    # that both columns read one kernel
+    assert max(discs) < 1e-12 and max(discs) > 0
 
 
 def test_table_conj_bernoulli(capsys):

@@ -195,6 +195,24 @@ def test_one_alternating_engine():
     assert len(alternating) >= 5 and [a for a in alternating if "start" not in a[2]] == []
 
 
+def test_no_claim_is_a_literal():
+    # every err_estimate is computed by the route's engine: a literal claim marks a value
+    # returned past the engine, as the origin shortcuts once returned 0 with claim 0
+    def literal(node: ast.expr) -> bool:
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+    sites = []
+    for name, text in sorted(_package_sources().items()):
+        for c in ast.walk(ast.parse(text)):
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "Evaluation":
+                positional = [] if any(isinstance(a, ast.Starred) for a in c.args[:2]) else c.args[1:2]
+                claims = positional + [k.value for k in c.keywords if k.arg == "err_estimate"]
+                sites += [(name, c.lineno) for claim in claims if literal(claim)]
+    assert sites == []
+
+
 def _package_sources() -> dict:
     import pathlib
     import eiskern
@@ -319,6 +337,9 @@ _SHARED_KERNEL_FAMILIES = {
     # |G| < 1 at these points, against 1e-8 absolute
     "genfun closed/omega": ("conj.genfun", r"closed/omega z=[-\d.]+$",
                             [(he, "_h1_brace"), (om, "_h1_brace")], 1e-7),
+    # exact values that a route once returned as the constant it is checked against
+    "h_1(0)": ("he.closed", r"z=0 direct$", [(he, "alternating_sum")], 1e-9),
+    "half-point m=0": ("conj.values", r"half-point m=0$", [(nk, "alternating_sum")], 1e-9),
 }
 
 
@@ -335,10 +356,10 @@ def _clear_caches() -> None:
 def test_a_family_fails_when_the_kernel_its_sides_shared_moves(suite, family, kernels, delta,
                                                                monkeypatch):
     # two sides that both ran the scaled kernel would move together and pass
-    def scaled(f):  # _h1_brace returns the brace and its rounding bound
-        def g(*args):
-            v = f(*args)
-            return (v[0] * (1 + delta), v[1]) if isinstance(v, tuple) else v * (1 + delta)
+    def scaled(f):  # a tuple keeps its bound (and terms): _h1_brace's, an engine's
+        def g(*args, **kwargs):
+            v = f(*args, **kwargs)
+            return (v[0] * (1 + delta), *v[1:]) if isinstance(v, tuple) else v * (1 + delta)
         return g
 
     for module, name in kernels:
