@@ -317,8 +317,8 @@ def run_numkern_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
                   -0.5 * (nk.digamma(1.0 + z) + nk.digamma(1.0 - z)) - nk.EULER_GAMMA,
                   1e-10, "abs_or_rel", "odd zeta power series against its digamma closed form")
 
-    for t, want in ((0.0, -nk.EULER_GAMMA), (PI, nk.digamma(1 + 0.5j).real),
-                    (2 * PI, nk.digamma(1 + 1j).real)):
+    # not t = 0, where the integrand vanishes and both sides read -gamma
+    for t, want in ((PI, nk.digamma(1 + 0.5j).real), (2 * PI, nk.digamma(1 + 1j).real)):
         rec.check(f"psi real-part integral t={t:.6g}",
                   nk.digamma_realpart_integral(t), want, 1e-10, "abs",
                   "integral form of Re psi on the line Re = 1")
@@ -373,8 +373,6 @@ def run_he_closed(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for z in pts:
         rec.agree(f"z={_fmt(z)}", "he", "closed", "direct", (1, z), 1e-9, "rel",
                   "first-order HE closed digamma form vs direct summation")
-    rec.check("z=0", he.he_closed(1, 0), 2j * LOG2, 1e-13, "abs",
-              "HE value 2i log 2 at the origin")
     rec.check("z=0 direct", he.he_direct(1, 0).value, 2j * LOG2, 1e-13, "abs",
               "HE value 2i log 2 at the origin")
 
@@ -558,7 +556,7 @@ def run_conj_roundtrips(rec: CheckSuite, cfg: SuiteConfig) -> None:
         for x in (0.0, 0.25, 0.5):
             rec.check(f"interpolation n={n} x={x}",
                       cb.fractional_bernoulli(float(n), x),
-                      nk.bernoulli_poly(n, x), 1e-9, "abs",
+                      nk.bernoulli_poly(n, x), 1e-12, "abs",
                       "fractional function interpolates the Bernoulli polynomials")
 
 
@@ -569,7 +567,7 @@ def run_conj_genfun(rec: CheckSuite, cfg: SuiteConfig) -> None:
         # Omega by partial fractions: at real z the closed branch is omega_digamma's brace
         o = -(z / (2.0 * cmath.sinh(z / 2.0))) * om.omega_partial_fraction(z).value
         tag = _fmt(z)
-        rec.agree(f"closed/series z={tag}", "genfun", "closed", "series", (z,), 1e-8, "abs",
+        rec.agree(f"closed/series z={tag}", "genfun", "closed", "series", (z,), 1e-12, "abs",
                   "generating-function closed branch vs coefficient series")
         g, s = rec.value("genfun", "closed", (z,)), rec.value("genfun", "series", (z,))
         rec.check(f"closed/omega z={tag}", g, o, 1e-8, "abs",

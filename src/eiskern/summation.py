@@ -140,7 +140,7 @@ def alternating_sum(term: Callable[[int], complex], *, start: int) -> tuple[comp
 
 def wynn_epsilon(partials: Sequence[complex]) -> tuple[complex, float]:
     """Shanks-type limit of partial sums via the epsilon table; its estimate is no bound.
-    No module calls it; it stays for the benchmark's layer tracer until ROADMAP item 4.
+    No module calls it; it stays for the benchmark's layer tracer until ROADMAP item 1.
 
     Returns the deepest even-column entry and, as error estimate, its distance to the
     previous even column plus the rounding floor of the n partial sums,

@@ -1,6 +1,7 @@
 """The result record, the quadrature rule, engine guards at the fixed
-budgets, reproducible suite runs, and no check that holds by construction:
-no two compared routes share an engine, and every route is compared."""
+budgets, reproducible suite runs, and no check that holds by construction: no
+two compared routes share an engine, every route is compared, and a leaf
+kernel scaled by 1 + 1e-9 fails a record and moves every unpinned comparison."""
 from __future__ import annotations
 
 import ast
@@ -13,14 +14,13 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from eiskern import eisenstein as eis
-from eiskern import hilbert_eisenstein as he
+from eiskern import conj_bernoulli as cb
 from eiskern import numkern as nk
-from eiskern import omega as om
+from eiskern import summation as sm
 from eiskern import (Evaluation, NonConvergence, PoleError, QuadratureFailure,
                      eisenstein_direct, eisenstein_integral, mathieu_E,
                      omega_pv_hilbert, omega_quadrature)
-from eiskern.quadrature import _GK21, adaptive_quad, quad_decaying_tail
+from eiskern.quadrature import _GK21, _gk21, adaptive_quad, quad_decaying_tail
 from eiskern.routes import ROUTES
 from eiskern.suites import REPORT_ONLY, CheckSuite, SuiteConfig, report_text, run_suites
 
@@ -82,11 +82,8 @@ def test_quad_decaying_tail_exact_integrals():
 def test_one_tail_rule():
     # quadrature.py alone picks a truncation point: no other module reads its
     # tolerance or integrates a hand-cut [a, T]
-    import pathlib
-    import eiskern
-    src = pathlib.Path(eiskern.__file__).parent
-    offenders = [p.name for p in src.glob("*.py") if p.name != "quadrature.py"
-                 and re.search(r"\bABS_TOL\b|\bquad_segments\b", p.read_text())]
+    offenders = [name for name, text in _package_sources().items() if name != "quadrature.py"
+                 and re.search(r"\bABS_TOL\b|\bquad_segments\b", text)]
     assert offenders == []
 
 
@@ -181,11 +178,7 @@ def test_one_alternating_engine():
     # every alternating sum states where its moment sequence starts, and no series
     # regains a heuristic accelerator: the epsilon algorithm, whose estimate is no
     # bound, is defined in summation.py and called nowhere in the package
-    import ast
-    import pathlib
-    import eiskern
-    src = pathlib.Path(eiskern.__file__).parent
-    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    texts = _package_sources()
     assert {n for n, t in texts.items() if re.search(r"\bwynn_epsilon\b", t)} == {"summation.py"}
     calls = [(n, c) for n, t in texts.items() for c in ast.walk(ast.parse(t))
              if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)]
@@ -304,74 +297,83 @@ def test_run_suites_owns_report_only_and_timing(all_suites):
         assert s.pass_count + s.fail_count == len(s.records) > 0
 
 
-# a real a, or a complex a+bi as the labels print it
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
-                     r"(?:[-+](?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?i)?")
-
-
-def test_no_gating_family_holds_by_construction(all_suites):
-    # A family is a label with its numbers replaced by #.  When every record of
-    # a family has discrepancy exactly 0, its two sides run the same arithmetic
-    # and the check cannot fail.
-    families = defaultdict(list)
-    for s in all_suites:
-        if s.report_only:
-            continue
-        for r in s.records:
-            if r.policy in ("abs", "rel", "abs_or_rel"):
-                families[s.name, _NUMBER.sub("#", r.inputs)].append(r.abs_disc)
-    exact = sorted(f for f, discs in families.items()
-                   if len(discs) >= 3 and all(d == 0.0 for d in discs))
-    assert exact == []
-
-
-# Families whose two sides once ran one kernel: the records that did, that kernel's
-# bindings, and a scale factor 1 + delta for it that moves one side past the tolerance.
-# A family that holds on only some inputs escapes the guard above.
-_SHARED_KERNEL_FAMILIES = {
-    "product r=1": ("eisenstein.product", r"r=1 ", [(eis, "cot"), (eis, "csc2")], 1e-9),
-    "eta/zeta": ("numkern.identities", r"eta/zeta s=(1\.5|3\.0|4\.5)$",
-                 [(nk, "dirichlet_eta")], 1e-9),
-    "odd zeta": ("conj.roundtrips", r"odd zeta ", [(nk, "dirichlet_eta")], 1e-9),
-    "he symmetry": ("he.higher", r"symmetry ", [(he, "digamma"), (he, "polygamma")], 1e-9),
-    # |G| < 1 at these points, against 1e-8 absolute
-    "genfun closed/omega": ("conj.genfun", r"closed/omega z=[-\d.]+$",
-                            [(he, "_h1_brace"), (om, "_h1_brace")], 1e-7),
-    # exact values that a route once returned as the constant it is checked against
-    "h_1(0)": ("he.closed", r"z=0 direct$", [(he, "alternating_sum")], 1e-9),
-    "half-point m=0": ("conj.values", r"half-point m=0$", [(nk, "alternating_sum")], 1e-9),
+# The leaf kernels behind each engine word of the route table
+KERNELS = {
+    "psi": (nk._psi, nk.digamma, nk.polygamma), "cot": (nk.cot, nk.csc2, nk.coth),
+    "eta": (nk.dirichlet_eta, nk.eta_odd), "zeta": (nk.riemann_zeta,),
+    "bernoulli": (nk.bernoulli_poly,), "polylog": (cb.periodic_polylog, sm.power_tail),
+    "richardson": (sm.richardson_limit,), "alternating": (sm.alternating_sum,),
+    "power_series": (sm.power_series,), "quadrature": (_gk21,),
+    "lanczos": (nk.gamma,), "product": (nk.pochhammer,),
 }
+# Kernels whose scaling fails no gating record, each with its reason
+UNPROBED = {"gamma": "no gating record reads the Lanczos gamma",
+            "pochhammer": "no gating record reads the rising factorial"}
+# Label families (a suite and the words of a label that hold no digit) whose comparison
+# records no scaled kernel moves, each with its reason
+_LADDER = "a finite difference against the same route's next order"
+BLIND = {
+    ("eisenstein.properties", "periodicity"): "two values of one route, scaled alike",
+    ("eisenstein.properties", "derivative"): _LADDER,
+    ("he.higher", "derivative"): _LADDER,
+    ("he.higher", "second-derivative link"): _LADDER,
+    ("numkern.identities", "fd"): _LADDER,
+}
+DELTA = 1e-9
 
 
-def _clear_caches() -> None:
-    for name, module in list(sys.modules.items()):
-        if name.startswith("eiskern."):
-            for f in vars(module).values():
-                if callable(getattr(f, "cache_clear", None)):
-                    f.cache_clear()
+def _with_engines(obj: str, route: str, engines: str) -> dict:
+    # a control table: ROUTES with one route's engine set replaced
+    routes = ROUTES[obj][1]
+    changed = routes[route]._replace(engines=frozenset(engines.split()))
+    return {**ROUTES, obj: (ROUTES[obj][0], {**routes, route: changed})}
 
 
-@pytest.mark.parametrize("suite, family, kernels, delta", _SHARED_KERNEL_FAMILIES.values(),
-                         ids=list(_SHARED_KERNEL_FAMILIES))
-def test_a_family_fails_when_the_kernel_its_sides_shared_moves(suite, family, kernels, delta,
-                                                               monkeypatch):
-    # two sides that both ran the scaled kernel would move together and pass
-    def scaled(f):  # a tuple keeps its bound (and terms): _h1_brace's, an engine's
-        def g(*args, **kwargs):
-            v = f(*args, **kwargs)
-            return (v[0] * (1 + delta), *v[1:]) if isinstance(v, tuple) else v * (1 + delta)
-        return g
+def test_every_engine_word_has_kernels():
+    # an engine word with no kernels would never be scaled by the guard below
+    words = lambda table: {e for _, rs in table.values() for r in rs.values() for e in r.engines}
+    assert words(ROUTES) == set(KERNELS)
+    assert words(_with_engines("epsilon", "closed", "cot abacus")) - set(KERNELS) == {"abacus"}
 
-    for module, name in kernels:
-        monkeypatch.setattr(module, name, scaled(getattr(module, name)))
-    _clear_caches()
+
+def _scaled(f):
+    def g(*args, **kwargs):  # a tuple keeps its bound (and terms): an engine's, _gk21's
+        v = f(*args, **kwargs)
+        return (v[0] * (1 + DELTA), *v[1:]) if isinstance(v, tuple) else v * (1 + DELTA)
+    return g
+
+
+def test_each_kernel_fails_a_record_and_moves_every_comparison(all_suites):
+    # Scale one kernel by 1 + DELTA in every eiskern module that binds it, then run the
+    # gating suites.  A record whose two sides ran that kernel alike stays put; one that
+    # no kernel moves compares the same arithmetic on both sides and cannot fail
+    gating = [s for s in all_suites if not s.report_only]
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "eiskern"]
+    cached = [f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")]
+    failed, moved = set(), set()
     try:
-        records = run_suites(SuiteConfig(), [suite])[0].records
+        for kernel in (f for fs in KERNELS.values() for f in fs):
+            for f in cached:
+                f.cache_clear()
+            with pytest.MonkeyPatch.context() as mp:
+                for module in modules:
+                    for name in [n for n, v in vars(module).items() if v is kernel]:
+                        mp.setattr(module, name, _scaled(kernel))
+                runs = run_suites(SuiteConfig(), [s.name for s in gating])
+            for before, after in zip(gating, runs):
+                for r0, r1 in zip(before.records, after.records):
+                    if not r1.passed:
+                        failed.add(kernel.__name__)
+                    if abs(r1.abs_disc - r0.abs_disc) > DELTA / 10 * max(abs(r0.lhs), abs(r0.rhs)):
+                        moved.add((before.name, r0.inputs))
     finally:
-        monkeypatch.undo()
-        _clear_caches()
-    chosen = [r for r in records if re.match(family, r.inputs)]
-    assert chosen and not all(r.passed for r in chosen)
+        for f in cached:
+            f.cache_clear()
+    assert {f.__name__ for fs in KERNELS.values() for f in fs} - failed == set(UNPROBED)
+    family = lambda label: " ".join(w for w in label.split() if not any(c.isdigit() for c in w))
+    blind = {(s.name, family(r.inputs)) for s in gating for r in s.records
+             if r.policy in ("abs", "rel", "abs_or_rel") and (s.name, r.inputs) not in moved}
+    assert blind == set(BLIND)
 
 
 # Route pairs that a gating agreement record compares although both run the engine
@@ -408,9 +410,7 @@ def test_agreement_sides_share_no_engine(all_suites):
     pairs = _gating_agreements(all_suites)
     assert _shared_engines(ROUTES, pairs) == set(SHARED_ENGINE)
     # a direct route that also ran psi would share it with the polygamma route
-    epsilon = dict(ROUTES["epsilon"][1])
-    epsilon["direct"] = epsilon["direct"]._replace(engines=frozenset({"richardson", "psi"}))
-    broken = {**ROUTES, "epsilon": (ROUTES["epsilon"][0], epsilon)}
+    broken = _with_engines("epsilon", "direct", "richardson psi")
     assert _shared_engines(broken, pairs) - set(SHARED_ENGINE) == {("epsilon", "direct", "polygamma")}
 
 
