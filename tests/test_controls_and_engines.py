@@ -1,10 +1,12 @@
 """The result record, the quadrature rule, engine guards at the fixed
 budgets, reproducible suite runs, and no check that holds by construction: no
-two compared routes share an engine, every route is compared, and a leaf
-kernel scaled by 1 + 1e-9 fails a record and moves every unpinned comparison."""
+two compared routes share an engine, every route is compared, a leaf kernel
+scaled by 1 + 1e-9 fails a record and moves every unpinned comparison, and each
+family whose sides once shared a kernel fails when that kernel moves."""
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 import math
 import re
@@ -336,44 +338,92 @@ def test_every_engine_word_has_kernels():
     assert words(_with_engines("epsilon", "closed", "cot abacus")) - set(KERNELS) == {"abacus"}
 
 
-def _scaled(f):
+def _scaled(f, delta):
     def g(*args, **kwargs):  # a tuple keeps its bound (and terms): an engine's, _gk21's
         v = f(*args, **kwargs)
-        return (v[0] * (1 + DELTA), *v[1:]) if isinstance(v, tuple) else v * (1 + DELTA)
+        return (v[0] * (1 + delta), *v[1:]) if isinstance(v, tuple) else v * (1 + delta)
     return g
 
 
-def test_each_kernel_fails_a_record_and_moves_every_comparison(all_suites):
-    # Scale one kernel by 1 + DELTA in every eiskern module that binds it, then run the
-    # gating suites.  A record whose two sides ran that kernel alike stays put; one that
-    # no kernel moves compares the same arithmetic on both sides and cannot fail
-    gating = [s for s in all_suites if not s.report_only]
+@contextlib.contextmanager
+def _scaling(kernels, delta=DELTA):
+    # each kernel scaled by 1 + delta in every eiskern module that binds it, with the
+    # caches cleared on the way in and out so that no value outlives its kernel
     modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "eiskern"]
     cached = [f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")]
-    failed, moved = set(), set()
+    for f in cached:
+        f.cache_clear()
     try:
-        for kernel in (f for fs in KERNELS.values() for f in fs):
-            for f in cached:
-                f.cache_clear()
-            with pytest.MonkeyPatch.context() as mp:
-                for module in modules:
-                    for name in [n for n, v in vars(module).items() if v is kernel]:
-                        mp.setattr(module, name, _scaled(kernel))
-                runs = run_suites(SuiteConfig(), [s.name for s in gating])
-            for before, after in zip(gating, runs):
-                for r0, r1 in zip(before.records, after.records):
-                    if not r1.passed:
-                        failed.add(kernel.__name__)
-                    if abs(r1.abs_disc - r0.abs_disc) > DELTA / 10 * max(abs(r0.lhs), abs(r0.rhs)):
-                        moved.add((before.name, r0.inputs))
+        with pytest.MonkeyPatch.context() as mp:
+            for module in modules:
+                for name, kernel in [(n, v) for n, v in vars(module).items()
+                                     if any(v is k for k in kernels)]:
+                    mp.setattr(module, name, _scaled(kernel, delta))
+            yield
     finally:
         for f in cached:
             f.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def kernel_probe(all_suites):
+    # Scale one kernel at a time and run the gating suites.  A record whose two sides ran
+    # that kernel alike stays put; one that no kernel moves compares the same arithmetic
+    # on both sides and cannot fail.  Returns the kernels that failed a record, the
+    # (suite, label) pairs that moved, and the gating suites.
+    gating = [s for s in all_suites if not s.report_only]
+    failed, moved = set(), set()
+    for kernel in (f for fs in KERNELS.values() for f in fs):
+        with _scaling((kernel,)):
+            runs = run_suites(SuiteConfig(), [s.name for s in gating])
+        for before, after in zip(gating, runs):
+            for r0, r1 in zip(before.records, after.records):
+                if not r1.passed:
+                    failed.add(kernel.__name__)
+                if abs(r1.abs_disc - r0.abs_disc) > DELTA / 10 * max(abs(r0.lhs), abs(r0.rhs)):
+                    moved.add((before.name, r0.inputs))
+    return failed, moved, gating
+
+
+def test_each_kernel_fails_a_record(kernel_probe):
+    failed, _, _ = kernel_probe
     assert {f.__name__ for fs in KERNELS.values() for f in fs} - failed == set(UNPROBED)
+
+
+def test_no_gating_family_holds_by_construction(kernel_probe):
+    # a family is a suite and the words of a label that hold no digit; every comparison
+    # record outside the blind families moves when some kernel does
+    _, moved, gating = kernel_probe
     family = lambda label: " ".join(w for w in label.split() if not any(c.isdigit() for c in w))
     blind = {(s.name, family(r.inputs)) for s in gating for r in s.records
              if r.policy in ("abs", "rel", "abs_or_rel") and (s.name, r.inputs) not in moved}
     assert blind == set(BLIND)
+
+
+# Families whose two sides once ran one kernel: the records that did, the kernels they
+# shared, and a scale factor 1 + delta for them that moves one side past the tolerance.
+# Each is a control of the probe above on a case that once escaped a guard.
+_SHARED_KERNEL_FAMILIES = {
+    "product r=1": ("eisenstein.product", r"r=1 ", (nk.cot, nk.csc2), DELTA),
+    "eta/zeta": ("numkern.identities", r"eta/zeta s=(1\.5|3\.0|4\.5)$", (nk.dirichlet_eta,), DELTA),
+    "odd zeta": ("conj.roundtrips", r"odd zeta ", (nk.dirichlet_eta,), DELTA),
+    "he symmetry": ("he.higher", r"symmetry ", (nk.digamma, nk.polygamma), DELTA),
+    # the brace's four digammas largely cancel, against 1e-8 absolute
+    "genfun closed/omega": ("conj.genfun", r"closed/omega z=[-\d.]+$", (nk.digamma,), 1e-6),
+    # exact values that a route once returned as the constant it is checked against
+    "h_1(0)": ("he.closed", r"z=0 direct$", (sm.alternating_sum,), DELTA),
+    "half-point m=0": ("conj.values", r"half-point m=0$", (sm.alternating_sum,), DELTA),
+}
+
+
+@pytest.mark.parametrize("suite, family, kernels, delta", _SHARED_KERNEL_FAMILIES.values(),
+                         ids=list(_SHARED_KERNEL_FAMILIES))
+def test_a_family_fails_when_the_kernel_its_sides_shared_moves(suite, family, kernels, delta):
+    # two sides that both ran the scaled kernel would move together and pass
+    with _scaling(kernels, delta):
+        records = run_suites(SuiteConfig(), [suite])[0].records
+    chosen = [r for r in records if re.match(family, r.inputs)]
+    assert chosen and not all(r.passed for r in chosen)
 
 
 # Route pairs that a gating agreement record compares although both run the engine
