@@ -5,8 +5,8 @@ report (one object per suite) to stdout or --out; any failing record in a
 non-report-only suite forces exit code 1 and configuration problems exit 2.
 eval computes a named function at given points by the route --route names, read
 from the table in eiskern.routes (by default its first route; an unknown route exits
-2), and labels the value with that name (a default without one keeps the label of the
-function it dispatches to); `--` may stand anywhere before arguments that start with `-`.
+2), and prints the value with the route's label, its table key; `--` may stand anywhere
+before arguments that start with `-`.
 table and plotdata emit CSV with 17 significant digits.  Suites run one after another
 in the given order; setting SOURCE_DATE_EPOCH zeroes wall_time_ms so identical
 configurations produce byte-identical reports.
@@ -113,9 +113,8 @@ def cmd_eval(ns) -> int:
     route = next(iter(routes)) if ns.route is None else ns.route
     if route not in routes:
         raise ConfigError(f"unknown {ns.fn} route {route!r}")
-    run, _, own_params = routes[route]
-    kinds = (p.split(":")[1] for p in (own_params or params).split())
-    ev = run(*(_PARSERS[kind](a) for kind, a in zip(kinds, ns.args)))
+    kinds = (p.split(":")[1] for p in params.split())
+    ev = routes[route].run(*(_PARSERS[kind](a) for kind, a in zip(kinds, ns.args)))
     if isinstance(ev, cb.ConjectureCheck):
         if ns.json:
             _print_json({"fn": ns.fn, **ev._asdict()})
@@ -125,8 +124,6 @@ def cmd_eval(ns) -> int:
         return 0
     if not isinstance(ev, Evaluation):
         ev = _wrap(ev, route or "default")
-    elif route is not None:  # the table's name, as in --route and the verify report
-        ev = ev._replace(route=route)
     v = ev.value
     if ns.json:
         _print_json({"fn": ns.fn, "args": ns.args, "value": {"re": v.real, "im": v.imag},

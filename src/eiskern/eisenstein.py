@@ -153,8 +153,9 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
                (e^(-zeta t) + (-1)^r e^(zeta t)) dt,   zeta = z - floor(Re z),
 
     the integral being the two Hurwitz tails sum_{k>=4} (k +- zeta)^(-r) (DLMF 25.11(vii)).
-    The hyperbolic form replaces the bracket by 2cosh(zeta t) (r even) or
-    -2sinh(zeta t) (r odd).  quad_decaying_tail cuts the tail by the majorant
+    The hyperbolic form, which no route runs (perfbench's eval-mix calls it), replaces
+    the bracket by 2cosh(zeta t) (r even) or -2sinh(zeta t) (r odd); both are labelled
+    "integral".  quad_decaying_tail cuts the tail by the majorant
     2 t^(r-1) e^(-(4 - |Re zeta|) t)/((r-1)! (1 - e^-t)).  The seven head terms are
     float powers summed by fsum; they share no code with the other routes.  err_estimate adds
     the quadrature error, its tail bound and the rounding floor
@@ -187,7 +188,7 @@ def eisenstein_integral(r: int, z, form: str = "exponential") -> Evaluation:
     # (CPython powers past r = 100 through exp(r log(zeta+k)))
     head_floor = math.fsum((1.0 + r * abs(cmath.log(w))) * abs(h) for w, h in zip(shifts, head))
     err += _EPS * (head_floor + abs(total))
-    return Evaluation(total, err, panels, f"integral-{form}")
+    return Evaluation(total, err, panels, "integral")
 
 
 def eisenstein_eval(r: int, z) -> complex:

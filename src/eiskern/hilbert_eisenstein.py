@@ -18,7 +18,7 @@ import math
 
 from .errors import DomainError, Evaluation, PoleError, doubles_only
 from .eisenstein import eisenstein_closed, eisenstein_direct
-from .numkern import as_complex, as_order, digamma, dirichlet_eta, eta_odd, polygamma
+from .numkern import as_complex, as_order, as_real, digamma, dirichlet_eta, eta_odd, polygamma
 from .quadrature import quad_decaying_tail
 from .summation import alternating_sum, power_series, richardson_limit
 
@@ -108,9 +108,10 @@ def he_real(r: int, x: float) -> complex:
       r >= 3 odd:  2i (-1)^((r-1)/2)/(r-1)! Re{2^(1-r) psi_(r-1)(1+ix/2) - psi_(r-1)(1+ix)}
       r even:      2i (-1)^(r/2-1)/(r-1)!  Im{2^(1-r) psi_(r-1)(1+ix/2) - psi_(r-1)(1+ix)}
     and the result is purely imaginary by construction; no pole lies on the real axis.
+    DomainError for a z off the real axis.
     """
     r = as_order(r)
-    x = float(x)
+    x = as_real(x)
     if r == 1:
         inner = digamma(1.0 + 0.5j * x) - digamma(1.0 + 1j * x)
         return _TWO_I_LOG2 + 2j * inner.real
@@ -126,10 +127,10 @@ def he_via_eisenstein(r: int, x: float) -> complex:
 
     r = 1:  2i log 2 + 2i Re{eps_1(ix/2) - eps_1(ix) + psi(ix/2) - psi(ix)}
     r >= 2: the eps_r / psi_(r-1) combination obtained by eliminating the
-    reflected polygamma arguments from the closed form.
+    reflected polygamma arguments from the closed form.  DomainError for x off the real axis.
     """
     r = as_order(r)
-    x = float(x)
+    x = as_real(x)
     if x == 0.0:
         raise DomainError("he_via_eisenstein requires x != 0")
     if r == 1:
@@ -161,21 +162,20 @@ def mathieu(r: float, x: float, alternating: bool) -> Evaluation:
     endpoint-corrected sums (lead 2r - 2) from N >= 3|x|, so on |x| <= 11823/3, or the
     alternating S~_r (r > 0).  NonConvergence also from |x| of about 335 (r = 1.5), 385 (r = 2),
     505 (r = 3), 650 (r = 4) and 1925 (r = 10).  DomainError where r, x or a term is no double."""
-    if not (math.isfinite(r) and math.isfinite(x)):
-        raise DomainError(f"Mathieu series requires finite r and x, got r = {r}, x = {x}")
+    r, x = as_real(r), as_real(x)
     if alternating:
         if r <= 0:
             raise DomainError("alternating Mathieu series requires r > 0")
-        x2 = float(x) ** 2
+        x2 = x ** 2
         value, err, used = alternating_sum(lambda k: 2.0 * k / (k * k + x2) ** r, start=1)
-        return Evaluation(complex(value.real), err, used, "series-alternating")
+        return Evaluation(complex(value.real), err, used, "alternating")
     if r <= 1 or (2.0 * r) % 1.0:
         raise DomainError("Mathieu series requires r > 1 with 2r an integer")
-    x2 = float(x) ** 2
+    x2 = x ** 2
     # 2k/(k^2+x^2)^r = 2 sum_j C(-r, j) x^(2j) k^(1-2r-2j): past N > |x| the tail of the
     # endpoint-corrected sums is N^(2-2r) times a series in 1/N^2 when 2r is an integer
     value, err, used = richardson_limit(lambda k: 2.0 * k / (k * k + x2) ** r, lead=2 * r - 2,
-                                        start=3.0 * abs(float(x)), floor=0.0)
+                                        start=3.0 * abs(x), floor=0.0)
     return Evaluation(complex(value.real), err, used, "series-richardson")
 
 
@@ -184,14 +184,12 @@ def mathieu_E(x: float) -> Evaluation:
 
     For x != 0 computed from the integral (1/x) int_0^oo u sin(xu)/(e^u+1) du,
     which resums the series exactly; |x| < 1e-8 returns the continuity value
-    2*eta(3).
+    2*eta(3), from no panel, under the same label.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"mathieu_E requires a finite x, got {x}")
+    x = as_real(x)
     if abs(x) < 1e-8:
         val = 2.0 * dirichlet_eta(3.0)
-        return Evaluation(complex(val), 4e-16 * val, 0, "continuity-limit")
+        return Evaluation(complex(val), 4e-16 * val, 0, "integral")
 
     def f(u: float) -> float:
         return u * math.sin(x * u) / (math.exp(u) + 1.0)

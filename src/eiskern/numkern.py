@@ -86,6 +86,14 @@ def as_complex(z) -> complex:
     return z
 
 
+def as_real(x) -> float:
+    """A finite argument with no imaginary part, as a float; DomainError otherwise."""
+    z = as_complex(x)
+    if z.imag != 0.0:
+        raise DomainError(f"a real argument is required, got {z}")
+    return z.real
+
+
 def as_order(r) -> int:
     """The order r of an Eisenstein or Hilbert-Eisenstein series or of polygamma: an
     integer >= 1 in the sense of operator.index, so 2 and True pass and 2.0 does not."""

@@ -6,10 +6,8 @@ periodic Hilbert transform of the 1-periodized exponential evaluated at 0, and
 -(i/pi) sinh(z/2) h_1(z/2pi): the digamma and partial-fraction routes scale the h_1
 routes of hilbert_eisenstein; quadrature, Taylor and the PV fold are computed here.
 
-Route dispatch used elsewhere in the package: real z goes to the digamma
-closed form (valid on all of R), complex z inside |z| < 0.9*2pi as well;
-anything else is integrated.  The partial-fraction route exists for
-verification.
+The quadrature route is eval's default; the others exist for verification, and
+the digamma closed form alone reaches real |x| past 1400 (in log space).
 """
 from __future__ import annotations
 
@@ -55,11 +53,14 @@ def _require_re_in_range(z: complex) -> None:
 
 def omega_quadrature(z) -> Evaluation:
     """Adaptive quadrature of the definition over [0, 1/2]; the rule never samples
-    u = 0, where sinh(zu) cot(pi u) tends to z/pi.  At z = 0 one panel gives 0, claim 0."""
+    u = 0, where sinh(zu) cot(pi u) tends to z/pi.  The claim adds eps/2 |z| |value| to
+    the panel errors for the rounding of z*u inside sinh, which grows with |Re z|.
+    At z = 0 one panel gives 0, claim 0."""
     z = as_complex(z)
     _require_re_in_range(z)
     value, err, panels = adaptive_quad(lambda u: cmath.sinh(z * u) / math.tan(PI * u), 0.0, 0.5)
-    return Evaluation(2.0 * value, 2.0 * err, panels, "quadrature")
+    value *= 2.0
+    return Evaluation(value, 2.0 * err + 0.5 * _EPS * abs(z) * abs(value), panels, "quadrature")
 
 
 def omega_digamma(z) -> complex:
@@ -240,9 +241,10 @@ def omega_ode_residual(x: float, h: float) -> float:
 
 
 def omega_eval(z) -> Evaluation:
-    """Default route dispatch: digamma for real z and for complex |z| < 0.9*2pi
-    (measured to be the cheapest accurate representation there), quadrature
-    beyond; the partial-fraction and Taylor routes stay verification-only."""
+    """Digamma for real z and for complex |z| < 0.9*2pi, quadrature beyond.  No route
+    of eval or verify runs it: it is kept for perfbench's eval-mix workload, and
+    the digamma brace cancels at large real x (relative errors up to 2e-10 below
+    x = 1400, where the quadrature route keeps 5e-14)."""
     z = as_complex(z)
     if z.imag == 0.0 or abs(z) < 0.9 * _TWO_PI:
         return Evaluation(*_omega_digamma(z), 0, "digamma")

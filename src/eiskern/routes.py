@@ -2,12 +2,15 @@
 
 ROUTES maps an object to ("argument:kind ...", {route name: Route}) in eval --help order;
 `eval` runs the first route without --route (a None key is a default with no --route
-name), and verify's route-agreement records read both sides here, so a route has one
-name in --route, the table and the report.  An engine set names the engines (richardson,
-alternating, quadrature, power_series) and kernels (psi, cot, eta, bernoulli, polylog,
-zeta, lanczos, product) a route runs itself, a kernel in place of what runs inside it
-(eta(2n+1) is an alternating sum, digamma reflects through cot).  Evaluators look their
-library function up when they run, so a caller that rebinds a module attribute sees it.
+name), and verify's route-agreement records read both sides here.  Each route of an
+object with several is one side of a gating agreement record (epsilon's default runs two
+that are).  A route takes its object's argument kinds and labels its value with its
+table key, so it has one name in --route, the table, eval's output and the report.  An
+engine set names the engines (richardson, alternating, quadrature, power_series) and
+kernels (psi, cot, eta, bernoulli, polylog, zeta) a route runs itself, a kernel in place
+of what runs inside it (eta(2n+1) is an alternating sum, digamma reflects through cot).
+Evaluators look their library function up when they run, so a caller that rebinds a
+module attribute sees it.
 """
 from __future__ import annotations
 
@@ -24,11 +27,10 @@ from .errors import ConfigError, DomainError, Evaluation
 class Route(NamedTuple):
     run: Callable
     engines: frozenset
-    params: str | None = None  # argument kinds where they differ from the object's
 
 
-def _r(run: Callable, engines: str, params: str | None = None) -> Route:
-    return Route(run, frozenset(engines.split()), params)
+def _r(run: Callable, engines: str) -> Route:
+    return Route(run, frozenset(engines.split()))
 
 
 def _wrap(value, route: str) -> Evaluation:
@@ -71,42 +73,34 @@ ROUTES = {
         "direct": _r(lambda r, z: eis.eisenstein_direct(r, z), "richardson"),
         "closed": _r(lambda r, z: eis.eisenstein_closed(r, z), "cot"),
         "polygamma": _r(lambda r, z: eis.eisenstein_polygamma(r, z), "psi"),
-        "integral": _r(lambda r, z: eis.eisenstein_integral(r, z), "quadrature"),
-        "integral-hyperbolic": _r(lambda r, z: eis.eisenstein_integral(r, z, "hyperbolic"),
-                                  "quadrature")}),
+        "integral": _r(lambda r, z: eis.eisenstein_integral(r, z), "quadrature")}),
     "eta": ("s:real", {"alternating": _r(lambda s: nk.dirichlet_eta(s), "alternating")}),
     "fractional": ("alpha:real x:real", {
         "fourier": _r(lambda a, x: cb.fractional_bernoulli(a, x), "polylog")}),
-    "gamma": ("z:complex", {"lanczos": _r(lambda z: nk.gamma(z), "lanczos")}),
     "genfun": ("z:complex", {"closed": _r(lambda z: cb.conj_bernoulli_genfun(z), "psi cot"),
                              "series": _r(lambda z: cb.conj_genfun_series(z), "power_series eta")}),
     "he": ("r:int z:complex", {
         "closed": _r(lambda r, z: he.he_closed(r, z), "psi"),
         "direct": _r(lambda r, z: he.he_direct(r, z), "alternating"),
         "taylor": _r(_order_only(1, "h_1", lambda z: he.he_taylor(z)), "power_series eta"),
-        "real": _r(lambda r, x: he.he_real(r, x), "psi", "r:int z:real"),  # complex z exits 2
-        "eisenstein": _r(lambda r, x: he.he_via_eisenstein(r, x), "cot richardson psi",
-                         "r:int z:real")}),
-    "lambda": ("r:real", {"via-zeta": _r(lambda r: nk.dirichlet_lambda(r), "zeta")}),
+        "real": _r(lambda r, z: he.he_real(r, z), "psi"),
+        "eisenstein": _r(lambda r, z: he.he_via_eisenstein(r, z), "cot richardson psi")}),
     "mathieu": ("r:real x:real", {None: _r(lambda r, x: he.mathieu(r, x, False), "richardson")}),
     "mathieu_alternating": ("r:real x:real", {
         "alternating": _r(lambda r, x: he.mathieu(r, x, True), "alternating"),
         "integral": _r(_order_only(2, "S~_2", lambda x: he.mathieu_E(x)), "quadrature eta")}),
-    "mathieu_e": ("x:real", {None: _r(lambda x: he.mathieu_E(x), "quadrature eta")}),
     "moment": ("k:int", {"closed": _r(lambda k: om.omega_moment(k, "closed"), "eta"),
                          "quadrature": _r(lambda k: om.omega_moment(k, "quadrature"), "quadrature"),
                          "series": _r(lambda k: om.omega_moment(k, "series"),
                                       "power_series bernoulli")}),
     "omega": ("z:complex", {
-        None: _r(lambda z: om.omega_eval(z), "psi quadrature"),
         "quadrature": _r(lambda z: om.omega_quadrature(z), "quadrature"),
-        "digamma": _r(lambda z: om.omega_digamma(z), "psi"),
+        "digamma": _r(lambda z: Evaluation(*om._omega_digamma(nk.as_complex(z)), 0, "digamma"),
+                      "psi"),
         "partial-fraction": _r(lambda z: om.omega_partial_fraction(z), "alternating"),
         "taylor-moments": _r(lambda z: om.omega_taylor(z, "moments"), "power_series bernoulli"),
         "taylor-eta": _r(lambda z: om.omega_taylor(z, "eta"), "power_series eta"),
         "pv-fold": _r(lambda z: om.omega_pv_hilbert(z), "quadrature")}),
-    "pochhammer": ("rho:complex sigma:int", {
-        "product": _r(lambda rho, sigma: nk.pochhammer(rho, sigma), "product")}),
     "polygamma": ("r:int z:complex", {"polygamma": _r(lambda r, z: nk.polygamma(r, z), "psi")}),
     "psi": ("z:complex", {"digamma": _r(lambda z: nk.digamma(z), "psi")}),
     "zeta": ("s:real", {None: _r(_zeta, "bernoulli eta")}),

@@ -52,7 +52,6 @@ class SuiteConfig(NamedTuple):
 
 
 class CheckRecord(NamedTuple):
-    suite: str
     inputs: str
     lhs: complex
     rhs: complex
@@ -111,8 +110,8 @@ class CheckSuite:
               "abs_or_rel": abs_disc <= tol or rel_disc <= tol}.get(policy)
         if ok is None:
             raise ConfigError(f"unknown pass policy {policy!r}")
-        self.records.append(CheckRecord(self.name, inputs, lhs, rhs,
-                                        abs_disc, rel_disc, tol, ok, policy, anchor))
+        self.records.append(CheckRecord(inputs, lhs, rhs, abs_disc, rel_disc, tol, ok,
+                                        policy, anchor))
 
     def value(self, obj: str, route: str | None, args: tuple) -> complex:
         """The value of one table route at args, computed once per suite."""
@@ -138,7 +137,7 @@ class CheckSuite:
         violation = max(0.0, threshold - value)
         tol = 0.0 if self.override is None else self.override
         self.records.append(CheckRecord(
-            self.name, inputs, complex(value), complex(threshold),
+            inputs, complex(value), complex(threshold),
             violation, violation / max(abs(threshold), 1e-300), tol,
             violation <= tol, "lower_bound", anchor))
 

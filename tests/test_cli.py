@@ -39,10 +39,10 @@ def test_cli_import_is_numpy_free():
 # eval
 
 def test_eval_omega(capsys):
+    # the default is the quadrature route, the first the table names
     rc, out, _ = run(["eval", "omega", "1"], capsys)
     assert rc == 0
-    assert "0.2225703312187" in out
-    assert "route=digamma" in out
+    assert out.startswith("omega(1) = 0.22257033121871547  (route=quadrature, ")
 
 
 def test_eval_he_origin(capsys):
@@ -91,7 +91,7 @@ def test_eval_help_names_every_function_and_route(capsys):
     assert all(name in help_text for name in [*ROUTES, "conjecture"])
     rc, _, err = run(["eval", "epsilon", "2"], capsys)
     assert rc == 2
-    for route in ("direct", "closed", "polygamma", "integral", "integral-hyperbolic"):
+    for route in ("direct", "closed", "polygamma", "integral"):
         assert route in err.split("--route ")[1].rstrip("]\n").split("|")
         assert run(["eval", "epsilon", "2", "0.3+0.4i", "--route", route], capsys)[0] == 0
 
@@ -103,18 +103,23 @@ def test_eval_domain_violation_exits_2_with_precondition(capsys):
 
 
 def test_eval_omega_not_a_double_exits_2(capsys):
+    # Omega(1e4) ~ 9e2163: the default quadrature route stops at |Re z| = 1400, and the
+    # log-space digamma route finds the value is no double
     rc, _, err = run(["eval", "omega", "1e4"], capsys)
+    assert rc == 2
+    assert "|Re z| <= 1400" in err
+    rc, _, err = run(["eval", "omega", "1e4", "--route", "digamma"], capsys)
     assert rc == 2
     assert "not representable" in err
 
 
 @pytest.mark.parametrize("fn, args, argv, precondition", [
     ("omega_digamma", (1e16,), ["eval", "omega", "1e300", "--route", "digamma"], "not a double"),
-    ("omega_eval", (1e300,), ["eval", "omega", "1e16"], "not a double"),
+    ("omega_eval", (1e300,), None, "not a double"),
     ("omega_bounds", (1e155,), None, "not a double"),
     ("bernoulli_number", (-1,), ["eval", "bernoulli", "-2"], "n must be >= 0"),
     ("bernoulli_poly", (-1, 0.5), ["eval", "bpoly", "-1", "0.5"], "n must be >= 0"),
-    ("pochhammer", (0.5, -1), ["eval", "pochhammer", "0.5", "-1"], "sigma >= 0"),
+    ("pochhammer", (0.5, -1), None, "sigma >= 0"),
     ("riemann_zeta", (math.nan,), ["eval", "zeta", "nan"], "requires s > 1"),
     ("riemann_zeta", (math.inf,), None, "requires s > 1"),
     ("eisenstein_integral", (2, 0.3 + 0.2j, "hyp"), None, "'exponential' or 'hyperbolic'"),
@@ -268,25 +273,22 @@ def test_eval_direct_raises_where_it_once_printed_a_silent_zero(capsys):
     assert rc == 2 and out == "" and "N >= 15001.5" in err
 
 
-# arguments at which every named route of the object computes a value
-_ROUTE_ARGS = {
-    "bernoulli": ["4"], "bpoly": ["3", "0.25"], "bstar": ["3"], "conj_half": ["2"],
-    "conj_periodic": ["1", "0.25"], "epsilon": ["2", "0.3+0.4i"], "eta": ["2"],
-    "fractional": ["2.5", "0.25"], "gamma": ["0.5"], "genfun": ["0.5+0.5i"],
-    "he": ["1", "0.5"], "lambda": ["3"], "mathieu_alternating": ["2", "1"], "moment": ["2"],
-    "omega": ["1+0.5i"], "pochhammer": ["0.5", "3"], "polygamma": ["1", "0.5"],
-    "psi": ["0.5"], "zeta_odd_conj": ["2"],
-}
+# arguments in every route's domain
+_IN_DOMAIN = {"conjecture": "1 0.3", "bernoulli": "2", "bpoly": "2 0.3", "bstar": "2.5",
+              "conj_half": "1", "conj_periodic": "1 0.3", "epsilon": "2 0.3+0.4i", "eta": "1.5",
+              "fractional": "1.5 0.3", "genfun": "0.3+0.4i", "he": "1 0.5", "mathieu": "2 0.5",
+              "mathieu_alternating": "2 0.5", "moment": "1", "omega": "0.5",
+              "polygamma": "1 0.3+0.4i", "psi": "0.3+0.4i", "zeta": "2.5", "zeta_odd_conj": "1"}
 
 
 @pytest.mark.parametrize("fn, route", [(fn, route) for fn, (_, routes) in ROUTES.items()
                                        for route in routes if route is not None])
 def test_eval_labels_a_named_route_with_its_table_key(fn, route, capsys):
     # one name in --route, in the table and in the output, text and json alike
-    rc, out, err = run(["eval", fn, *_ROUTE_ARGS[fn], "--route", route], capsys)
+    rc, out, err = run(["eval", fn, *_IN_DOMAIN[fn].split(), "--route", route], capsys)
     assert rc == 0, err
     assert f"  (route={route}, " in out
-    rc, out, _ = run(["eval", fn, *_ROUTE_ARGS[fn], "--route", route, "--json"], capsys)
+    rc, out, _ = run(["eval", fn, *_IN_DOMAIN[fn].split(), "--route", route, "--json"], capsys)
     assert rc == 0 and json.loads(out)["route"] == route
 
 
@@ -306,7 +308,7 @@ def test_eval_checks_route_of_every_function(fn, capsys):
     ("mathieu", "mathieu r x"),
     ("mathieu_alternating", "mathieu_alternating r x [--route alternating|integral]"),
     ("conj_half", "conj_half m [--route eta|zeta]"),
-    ("pochhammer", "pochhammer rho sigma"),
+    ("polygamma", "polygamma r z"),
     ("conjecture", "conjecture j z"),
 ])
 def test_eval_usage_comes_from_the_route_table(fn, usage, capsys):
@@ -317,19 +319,12 @@ _EDGE_INTS = ["0", "1", "3", "400"]
 _EDGE_REALS = ["0", "0.5", "-2.5", "1e-12", "1e300"]
 _EDGE_GRID = {"int": _EDGE_INTS, "real": _EDGE_REALS,
               "complex": _EDGE_REALS + ["0.3+0.4i", "-3+2i", "0.5+1e300i"]}
-# arguments in every route's domain, into which the grid sets one value that is not finite
-_IN_DOMAIN = {"conjecture": "1 0.3", "bernoulli": "2", "bpoly": "2 0.3", "bstar": "2.5",
-              "conj_half": "1", "conj_periodic": "1 0.3", "epsilon": "2 0.3+0.4i", "eta": "1.5",
-              "fractional": "1.5 0.3", "gamma": "0.3+0.4i", "genfun": "0.3+0.4i", "he": "1 0.5",
-              "lambda": "2.5", "mathieu": "2 0.5", "mathieu_alternating": "2 0.5",
-              "mathieu_e": "0.5", "moment": "1", "omega": "0.5", "pochhammer": "0.3+0.4i 2",
-              "polygamma": "1 0.3+0.4i", "psi": "0.3+0.4i", "zeta": "2.5", "zeta_odd_conj": "1"}
 
 
 def test_eval_edge_grid_keeps_the_exit_code_contract(capsys):
     # every function, by default and by each named route, on one grid per argument kind:
     # exit 0 with a finite value and claim, or exit 2 with nothing on stdout, within 0.5 s;
-    # never a raw exception, never a nan.  Then from arguments in every route's domain, one
+    # never a raw exception, never a nan.  Then from _IN_DOMAIN's arguments, one
     # real or complex argument at a time set to nan, inf or -inf: exit 2 with nothing on
     # stdout and a message that names finiteness (or, where a route computes one order
     # only, the order it computes)
@@ -365,7 +360,7 @@ def test_eval_edge_grid_keeps_the_exit_code_contract(capsys):
                 elif rc == 2 and out == "":
                     continue
                 failures.append((argv, rc, out))
-    assert count == 958
+    assert count == 831
 
     assert set(_IN_DOMAIN) == set(ROUTES)
     count = 0
@@ -374,8 +369,7 @@ def test_eval_edge_grid_keeps_the_exit_code_contract(capsys):
         for route in dict.fromkeys([None, *routes]):
             options = ["--route", route] if route else []
             assert run(["eval", *options, "--", fn, *base], capsys)[0] == 0, (fn, route)
-            kinds = (routes.get(route, next(iter(routes.values()))).params or params).split()
-            for i, kind in enumerate(kinds):
+            for i, kind in enumerate(params.split()):
                 for bad in ("nan", "inf", "-inf") if not kind.endswith(":int") else ():
                     argv = ["eval", *options, "--", fn, *base[:i], bad, *base[i + 1:]]
                     count += 1
@@ -383,7 +377,7 @@ def test_eval_edge_grid_keeps_the_exit_code_contract(capsys):
                     if result and not (result[0] == 2 and result[1] == "" and
                                        ("finite" in result[2] or "only; use r =" in result[2])):
                         failures.append((argv, *result))
-    assert count == 165
+    assert count == 141
     assert not failures, failures
     assert not slow, slow
 

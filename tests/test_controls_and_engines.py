@@ -306,11 +306,9 @@ KERNELS = {
     "bernoulli": (nk.bernoulli_poly,), "polylog": (cb.periodic_polylog, sm.power_tail),
     "richardson": (sm.richardson_limit,), "alternating": (sm.alternating_sum,),
     "power_series": (sm.power_series,), "quadrature": (_gk21,),
-    "lanczos": (nk.gamma,), "product": (nk.pochhammer,),
 }
 # Kernels whose scaling fails no gating record, each with its reason
-UNPROBED = {"gamma": "no gating record reads the Lanczos gamma",
-            "pochhammer": "no gating record reads the rising factorial"}
+UNPROBED: dict = {}
 # Label families (a suite and the words of a label that hold no digit) whose comparison
 # records no scaled kernel moves, each with its reason
 _LADDER = "a finite difference against the same route's next order"
@@ -435,8 +433,6 @@ SHARED_ENGINE = {
 # Routes of an object with several routes that no gating agreement record reads
 UNCHECKED = {
     ("epsilon", None): "dispatches to the closed and polygamma routes, each checked",
-    ("epsilon", "integral-hyperbolic"): "the integral route with the other bracket form",
-    ("omega", None): "omega_eval dispatches to the digamma and quadrature routes",
 }
 
 
