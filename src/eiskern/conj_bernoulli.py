@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, doubles_only
 from .hilbert_eisenstein import he_closed, he_taylor
-from .numkern import PI, as_complex, bernoulli_poly, coth, digamma, eta_odd, riemann_zeta
+from .numkern import PI, as_complex, as_index, bernoulli_poly, coth, digamma, eta_odd, riemann_zeta
 from .omega import _taylor_coefficient
 from .quadrature import adaptive_quad, quad_decaying_tail
 from .summation import power_tail
@@ -93,8 +93,7 @@ def conj_bernoulli_half(m: int, form: str = "eta") -> float:
     stay comparable for every m.  zeta(2m+1) is the Euler-Maclaurin sum of periodic_polylog
     at x = 0, apart from the alternating eta sum.  DomainError from m = 130 on (no double).
     """
-    if m < 0:
-        raise DomainError("index m must be >= 0")
+    m = as_index(m, 0, "index m must be >= 0")
     if form == "eta":
         return _prefactor((-1.0) ** (m + 1) * eta_odd(m), 2 * m + 1)
     if form == "zeta":
@@ -111,8 +110,7 @@ def conj_bernoulli_periodic(n: int, x: float) -> float:
     B~_(2n+1)(x) = -2 (2n+1)! sum_k sin(2 pi k x - (2n+1) pi/2) / (2 pi k)^(2n+1);
     the n = 0 case needs x off the integers (log singularity there).
     """
-    if n < 0:
-        raise DomainError("index n must be >= 0")
+    n = as_index(n, 0, "index n must be >= 0")
     s = 2 * n + 1
     phase = cmath.exp(-1j * s * PI / 2.0)
     li = periodic_polylog(float(s), x)
@@ -160,16 +158,14 @@ def zeta_odd_via_conj(m: int) -> float:
     B~_(2m+1)(1) is recovered from the half-point value through B~_(2m+1)(1/2) =
     (2^(-2m) - 1) B~_(2m+1)(1), so DomainError from m = 130 on, where that is no double.
     """
-    if m < 1:
-        raise DomainError("odd-zeta representation needs m >= 1")
+    m = as_index(m, 1, "odd-zeta representation needs m >= 1")
     b_one = conj_bernoulli_half(m) / (2.0 ** (-2 * m) - 1.0)
     return (-1.0) ** m * b_one / _prefactor(1.0, 2 * m + 1)
 
 
 def zeta_even_euler(m: int) -> float:
     """Euler: zeta(2m) = (-1)^(m+1) 2^(2m-1) pi^(2m) B_(2m) / (2m)!."""
-    if m < 1:
-        raise DomainError("even-zeta representation needs m >= 1")
+    m = as_index(m, 1, "even-zeta representation needs m >= 1")
     return riemann_zeta(2.0 * m)  # its even-integer branch is this closed form
 
 
@@ -211,8 +207,8 @@ def conjecture_double_sum(j: int, z: float) -> ConjectureCheck:
     returned for reporting; nothing here asserts it vanishes.  j <= 84, where
     (2j+1)! is a double.
     """
-    if not 0 <= j <= 84:
-        raise DomainError(f"conjecture checks require 0 <= j <= 84, where (2j+1)! is a double; got {j}")
+    j = as_index(j, 0, f"conjecture checks require 0 <= j <= 84, where (2j+1)! is a double; "
+                       f"got {j}", 84)
     if not (0.0 < z < 1.0):
         raise DomainError(f"conjecture checks run on finite z with 0 < z < 1, got {z}")
     total = 0.0

@@ -47,8 +47,7 @@ POLE_GUARD = 1e-12  # hard rejection radius around poles
 @functools.cache
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention); B_(2m+1) = 0 for m >= 1."""
-    if n < 0:
-        raise DomainError(f"Bernoulli index n must be >= 0, got {n}")
+    n = as_index(n, 0, f"Bernoulli index n must be >= 0, got {n}")
     if n < 2 or n % 2:
         return {0: Fraction(1), 1: Fraction(-1, 2)}.get(n, Fraction(0))
     # sum_{k=0}^{n} C(n+1, k) B_k = 0 over the nonzero B_k; ascending k keeps recursion shallow
@@ -66,8 +65,7 @@ def log_bernoulli(n: int) -> float:
 def bernoulli_poly(n: int, x: float) -> float:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k); DomainError where a
     term or the sum is not a double, at every x from n = 259 on."""
-    if n < 0:
-        raise DomainError(f"Bernoulli index n must be >= 0, got {n}")
+    n = as_index(n, 0, f"Bernoulli index n must be >= 0, got {n}")
     # a C(n,k) B_k past the largest double by a factor e is no double whatever x is:
     # rejected before any exact B_k is built; nearer, the exact terms decide
     if any(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + log_bernoulli(k)
@@ -94,16 +92,18 @@ def as_real(x) -> float:
     return z.real
 
 
+def as_index(n, least: int, message: str, most: float = math.inf) -> int:
+    """An index or order n: an integer in [least, most] in the sense of operator.index, so
+    2 and True pass and 2.0 does not; DomainError(message) otherwise."""
+    index = operator.index(n) if hasattr(type(n), "__index__") else least - 1
+    if not least <= index <= most:
+        raise DomainError(message)
+    return index
+
+
 def as_order(r) -> int:
-    """The order r of an Eisenstein or Hilbert-Eisenstein series or of polygamma: an
-    integer >= 1 in the sense of operator.index, so 2 and True pass and 2.0 does not."""
-    try:
-        order = operator.index(r)
-    except TypeError:
-        order = 0  # not an integer
-    if order < 1:
-        raise DomainError("order r must be a positive integer")
-    return order
+    """The order r >= 1 of an Eisenstein or Hilbert-Eisenstein series or of polygamma."""
+    return as_index(r, 1, "order r must be a positive integer")
 
 
 def _guard_nonpositive_integer(z: complex, what: str) -> None:

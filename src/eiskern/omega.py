@@ -18,7 +18,7 @@ import sys
 
 from .errors import DomainError, Evaluation, StepError, doubles_only
 from .hilbert_eisenstein import _h1_brace, he_direct, mathieu_E
-from .numkern import PI, as_complex, bernoulli_number, coth, eta_odd, riemann_zeta
+from .numkern import PI, as_complex, as_index, bernoulli_number, coth, eta_odd, riemann_zeta
 from .quadrature import adaptive_quad
 from .summation import power_series
 
@@ -132,8 +132,7 @@ def omega_moment(k: int, route: str = "closed") -> float:
     route "series": (4^(-k)/pi)[1/(2k+1) + sum_n (-1)^n B_2n pi^(2n)/((2n)!(2k+2n+1))],
     k <= 511.
     """
-    if k < 0:
-        raise DomainError("moment index must be >= 0")
+    k = as_index(k, 0, "moment index must be >= 0")
     if route == "closed":
         if k > _CLOSED_MOMENT_K:
             raise DomainError(f"closed moment route requires k <= {_CLOSED_MOMENT_K} "
@@ -202,8 +201,8 @@ def omega_asymptotic_envelope(x: float) -> tuple[float, float, float]:
     measured ratio itself is report-only.
     """
     x = float(x)
-    if x < 10.0:
-        raise DomainError("envelope check is defined for x >= 10")
+    if not 10.0 <= x < math.inf:  # inf and nan have no envelope value either
+        raise DomainError(f"envelope check is defined for finite x >= 10, got {x}")
     ratio = -math.expm1(-x) / (2.0 * PI) * _h1_brace(x / _TWO_PI)[0].real
     return _ENVELOPE_LO, _ENVELOPE_HI, ratio
 
@@ -212,8 +211,8 @@ def omega_log_envelope(x: float) -> tuple[float, float, float]:
     """Logs of |lower| and upper envelope, e^(x/2) times each coefficient, and
     of the approximant hi*sinh(x/2), overflow-free at any large x."""
     x = float(x)
-    if x < 10.0:
-        raise DomainError("envelope check is defined for x >= 10")
+    if not 10.0 <= x < math.inf:  # inf and nan have no envelope value either
+        raise DomainError(f"envelope check is defined for finite x >= 10, got {x}")
     log_hi = math.log(_ENVELOPE_HI)
     return (0.5 * x + math.log(-_ENVELOPE_LO), 0.5 * x + log_hi,
             log_hi + 0.5 * x + math.log1p(-math.exp(-x)) - math.log(2.0))

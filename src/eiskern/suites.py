@@ -9,7 +9,8 @@ instantiated.  The suites in REPORT_ONLY never affect exit codes.
 A route-agreement record (CheckSuite.agree) reads both sides through eiskern.routes;
 identity records and non-route helpers call the library.  Each gating record compares
 two code paths that differ in arithmetic, not only in order, sign or conjugation: a
-check whose sides run the same arithmetic reads 0 on every input and cannot fail.
+check whose sides run the same arithmetic reads 0 on every input and cannot fail.  A
+derivative ladder samples its first order once (_taylor) and reads each rung from another route.
 """
 from __future__ import annotations
 
@@ -261,6 +262,17 @@ def _fmt(z: complex) -> str:
     return f"{z.real:.6g}{z.imag:+.6g}i"
 
 
+def _taylor(f, z: complex, reach: float) -> list[complex]:
+    """f^(k)(z)/k! for k < 8, f holomorphic on |w - z| < reach, by the trapezoidal rule over
+    the n = 32 values f(z + rho w^j), rho = reach/3, w = e^(2 pi i/n) (Lyness & Moler 1967):
+    aliasing adds c_(k+n) rho^n + ..., about 3^-n of c_k, and rounding about 3^k eps."""
+    n = 32
+    rho, roots = reach / 3.0, [cmath.exp(2j * PI * j / n) for j in range(n)]
+    values = [f(z + rho * w) for w in roots]
+    return [sum(v * roots[-j * k % n] for j, v in enumerate(values)) / (n * rho ** k)
+            for k in range(8)]
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -287,14 +299,12 @@ def run_numkern_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
                   PI * nk.cot(PI * z), 1e-11, "abs_or_rel",
                   "digamma reflection against pi*cot(pi z)")
 
-    h = 1e-5
-    pts = [complex(1.1 + 0.45 * i, 0.3 * ((i % 3) - 1)) for i in range(20)]
-    for i, z in enumerate(pts):
-        r = 1 + i % 4
-        lower = nk.digamma if r == 1 else (lambda w, rr=r - 1: nk.polygamma(rr, w))
-        fd = (lower(z + h) - lower(z - h)) / (2 * h)
-        rec.check(f"fd r={r} z={_fmt(z)}", fd, nk.polygamma(r, z), 1e-5, "rel",
-                  "polygamma as derivative of the previous order")
+    # the nearest pole of digamma to a z with Re z > 0 is 0
+    for z in (complex(1.1 + 1.8 * i, 0.3 * (i % 3 - 1)) for i in range(5)):
+        taylor = _taylor(nk.digamma, z, abs(z))
+        for r in range(1, 5):
+            rec.check(f"derivative r={r} z={_fmt(z)}", taylor[r] * math.factorial(r),
+                      nk.polygamma(r, z), 1e-11, "rel", "polygamma as the r-th derivative of digamma")
 
     # zeta as the Euler-Maclaurin sum of the polylog at x = 0: riemann_zeta divides eta
     for s in (1.5, 2.0, 3.0, 4.5):
@@ -342,13 +352,13 @@ def run_eisenstein_properties(rec: CheckSuite, cfg: SuiteConfig) -> None:
             b = eis.eisenstein_direct(r, z).value
             rec.check(f"periodicity r={r} z={_fmt(z)}", a, b, 1e-10, "abs_or_rel",
                       "one-periodicity of the Eisenstein series")
-    h = 1e-5
+    # eps_r' = -r eps_(r+1): the closed eps_1 (cot) sampled, its poles on the integers
     for z in pts[:6]:
+        taylor = _taylor(lambda w: eis.eisenstein_closed(1, w), z, abs(z - round(z.real)))
         for r in range(1, 7):
-            fd = (eis.eisenstein_polygamma(r, z + h) - eis.eisenstein_polygamma(r, z - h)) / (2 * h)
-            rec.check(f"derivative r={r} z={_fmt(z)}", fd,
-                      -r * eis.eisenstein_polygamma(r + 1, z), 1e-5, "rel",
-                      "derivative ladder eps_r' = -r eps_(r+1)")
+            rec.check(f"derivative r={r} z={_fmt(z)}", taylor[r],
+                      (-1) ** r * eis.eisenstein_polygamma(r + 1, z), 1e-8, "rel",
+                      "derivative ladder eps_1^(r)/r! = (-1)^r eps_(r+1)")
 
 
 def run_eisenstein_product(rec: CheckSuite, cfg: SuiteConfig) -> None:
@@ -391,19 +401,14 @@ def run_he_higher(rec: CheckSuite, cfg: SuiteConfig) -> None:
             rec.check(f"symmetry r={r} z={_fmt(z)}", he.he_closed(r, -z),
                       (-1.0) ** (r + 1) * rec.value("he", "direct", (r, z)), 1e-10,
                       "abs_or_rel", "HE symmetry h_r(-z) = (-1)^(r+1) h_r(z)")
-    h = 1e-5
+    # h_r' = -r h_(r+1): the closed h_1 sampled, its poles at ik, k != 0; h_(r+1) memoized
     for z in pts[:5]:
+        reach = min(abs(z - 1j * k) for k in range(round(z.imag) - 1, round(z.imag) + 2) if k)
+        taylor = _taylor(lambda w: he.he_closed(1, w), z, reach)
         for r in (1, 2, 3):
-            fd = (he.he_closed(r, z + h) - he.he_closed(r, z - h)) / (2 * h)
-            rec.check(f"derivative r={r} z={_fmt(z)}", fd,
-                      -r * he.he_closed(r + 1, z), 1e-5, "rel",
-                      "HE derivative ladder h_r' = -r h_(r+1)")
-        h2 = 1e-4
-        second = (he.he_closed(2, z + h2) - 2 * he.he_closed(2, z)
-                  + he.he_closed(2, z - h2)) / (h2 * h2)
-        rec.check(f"second-derivative link z={_fmt(z)}", second / 6.0,
-                  he.he_closed(4, z), 1e-5, "rel",
-                  "two-fold derivative of h_2 reaches h_4")
+            rec.check(f"derivative r={r} z={_fmt(z)}", taylor[r],
+                      (-1) ** r * rec.value("he", "direct", (r + 1, z)), 1e-11, "rel",
+                      "HE derivative ladder h_1^(r)/r! = (-1)^r h_(r+1)")
 
 
 def run_he_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:

@@ -6,6 +6,7 @@ family whose sides once shared a kernel fails when that kernel moves."""
 from __future__ import annotations
 
 import ast
+import cmath
 import contextlib
 import json
 import math
@@ -24,7 +25,8 @@ from eiskern import (Evaluation, NonConvergence, PoleError, QuadratureFailure,
                      omega_pv_hilbert, omega_quadrature)
 from eiskern.quadrature import _GK21, _gk21, adaptive_quad, quad_decaying_tail
 from eiskern.routes import ROUTES
-from eiskern.suites import REPORT_ONLY, CheckSuite, SuiteConfig, report_text, run_suites
+from eiskern.suites import (REPORT_ONLY, CheckSuite, GridSpec, SuiteConfig, _taylor,
+                            report_text, run_suites)
 
 
 def test_evaluation_has_four_fields():
@@ -299,6 +301,43 @@ def test_run_suites_owns_report_only_and_timing(all_suites):
         assert s.pass_count + s.fail_count == len(s.records) > 0
 
 
+def test_taylor_recovers_coefficients_within_its_aliasing_bound():
+    # 1/(1 - w) = sum u^k/(1 - z)^(k+1) at w = z + u has every coefficient at the size
+    # its pole at reach |1 - z| allows: the rule on |u| = reach/3 reads c_k/(1 - q^32),
+    # |q| = 1/3, so c_k to within 3^-32 from aliasing and about 3^k eps from rounding
+    for z in (0j, 0.3 + 0.4j, -2.5 - 1j):
+        for k, c in enumerate(_taylor(lambda w: 1 / (1 - w), z, abs(1 - z))):
+            want = (1 - z) ** -(k + 1)
+            assert abs(c - want) <= (3.0 ** -32 + 3 ** k * 1e-15) * abs(want), (z, k)
+    # e^w is entire: any reach, c_k = e^z/k!
+    z = 0.2 - 0.7j
+    for k, c in enumerate(_taylor(cmath.exp, z, 2.0)):
+        assert abs(c - cmath.exp(z) / math.factorial(k)) <= 3 ** k * 1e-15 * abs(cmath.exp(z))
+
+
+_LADDERS = ["numkern.identities", "eisenstein.properties", "he.higher"]
+
+
+def _ladder(suites) -> list:
+    return [r for s in suites for r in s.records if r.inputs.startswith("derivative ")]
+
+
+def test_derivative_ladders_hold_at_a_tenth_of_their_tolerance_over_seeds():
+    # perfbench runs verify at its run's seed, where one failed record fails the run
+    for seed in range(1, 11):
+        records = _ladder(run_suites(SuiteConfig(seed=seed), _LADDERS))
+        assert len(records) == 20 + 36 + 15
+        assert all(r.rel_disc <= r.tol / 10 for r in records), seed
+        assert {r.tol for r in records} == {1e-8, 1e-11}
+
+
+def test_he_ladder_reaches_the_nearest_pole_on_a_tall_grid():
+    # on Im z in [-3.5, 3.5] a fixed list of poles ik put 3i inside the sampling circle
+    cfg = SuiteConfig(grid=GridSpec(0.1, 0.9, -3.5, 3.5, 0.5))
+    records = _ladder(run_suites(cfg, ["he.higher"]))
+    assert len(records) == 15 and all(r.passed for r in records)
+
+
 # The leaf kernels behind each engine word of the route table
 KERNELS = {
     "psi": (nk._psi, nk.digamma, nk.polygamma), "cot": (nk.cot, nk.csc2, nk.coth),
@@ -311,13 +350,8 @@ KERNELS = {
 UNPROBED: dict = {}
 # Label families (a suite and the words of a label that hold no digit) whose comparison
 # records no scaled kernel moves, each with its reason
-_LADDER = "a finite difference against the same route's next order"
 BLIND = {
     ("eisenstein.properties", "periodicity"): "two values of one route, scaled alike",
-    ("eisenstein.properties", "derivative"): _LADDER,
-    ("he.higher", "derivative"): _LADDER,
-    ("he.higher", "second-derivative link"): _LADDER,
-    ("numkern.identities", "fd"): _LADDER,
 }
 DELTA = 1e-9
 

@@ -208,6 +208,33 @@ def test_one_order_precondition_for_every_series_route():
     assert polygamma(True, 0.3) == polygamma(1, 0.3)
 
 
+def test_one_index_precondition_for_every_index_argument():
+    # an index is an int in the sense of operator.index, as an order is: B_2.5 read 0, a
+    # half-integer conjugate index gave a complex number or the next index's value, and
+    # bernoulli_poly, the closed moment and the double sum raised TypeError
+    import eiskern as ek
+    calls = {
+        "Bernoulli index n must be >= 0": (ek.bernoulli_number, lambda n: bernoulli_poly(n, 0.3)),
+        "index m must be >= 0": (ek.conj_bernoulli_half,),
+        "index n must be >= 0": (lambda n: ek.conj_bernoulli_periodic(n, 0.3),),
+        "odd-zeta representation needs m >= 1": (ek.zeta_odd_via_conj,),
+        "even-zeta representation needs m >= 1": (ek.zeta_even_euler,),
+        "moment index must be >= 0": tuple(lambda k, route=route: ek.omega_moment(k, route)
+                                           for route in ("closed", "quadrature", "series")),
+        "conjecture checks require 0 <= j <= 84": (lambda j: ek.conjecture_double_sum(j, 0.3),),
+    }
+    for message, fs in calls.items():
+        for f in fs:
+            for bad in (2.5, 1.5, 0.5, 2.0, -1, "2", None):
+                with pytest.raises(DomainError, match=message):
+                    f(bad)
+    with pytest.raises(DomainError, match="j <= 84"):
+        ek.conjecture_double_sum(85, 0.3)
+    assert nk.as_index(True, 0, "") == 1 and type(nk.as_index(True, 0, "")) is int
+    assert bernoulli_number(True) == Fraction(-1, 2)
+    assert ek.omega_moment(True, "series") == ek.omega_moment(1, "series")
+
+
 def test_polygamma_bounds_its_unit_shifts():
     # without a reflection polygamma shifts Re z up one unit at a time; past 2^20 shifts
     # it raises at once, where he_closed(2, 0.5+3e12i) would not return (and past Re z

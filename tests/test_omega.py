@@ -225,8 +225,13 @@ def test_envelope_membership_and_caption_constant():
         assert hi == pytest.approx(math.log(3.0 / z3) / (2 * PI), rel=1e-14)
         assert lo <= ratio <= hi
     assert round(omega_asymptotic_envelope(500.0)[1], 3) == 0.146
-    with pytest.raises(DomainError):
-        omega_asymptotic_envelope(5.0)
+    # the log envelope read (inf, inf, inf) at inf and three nans at nan
+    from eiskern.omega import omega_log_envelope
+    for envelope in (omega_asymptotic_envelope, omega_log_envelope):
+        for x in (5.0, math.inf, math.nan, -math.inf):
+            with pytest.raises(DomainError, match="finite x >= 10"):
+                envelope(x)
+        assert all(map(math.isfinite, envelope(1e6)))
 
 
 # ---------------------------------------------------------------------------
