@@ -10,10 +10,11 @@ Algorithm notes (also the tested contracts):
 * psi_r for every order r >= 0 (psi_0 = psi) comes from one kernel, _psi:
   the recurrence psi_r(z) = psi_r(z+1) + (-1)^(r+1) r! z^(-r-1) shifts Re z up
   to >= 14, where the asymptotic series with Bernoulli-number tail (DLMF
-  5.11.2, 5.15.8) is accurate to ~1e-16.  digamma first reflects Re z < 0
-  through psi(z) = psi(1 - z) - pi*cot(pi*z); polygamma has no reflection and
-  shifts from any Re z.  The direct summation of the defining series is kept
-  in the test suite as the slow oracle.
+  5.11.2, 5.15.8) is accurate to ~1e-16.  digamma and polygamma first reflect
+  Re z < 0 through psi_r(z) = (-1)^r psi_r(1 - z) - pi^(r+1) cot^(r)(pi*z), the
+  r-th cot derivative a polynomial in cot and 1/sin^2 (near the real axis, its
+  pole terms), so their cost does not grow with |z|.  The direct summation of
+  the defining series is kept in the test suite as the slow oracle.
 * cot, 1/sin^2 (csc2) and coth share one q-form, q = e^(+-2iw) with |q| <= 1.
 * zeta for non-even-integer s > 1 is eta(s) / (1 - 2^(1-s)) because the
   alternating series is stable down to s -> 1+; even integer s uses the
@@ -222,30 +223,77 @@ _SHIFT_RE = 14.0
 
 
 def digamma(z) -> complex:
-    """Digamma psi(z): the reflection psi(z) = psi(1 - z) - pi*cot(pi*(z - n)) for Re z < 0,
-    then _psi.  cot has period pi, and n = round(Re z) keeps the distance to the pole at n,
-    which pi*z would lose to rounding."""
+    """Digamma psi(z) = psi_0(z), by _psi_reflected: for Re z < 0 the reflection
+    psi(z) = psi(1 - z) - pi*cot(pi*(z - n)), n = round(Re z)."""
     z = as_complex(z)
     _guard_nonpositive_integer(z, "digamma")
-    if z.real < 0.0:  # Re(1 - z) > 1: no pole, no second reflection
-        return _psi(0, 1.0 - z) - PI * cot(PI * (z - round(z.real)))
-    return _psi(0, z)
+    return _psi_reflected(0, z)
 
 
-@doubles_only("polygamma({r}, {z}): a term of its r!-scaled series is not a double")
+@doubles_only("polygamma({r}, {z}): psi_r or a term of its asymptotic series or reflection "
+              "is not a double")
 def polygamma(r: int, z) -> complex:
-    """Polygamma psi_r(z), r >= 1; shift-then-asymptotic scheme.
+    """Polygamma psi_r(z), r >= 1, by _psi_reflected, in a time bounded in |z|.
 
-    psi_r(z) = (-1)^(r+1) r! sum_{k>=0} (z+k)^(-(r+1)).  DomainError where a term
-    of that r!-scaled sum is not a double: near 0 at high order, and at every z
-    from r = 151, where the asymptotic coefficients overflow, and for Re z < 14 - 2^20.
+    DomainError where psi_r(z) or a term of its sums is not a double: near a pole at
+    high order, and at every z from r = 151, where the asymptotic coefficients overflow.
     """
     r = as_order(r)  # digamma is psi_0
     z = as_complex(z)
     _guard_nonpositive_integer(z, "polygamma")
-    if z.real < _SHIFT_RE - 2 ** 20:  # 2^20 unit shifts take about 0.4 s
-        raise DomainError(f"polygamma({r}, {z}) requires Re z >= 14 - 2^20")
-    return _psi(r, z)  # w^-(r+1) may overflow, or its reciprocal underflow to 0
+    return _psi_reflected(r, z)  # w^-(r+1) may overflow, or its reciprocal underflow to 0
+
+
+_CANCEL = 64.0  # the largest cancellation accepted in the sum of _cot_poly
+
+
+def _psi_reflected(r: int, z: complex) -> complex:
+    """psi_r(z), r >= 0, off the poles, at a cost bounded in |z|: _psi for Re z >= 0, else
+    the reflection psi_r(z) = (-1)^r psi_r(1 - z) - pi^(r+1) cot^(r)(pi*x), x = z - n with
+    n = round(Re z) (DLMF 5.15.6), so Re(1 - z) > 1 and _psi shifts nothing past 14.
+    cot has period pi, and x keeps the distance to the pole at n, which pi*z would lose
+    to rounding.  For r >= 1, cot^(r) is _cot_poly's sum in u = cot and v = csc2 where
+    |Im x| >= 1/2 and that sum cancels by at most _CANCEL.  Elsewhere pole terms stand
+    for it, which keep x^(-r-1) exact where pi^(r+1) (pi*x)^(-r-1) would round r + 1
+    times, and cancel only where cot^(r) is exponentially small, at large |Im x|: for
+    |Im x| < 1/2 the shifts of _psi from z itself where Re z >= -14 (at most 28), else
+    the reflection at x, pi^(r+1) cot^(r)(pi*x) = (-1)^r psi_r(1 - x) - psi_r(x), at most
+    15 shifts each."""
+    if z.real >= 0.0:
+        return _psi(r, z)
+    x = z - round(z.real)
+    if not r:
+        return _psi(0, 1.0 - z) - PI * cot(PI * x)
+    if abs(x.imag) < 0.5 and z.real >= -_SHIFT_RE:  # at most 28 shifts: no dearer
+        return _psi(r, z)
+    psi = _psi(r, 1.0 - z)  # first: from r = 151 it raises before _cot_poly builds P_r
+    sign = -1.0 if r % 2 else 1.0
+    if abs(x.imag) >= 0.5:
+        w = PI * x
+        v = csc2(w)
+        av = abs(v)
+        s = bound = 0.0
+        for c in reversed(_cot_poly(r)):  # Horner in v, and the same sum of magnitudes
+            s = s * v + c
+            bound = bound * av + abs(c)
+        if bound <= _CANCEL * abs(s):
+            return sign * psi - PI ** (r + 1) * (s if r % 2 else cot(w) * s)
+    return sign * (psi - _psi(r, 1.0 - x)) + _psi(r, x)
+
+
+@functools.cache
+def _cot_poly(r: int) -> tuple[int, ...]:
+    """The integers c_b of cot^(r)(w) = P_r = u^a sum_b c_b v^b, u = cot w, v = csc2 w =
+    1 + u^2, a = 1 for even r and 0 for odd r (M. E. Hoffman, Amer. Math. Monthly 102, 1995):
+    P_0 = u and P_(r+1) = -v dP_r/du with dv/du = 2u and u^2 -> v - 1.  A sum in v, not
+    in u alone: cot^(r) vanishes at u = +-i, which v = 0 factors out exactly, and a sum
+    in u would cancel there, at large |Im w|."""
+    if not r:
+        return (1,)
+    c = (*_cot_poly(r - 1), 0)
+    if r % 2:  # -v (Q + 2(v - 1) Q') from P_(r-1) = u Q(v)
+        return tuple(2 * b * c[b] - (2 * b - 1) * c[b - 1] if b else 0 for b in range(len(c)))
+    return tuple(-2 * b * c[b] for b in range(len(c) - 1))  # -2uv Q' from P_(r-1) = Q(v)
 
 
 def _psi(r: int, z: complex) -> complex:

@@ -8,7 +8,10 @@ that are).  A route takes its object's argument kinds and labels its value with 
 table key, so it has one name in --route, the table, eval's output and the report.  An
 engine set names the engines (richardson, alternating, quadrature, power_series) and
 kernels (psi, cot, eta, bernoulli, polylog, zeta) a route runs itself, a kernel in place
-of what runs inside it (eta(2n+1) is an alternating sum, digamma reflects through cot).
+of what runs inside it (eta(2n+1) is an alternating sum, and psi reflects through cot:
+for Re z < 0 the two psi terms of eisenstein_polygamma cancel exactly, so at |Im z| >= 1/2
+that route reads only the derivatives of cot, as the closed route does, and verify
+compares the epsilon routes on the strip 0 < Re z < 1).
 Evaluators look their library function up when they run, so a caller that rebinds a
 module attribute sees it.
 """

@@ -143,7 +143,7 @@ def test_typed_error_names_the_precondition(fn, args, argv, precondition, capsys
     (["conjecture", "85", "0.3"], "require 0 <= j <= 84, where (2j+1)! is a double"),
     (["zeta", "inf"], "requires s > 1 and finite, got inf"),
     (["bernoulli", "400"], "B_400 is not a double"),
-    (["he", "400", "0.5"], "a term of its r!-scaled series is not a double"),
+    (["he", "400", "0.5"], "a term of its asymptotic series or reflection is not a double"),
     (["fractional", "1e300", "0"], "the value is not a double"),
 ])
 def test_eval_past_the_double_range_exits_2(argv, precondition, capsys):

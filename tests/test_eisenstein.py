@@ -331,8 +331,9 @@ def test_not_a_double_raises_typed_error():
     with pytest.raises(DomainError, match="not a double"):
         eisenstein_polygamma(150, 0.45 + 0.01j)  # 149! (0.45)^-150 = 1e312
     # w^-(r+1) overflows (r = 140), its reciprocal underflows to 0 (r = 60), or the
-    # asymptotic coefficients overflow (r = 160): a typed error, never a raw one
-    for r, z in ((140, 1e-3 + 1e-3j), (60, 1e-8 + 1e-8j), (160, 0.3 + 0.4j)):
+    # asymptotic coefficients overflow (r = 160, and r = 2000 before its reflection builds
+    # a cot derivative 2000 recursions deep): a typed error, never a raw one
+    for r, z in ((140, 1e-3 + 1e-3j), (60, 1e-8 + 1e-8j), (160, 0.3 + 0.4j), (2000, -5 + 3j)):
         with pytest.raises(DomainError, match="not a double"):
             polygamma(r, z)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -235,22 +236,95 @@ def test_one_index_precondition_for_every_index_argument():
     assert ek.omega_moment(True, "series") == ek.omega_moment(1, "series")
 
 
-def test_polygamma_bounds_its_unit_shifts():
-    # without a reflection polygamma shifts Re z up one unit at a time; past 2^20 shifts
-    # it raises at once, where he_closed(2, 0.5+3e12i) would not return (and past Re z
-    # of about -1e16, w + 1 no longer moves w)
-    import time
+def _psi_reference(mp, r: int, z: complex):
+    """psi_r(z) from mpmath: its psi where Re z >= 0, else its psi at 1 - z and mp.diff of
+    cot at w = pi*(z - n), n = round(Re z), since mpmath's own psi at Re z of about -1e12
+    does not return within a minute."""
+    z = mp.mpc(z.real, z.imag)
+    if z.real >= 0:
+        return mp.psi(r, z)
+    w = mp.pi * (z - mp.nint(z.real))
+    return (-1) ** r * mp.psi(r, 1 - z) - mp.pi ** (r + 1) * mp.diff(mp.cot, w, r)
+
+
+def _best_seconds(*fs, repeats: int = 7, calls: int = 40) -> list[float]:
+    """Seconds per call of each f, the best of `repeats` rounds that take turns, so a slow
+    phase of the host falls on every f alike."""
+    best = [math.inf] * len(fs)
+    for _ in range(repeats):
+        for i, f in enumerate(fs):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                f()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return [b / calls for b in best]
+
+
+def test_polygamma_reflects_far_left_in_bounded_time():
+    # polygamma reflects Re z < 0 once, for every order: he_closed(2, 0.5+3e12i) reads
+    # psi_1 at Re z = 1 - 3e12, where a unit shift per step never returned
     from eiskern import eisenstein_polygamma, he_closed
-    for call in (lambda: he_closed(2, 0.5 + 3e12j), lambda: polygamma(1, -1e12 + 0.5j),
-                 lambda: eisenstein_polygamma(2, -1e12 + 0.5)):
-        t0 = time.perf_counter()
-        with pytest.raises(DomainError, match="2\\^20"):
-            call()
-        assert time.perf_counter() - t0 < 1.0
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):  # 30 000 shifts, within the limit
-        want = float(mp.psi(1, -30000.7))
-    assert abs(polygamma(1, -30000.7) - want) <= 1e-12 * abs(want)
+    with mp.workdps(40):
+        psi1 = lambda z: _psi_reference(mp, 1, z)
+        z = 0.5 + 3e12j
+        he2 = -0.5 * psi1(1 - 0.5j * z) + 0.5 * psi1(1 + 0.5j * z) + psi1(1 - 1j * z) - psi1(1 + 1j * z)
+        cases = ((lambda: he_closed(2, z), he2),
+                 (lambda: polygamma(1, -1e12 + 0.5j), psi1(-1e12 + 0.5j)),
+                 (lambda: eisenstein_polygamma(2, -1e12 + 0.5), mp.pi ** 2),
+                 (lambda: polygamma(1, -30000.7), mp.psi(1, -30000.7)))
+        for call, want in cases:
+            want = complex(want)
+            assert abs(call() - want) <= 1e-14 * abs(want), want
+            assert _best_seconds(call)[0] < 1e-3
+
+
+@pytest.mark.parametrize("r", range(9))
+def test_psi_reflection_sweep_against_mpmath(r):
+    # seeded points with Re z in [-1e6, 0), |Im z| <= 30, at least 0.05 from the poles;
+    # cot^(r) read as a sum in cot alone loses 4-5 digits at (6, -54.556205-3.883516i),
+    # where cot is near i
+    mp = pytest.importorskip("mpmath")
+    f = digamma if r == 0 else lambda z: polygamma(r, z)
+    rng = random.Random(100 + r)
+    points = [complex(-54.556205, -3.883516)]
+    while len(points) < 24:
+        x = -10 ** rng.uniform(-1.5, 6)
+        z = complex(x, rng.uniform(-30, 30) if len(points) % 2 else rng.uniform(-3, 3))
+        if abs(z - round(x)) >= 0.05:
+            points.append(z)
+    with mp.workdps(40):
+        for z in points:
+            want = complex(_psi_reference(mp, r, z))
+            assert abs(f(z) - want) <= 1e-14 * abs(want), z
+    # the cost is bounded in |z|: Re z = -1e6 costs at most about twice what Re z = -1 does
+    # (three _psi sums against one), where a unit shift per step made it some 1e4 times
+    near, far = _best_seconds(lambda: f(-1.0 + 0.3j), lambda: f(-1e6 + 0.3j))
+    assert far <= 4.0 * near
+
+
+def test_polygamma_near_the_real_axis_keeps_the_pole_term_exact():
+    # at |Im z| < 1/2 pole terms stand for pi^(r+1) cot^(r)(pi*x), which rounds pi*x and
+    # raises it to -(r + 1): the sum in cot and 1/sin^2 is 1.1e-14, 3.1e-15 and 2.6e-15 off
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for r, z in ((7, -10443.503645152869 + 0.0951860280258196j),
+                     (5, -22008.439803118003 + 0.03500047249408311j),
+                     (7, -8568.611591443467 + 0.04772029714918924j)):
+            want = complex(_psi_reference(mp, r, z))
+            assert abs(polygamma(r, z) - want) <= 2e-15 * abs(want), (r, z)
+
+
+def test_polygamma_high_orders_near_half_integers():
+    # at high order near Re z = n +- 1/2 the sum in cot and 1/sin^2 cancels: by 28 at
+    # (35, -1000.45+1i), where it stands, and by 1.6e3, 4.3e4 and 4.9e11 at the next
+    # three points, where psi_r at z - n takes its place, as it does at |Im z| < 1/2
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for r, z in ((35, -1000.45 + 1j), (50, -30.5 + 1j), (99, -2000.5 + 1j),
+                     (140, -100.5 + 0.7j), (99, -30.55 + 0.2j), (20, -2.5 + 0.4j)):
+            want = complex(mp.psi(r, mp.mpc(z.real, z.imag)))
+            assert abs(polygamma(r, z) - want) <= 1e-14 * abs(want), (r, z)
 
 
 def _psi_shift_loop(r: int, z: complex) -> complex:
