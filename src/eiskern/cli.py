@@ -178,7 +178,7 @@ def cmd_verify(ns) -> int:
     for s in results:
         marker = " (report-only)" if s.report_only else ""
         print(f"{s.name}: pass={s.pass_count} fail={s.fail_count}{marker}", file=sys.stderr)
-    return 1 if any(s.fail_count > 0 and not s.report_only for s in results) else 0
+    return 1 if any(s.fail_count for s in results) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -250,21 +250,21 @@ _CANCEL = 64.0  # the largest cancellation accepted in the sum of _cot_poly
 def _psi_reflected(r: int, z: complex) -> complex:
     """psi_r(z), r >= 0, off the poles, at a cost bounded in |z|: _psi for Re z >= 0, else
     the reflection psi_r(z) = (-1)^r psi_r(1 - z) - pi^(r+1) cot^(r)(pi*x), x = z - n with
-    n = round(Re z) (DLMF 5.15.6), so Re(1 - z) > 1 and _psi shifts nothing past 14.
+    n = round(Re z) (DLMF 5.15.6), so Re(1 - z) > 1 and _psi shifts nothing past its target.
     cot has period pi, and x keeps the distance to the pole at n, which pi*z would lose
     to rounding.  For r >= 1, cot^(r) is _cot_poly's sum in u = cot and v = csc2 where
     |Im x| >= 1/2 and that sum cancels by at most _CANCEL.  Elsewhere pole terms stand
     for it, which keep x^(-r-1) exact where pi^(r+1) (pi*x)^(-r-1) would round r + 1
     times, and cancel only where cot^(r) is exponentially small, at large |Im x|: for
-    |Im x| < 1/2 the shifts of _psi from z itself where Re z >= -14 (at most 28), else
-    the reflection at x, pi^(r+1) cot^(r)(pi*x) = (-1)^r psi_r(1 - x) - psi_r(x), at most
-    15 shifts each."""
+    |Im x| < 1/2 the shifts of _psi from z itself where Re z >= -14 (at most the target
+    + 14), else the reflection at x, pi^(r+1) cot^(r)(pi*x) = (-1)^r psi_r(1 - x) -
+    psi_r(x), at most the target + 1 shifts each."""
     if z.real >= 0.0:
         return _psi(r, z)
     x = z - round(z.real)
     if not r:
         return _psi(0, 1.0 - z) - PI * cot(PI * x)
-    if abs(x.imag) < 0.5 and z.real >= -_SHIFT_RE:  # at most 28 shifts: no dearer
+    if abs(x.imag) < 0.5 and z.real >= -_SHIFT_RE:  # 14 shifts more at most: no dearer
         return _psi(r, z)
     psi = _psi(r, 1.0 - z)  # first: from r = 151 it raises before _cot_poly builds P_r
     sign = -1.0 if r % 2 else 1.0
@@ -298,15 +298,17 @@ def _cot_poly(r: int) -> tuple[int, ...]:
 
 def _psi(r: int, z: complex) -> complex:
     """psi_r(z), r >= 0 (psi_0 = psi), off the poles: the recurrence
-    psi_r(w) = psi_r(w+1) + (-1)^(r+1) r! w^(-r-1) shifts Re w up to >= 14, where
+    psi_r(w) = psi_r(w+1) + (-1)^(r+1) r! w^(-r-1) shifts Re w up to >= max(14, r + 6), where
     psi_r(w) ~ (-1)^(r-1) [L_r + r!/(2 w^(r+1)) + sum_j B_2j (2j+r-1)!/(2j)! w^(-2j-r)]
-    (DLMF 5.11.2, 5.15.8) with L_0 = -log w and L_r = (r-1)!/w^r."""
+    (DLMF 5.11.2, 5.15.8) with L_0 = -log w and L_r = (r-1)!/w^r.  The terms grow with r:
+    at |w| = 14 they stop short of the rounding level from r of about 20."""
     lead, half, asy = _psi_asy(r)
     acc = 0.0 + 0.0j
     w = z
     if r:
-        coef, power = 2.0 * half, -(r + 1)  # (-1)^(r+1) r!, the coefficient of the recurrence
-        while w.real < _SHIFT_RE:
+        # (-1)^(r+1) r!, the coefficient of the recurrence, and where the shifts stop
+        coef, power, top = 2.0 * half, -(r + 1), max(_SHIFT_RE, r + 6.0)
+        while w.real < top:
             acc += coef * w ** power
             w += 1.0
     else:

@@ -4,7 +4,7 @@ Each suite body records CheckRecords for the identities it instantiates over
 a configurable grid; run_suites builds its CheckSuite, times it and counts
 passes and fails.  Records carry both discrepancies, the tolerance and policy
 that decided the pass flag, and an anchor string naming the identity being
-instantiated.  The suites in REPORT_ONLY never affect exit codes.
+instantiated.  Only report-policy records never gate; a suite of only those is report-only.
 
 A route-agreement record (CheckSuite.agree) reads both sides through eiskern.routes;
 identity records and non-route helpers call the library.  Each gating record compares
@@ -80,15 +80,19 @@ class CheckRecord(NamedTuple):
 class CheckSuite:
     """The records of one suite; run_suites fills in counts and timing."""
 
-    def __init__(self, name: str, override: float | None = None, report_only: bool = False):
+    def __init__(self, name: str, override: float | None = None):
         self.name = name
         self.override = override    # the --tol value replacing each gating tolerance
         self.records: list[CheckRecord] = []
         self.pass_count = self.fail_count = 0
         self.wall_time_ms = 0.0
-        self.report_only = report_only
         self.agreements: list[tuple] = []  # (object, route, route) per agree record
         self._values: dict = {}  # route values by (object, route, args); neither is reported
+
+    @property
+    def report_only(self) -> bool:
+        """True when no record gates: every one has the report policy (so an empty suite)."""
+        return all(r.policy == "report" for r in self.records)
 
     def to_json(self) -> dict:
         return {
@@ -211,10 +215,9 @@ def _axis(lo: float, hi: float, step: float, most: int | None = None) -> list[fl
                        most))
 
 
-def _clamp_strip(x: float, margin: float = 0.05) -> float:
-    f = x - math.floor(x)
-    f = min(max(f, margin), 1.0 - margin)
-    return math.floor(x) + f
+def _clamp_strip(x: float, node: float, margin: float = 0.05) -> float:
+    """x moved into the unit strip of its grid node, its fractional part kept off the integers."""
+    return math.floor(node) + min(max(x - math.floor(x), margin), 1.0 - margin)
 
 
 def _push_off_imag_integers(y: float, margin: float = 0.05) -> float:
@@ -224,24 +227,24 @@ def _push_off_imag_integers(y: float, margin: float = 0.05) -> float:
     return y
 
 
-def _jittered_grid(cfg: SuiteConfig, seed: int) -> list[tuple[float, float]]:
-    """Grid nodes, each moved by a uniform jitter of at most step/4 per axis."""
+def _jittered_grid(cfg: SuiteConfig, seed: int) -> list[tuple[float, float, float]]:
+    """(Re node, x, y): grid nodes, each moved by a uniform jitter of at most step/4 per axis."""
     rng = random.Random(seed)
     g = cfg.grid
     a = g.step / 4.0
-    return [(re + rng.uniform(-a, a), im + rng.uniform(-a, a))
+    return [(re, re + rng.uniform(-a, a), im + rng.uniform(-a, a))
             for re in _axis(g.re_min, g.re_max, g.step)
             for im in _axis(g.im_min, g.im_max, g.step)]
 
 
 def strip_grid(cfg: SuiteConfig) -> list[complex]:
-    """Jittered complex grid with fractional real part kept off the integers."""
-    return [complex(_clamp_strip(x), y) for x, y in _jittered_grid(cfg, cfg.seed)]
+    """Jittered complex grid, each point in its node's unit strip and off the integers."""
+    return [complex(_clamp_strip(x, node), y) for node, x, y in _jittered_grid(cfg, cfg.seed)]
 
 
 def axis_grid(cfg: SuiteConfig) -> list[complex]:
     """Jittered complex grid kept off the nonzero imaginary integers."""
-    pts = [complex(x, _push_off_imag_integers(y)) for x, y in _jittered_grid(cfg, cfg.seed + 1)]
+    pts = [complex(x, _push_off_imag_integers(y)) for _, x, y in _jittered_grid(cfg, cfg.seed + 1)]
     return [z + 0.1 if abs(z) < 0.05 else z for z in pts]
 
 
@@ -346,10 +349,10 @@ def run_eisenstein_routes(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 def run_eisenstein_properties(rec: CheckSuite, cfg: SuiteConfig) -> None:
     pts = strip_grid(cfg)[:8]
-    for z in pts:
+    for z in pts:  # direct at z + 1 against polygamma at z: one route would move alike
         for r in (1, 2, 3, 4):
             a = eis.eisenstein_direct(r, z + 1).value
-            b = eis.eisenstein_direct(r, z).value
+            b = eis.eisenstein_polygamma(r, z)
             rec.check(f"periodicity r={r} z={_fmt(z)}", a, b, 1e-10, "abs_or_rel",
                       "one-periodicity of the Eisenstein series")
     # eps_r' = -r eps_(r+1): the closed eps_1 (cot) sampled, its poles on the integers
@@ -481,24 +484,14 @@ def run_omega_bounds(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 
 def run_omega_asymptotic(rec: CheckSuite, cfg: SuiteConfig) -> None:
+    # reported only: the envelope holds unless Omega is off by a factor of about 4
     for x in (10.0, 20.0, 40.0):
-        lo, hi, ratio = om.omega_asymptotic_envelope(x)
-        rec.lower_bound(f"x={x} above lower", ratio - lo, 0.0,
-                        "large-x envelope membership of Omega/e^(x/2)")
-        rec.lower_bound(f"x={x} below upper", hi - ratio, 0.0,
-                        "large-x envelope membership of Omega/e^(x/2)")
+        _, hi, ratio = om.omega_asymptotic_envelope(x)
         rec.check(f"x={x} measured ratio", complex(ratio), complex(hi), 1e9,
                   "report", "measured decay ratio, reported without assertion")
     _, hi, _ = om.omega_asymptotic_envelope(500.0)
-    rec.check("caption constant", complex(hi), 0.146, 5e-4, "abs",
+    rec.check("caption constant", complex(hi), 0.146, 5e-4, "report",
               "upper envelope coefficient printed as 0.146")
-    for x in (500.0, 502.0, 504.0):
-        log_lower, log_upper, log_approx = om.omega_log_envelope(x)
-        rec.lower_bound(f"x={x} log-space order", log_upper - log_approx, 0.0,
-                        "log-space ordering of envelope and approximant")
-        rec.check(f"x={x} log-space report", complex(log_approx),
-                  complex(log_lower), 1e9, "report",
-                  "log-space envelope values at the large-x window")
 
 
 def run_omega_ode(rec: CheckSuite, cfg: SuiteConfig) -> None:
@@ -515,6 +508,11 @@ def run_omega_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 
 def run_conj_values(rec: CheckSuite, cfg: SuiteConfig) -> None:
+    c = cb.conjecture_double_sum(0, 0.5)
+    rec.check("j=0 z=0.5 closed value", c.double_sum, -LOG2 / PI, 1e-12, "abs",
+              "conjectured double sum at the half point, lowest index")
+    rec.check("j=0 z=0.5 fourier", c.double_sum, c.fourier, 1e-12, "abs",
+              "conjectured double sum vs Fourier oracle")
     for m in range(7):
         rec.agree(f"half-point m={m}", "conj_half", "eta", "zeta", (m,), 1e-13, "rel",
                   "conjugate Bernoulli half-point eta form vs zeta form")
@@ -593,11 +591,7 @@ def run_bstar_values(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 
 def run_conjecture_double_sum(rec: CheckSuite, cfg: SuiteConfig) -> None:
-    c = cb.conjecture_double_sum(0, 0.5)
-    rec.check("j=0 z=0.5 closed value", c.double_sum, -LOG2 / PI, 1e-12, "abs",
-              "conjectured double sum at the half point, lowest index")
-    rec.check("j=0 z=0.5 fourier", c.double_sum, c.fourier, 1e-12, "abs",
-              "conjectured double sum vs Fourier oracle")
+    # the lowest index at z = 1/2 gates in conj.values; elsewhere the sum misses the oracle
     for j, z in ((0, 0.25), (1, 0.5), (1, 0.25), (2, 0.5), (2, 0.3)):
         c = cb.conjecture_double_sum(j, z)
         rec.check(f"j={j} z={z} report", c.double_sum, c.fourier, 1e9, "report",
@@ -626,8 +620,6 @@ SUITES = {
     "conjecture.double_sum": run_conjecture_double_sum,
 }
 
-REPORT_ONLY = {"omega.asymptotic", "conjecture.double_sum"}
-
 
 def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
     """Run the named suites in order, each body recording into its own CheckSuite; first a
@@ -648,7 +640,7 @@ def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
             raise ConfigError(f"tolerance {tol!r} of suite {name} is not a finite number >= 0")
     results = []
     for name in names:
-        suite = CheckSuite(name, cfg.tolerance_overrides.get(name), report_only=name in REPORT_ONLY)
+        suite = CheckSuite(name, cfg.tolerance_overrides.get(name))
         started = time.perf_counter()
         try:
             SUITES[name](suite, cfg)

@@ -284,8 +284,8 @@ def test_criterion_13_conjecture_report_only():
     reported = [conjecture_double_sum(j, 0.5) for j in (1, 2)]
     finite = all(math.isfinite(r.discrepancy) for r in reported)
     # the CLI suite must carry the report-only flag
-    from eiskern.suites import REPORT_ONLY
-    flagged = "conjecture.double_sum" in REPORT_ONLY
+    from eiskern.suites import SuiteConfig, run_suites
+    flagged = run_suites(SuiteConfig(), ["conjecture.double_sum"])[0].report_only
     check(13, "conjecture checked at the base index, higher ones reported only",
           base_ok and finite and flagged,
           f"base disc {c.discrepancy:.2e}, j=1,2 discs "

@@ -327,6 +327,20 @@ def test_polygamma_high_orders_near_half_integers():
             assert abs(polygamma(r, z) - want) <= 1e-14 * abs(want), (r, z)
 
 
+@pytest.mark.parametrize("r", (20, 50, 100, 150))
+def test_polygamma_keeps_its_digits_at_high_order(r):
+    # the asymptotic terms grow with r, so _psi shifts Re w to max(14, r + 6): at 14 for
+    # every r, (100, 14.5+10i) was 0.18 and (150, 14.5+10i) 2.8e2 relative off
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(200 + r)
+    points = [14.5 + 10j, 14.5 + 21.4j, 0.5 + 30j]
+    points += [complex(rng.uniform(0.5, 40), rng.uniform(-40, 40)) for _ in range(12)]
+    with mp.workdps(40):
+        for z in points:
+            want = complex(mp.psi(r, mp.mpc(z.real, z.imag)))
+            assert abs(polygamma(r, z) - want) <= 1e-13 * abs(want), z
+
+
 def _psi_shift_loop(r: int, z: complex) -> complex:
     """The slow oracle for _psi's shift loop: its one-line form, which takes the
     coefficient and the exponent apart at every unit shift; the asymptotic tail is _psi's."""
