@@ -10,7 +10,7 @@ A route-agreement record (CheckSuite.agree) reads both sides through eiskern.rou
 identity records and non-route helpers call the library.  Each gating record compares
 two code paths that differ in arithmetic, not only in order, sign or conjugation: a
 check whose sides run the same arithmetic reads 0 on every input and cannot fail.  A
-derivative ladder samples its first order once (_taylor) and reads each rung from another route.
+derivative check reads one route's Taylor coefficients on a circle (_taylor) against another.
 """
 from __future__ import annotations
 
@@ -495,10 +495,11 @@ def run_omega_asymptotic(rec: CheckSuite, cfg: SuiteConfig) -> None:
 
 
 def run_omega_ode(rec: CheckSuite, cfg: SuiteConfig) -> None:
+    # Omega' by partial fractions (alternating) against psi, coth and quadrature; poles +-2 pi i
     for x in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0):
-        r = om.omega_ode_residual(x, 1e-5)
-        rec.check(f"x={x}", complex(r), 0.0, 1e-6, "abs",
-                  "first-order ODE residual of the Omega function")
+        d_omega = _taylor(lambda w: om.omega_partial_fraction(w).value, x, 3.0)[1]
+        rec.check(f"x={x}", d_omega, om._ode_rhs(x), 1e-12, "rel",
+                  "first-order ODE of the Omega function, Omega'(0) = log(2)/pi at x = 0")
 
 
 def run_omega_identities(rec: CheckSuite, cfg: SuiteConfig) -> None:

@@ -478,6 +478,16 @@ def test_a_family_fails_when_the_kernel_its_sides_shared_moves(suite, family, ke
     assert chosen and not all(r.passed for r in chosen)
 
 
+@pytest.mark.parametrize("kernel", [sm.alternating_sum, nk._psi, _gk21],
+                         ids=["alternating_sum", "_psi", "_gk21"])
+def test_omega_ode_fails_when_a_kernel_of_either_side_moves(kernel):
+    # Omega' by partial fractions (alternating) against Omega by psi and the Mathieu
+    # forcing by quadrature: each side runs its own, so a 1e-9 move fails at 1e-12
+    with _scaling((kernel,)):
+        records = run_suites(SuiteConfig(), ["omega.ode"])[0].records
+    assert len(records) == 6 and not all(r.passed for r in records)
+
+
 # Route pairs that a gating agreement record compares although both run the engine
 # they share, each with its reason
 SHARED_ENGINE = {
