@@ -147,8 +147,6 @@ def _parse_verify_config(ns):
         if "=" not in item:
             raise ConfigError(f"--tol expects NAME=VAL, got {item!r}")
         name, val = item.split("=", 1)
-        if name not in SUITES:
-            raise ConfigError(f"--tol names unknown suite {name!r}")
         try:
             overrides[name] = float(val)
         except ValueError:
@@ -186,8 +184,11 @@ def cmd_verify(ns) -> int:
 
 def _write_out(text: str, ns) -> None:
     if getattr(ns, "out", None):
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # exit 2 with the path, not 1, which means a failed record
+            raise ConfigError(f"cannot write --out {ns.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

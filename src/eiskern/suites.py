@@ -1,16 +1,16 @@
 """Identity, bound and conjecture check suites behind the verification CLI.
 
-Each suite body records CheckRecords for the identities it instantiates over
-a configurable grid; run_suites builds its CheckSuite, times it and counts
-passes and fails.  Records carry both discrepancies, the tolerance and policy
-that decided the pass flag, and an anchor string naming the identity being
-instantiated.  Only report-policy records never gate; a suite of only those is report-only.
+Each suite body records CheckRecords for the identities it instantiates over a configurable
+grid; run_suites builds its CheckSuite, times it and sorts its records by inputs, and the
+pass and fail counts derive from the records.  CheckSuite.check builds each record: both
+discrepancies, the tolerance and policy that decided the pass flag, and an anchor naming the
+identity.  Only report-policy records never gate; a suite of only those is report-only.
 
-A route-agreement record (CheckSuite.agree) reads both sides through eiskern.routes;
-identity records and non-route helpers call the library.  Each gating record compares
-two code paths that differ in arithmetic, not only in order, sign or conjugation: a
-check whose sides run the same arithmetic reads 0 on every input and cannot fail.  A
-derivative check reads one route's Taylor coefficients on a circle (_taylor) against another.
+A route-agreement record (CheckSuite.agree) reads both routes through eiskern.routes and names
+them in CheckRecord.routes, unreported; identity records and non-route helpers call the library.
+Each gating record compares two code paths that differ in arithmetic, not only in order, sign or
+conjugation: a check whose sides run the same arithmetic reads 0 on every input and cannot fail.
+A derivative check reads one route's Taylor coefficients on a circle (_taylor) against another.
 """
 from __future__ import annotations
 
@@ -62,6 +62,7 @@ class CheckRecord(NamedTuple):
     passed: bool
     policy: str
     paper_anchor: str
+    routes: tuple | None  # (object, route, route) of an agreement record, else None
 
     def to_json(self) -> dict:
         return {
@@ -78,16 +79,22 @@ class CheckRecord(NamedTuple):
 
 
 class CheckSuite:
-    """The records of one suite; run_suites fills in counts and timing."""
+    """The records of one suite; run_suites times them and sorts them by inputs."""
 
     def __init__(self, name: str, override: float | None = None):
         self.name = name
         self.override = override    # the --tol value replacing each gating tolerance
         self.records: list[CheckRecord] = []
-        self.pass_count = self.fail_count = 0
         self.wall_time_ms = 0.0
-        self.agreements: list[tuple] = []  # (object, route, route) per agree record
         self._values: dict = {}  # route values by (object, route, args); neither is reported
+
+    @property
+    def pass_count(self) -> int:
+        return sum(r.passed for r in self.records)
+
+    @property
+    def fail_count(self) -> int:
+        return len(self.records) - self.pass_count
 
     @property
     def report_only(self) -> bool:
@@ -97,7 +104,7 @@ class CheckSuite:
     def to_json(self) -> dict:
         return {
             "suite": self.name,
-            "records": [r.to_json() for r in sorted(self.records, key=lambda r: r.inputs)],
+            "records": [r.to_json() for r in self.records],
             "pass_count": self.pass_count,
             "fail_count": self.fail_count,
             "wall_time_ms": self.wall_time_ms,
@@ -105,18 +112,20 @@ class CheckSuite:
         }
 
     def check(self, inputs: str, lhs: complex, rhs: complex, tol: float,
-              policy: str, anchor: str) -> None:
+              policy: str, anchor: str, routes: tuple | None = None) -> None:
         lhs, rhs = complex(lhs), complex(rhs)
         if self.override is not None and policy != "report":
             tol = self.override
-        abs_disc = abs(lhs - rhs)
-        rel_disc = abs_disc / max(abs(lhs), abs(rhs), 1e-300)
-        ok = {"abs": abs_disc <= tol, "rel": rel_disc <= tol, "report": True,
-              "abs_or_rel": abs_disc <= tol or rel_disc <= tol}.get(policy)
-        if ok is None:
-            raise ConfigError(f"unknown pass policy {policy!r}")
+        if policy == "lower_bound":  # passes iff lhs >= rhs - tol: the shortfall, over |rhs|
+            abs_disc = max(0.0, rhs.real - lhs.real)
+            rel_disc = abs_disc / max(abs(rhs), 1e-300)
+        else:
+            abs_disc = abs(lhs - rhs)
+            rel_disc = abs_disc / max(abs(lhs), abs(rhs), 1e-300)
+        ok = {"abs": abs_disc <= tol, "rel": rel_disc <= tol, "lower_bound": abs_disc <= tol,
+              "abs_or_rel": abs_disc <= tol or rel_disc <= tol, "report": True}[policy]
         self.records.append(CheckRecord(inputs, lhs, rhs, abs_disc, rel_disc, tol, ok,
-                                        policy, anchor))
+                                        policy, anchor, routes))
 
     def value(self, obj: str, route: str | None, args: tuple) -> complex:
         """The value of one table route at args, computed once per suite."""
@@ -133,18 +142,8 @@ class CheckSuite:
     def agree(self, inputs: str, obj: str, a: str, b: str, args: tuple, tol: float,
               policy: str, anchor: str) -> None:
         """Record route a (lhs) against route b (rhs) of obj at the same args."""
-        self.agreements.append((obj, a, b))
-        self.check(inputs, self.value(obj, a, args), self.value(obj, b, args), tol, policy, anchor)
-
-    def lower_bound(self, inputs: str, value: float, threshold: float,
-                    anchor: str) -> None:
-        """Record passing iff value >= threshold (margin checks)."""
-        violation = max(0.0, threshold - value)
-        tol = 0.0 if self.override is None else self.override
-        self.records.append(CheckRecord(
-            inputs, complex(value), complex(threshold),
-            violation, violation / max(abs(threshold), 1e-300), tol,
-            violation <= tol, "lower_bound", anchor))
+        self.check(inputs, self.value(obj, a, args), self.value(obj, b, args), tol, policy,
+                   anchor, (obj, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,7 @@ def report_text(suites: list[CheckSuite]) -> str:
             _json_num(r.rhs.real), _json_num(r.rhs.imag), _json_num(r.abs_disc),
             _json_num(r.rel_disc), _json_num(r.tol), _json_bool(r.passed),
             _json_str(r.policy), _json_str(r.paper_anchor))
-            for r in sorted(s.records, key=lambda r: r.inputs)]
+            for r in s.records]
         listed = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
         blocks.append(_SUITE % (_json_str(s.name), listed, s.pass_count, s.fail_count,
                                 _json_num(s.wall_time_ms), _json_bool(s.report_only)))
@@ -376,8 +375,8 @@ def run_eisenstein_product(rec: CheckSuite, cfg: SuiteConfig) -> None:
     for r in (2, 3, 4):
         res = abs(eis.product_identity_residual(r, 0.25))
         scale = abs(eis.eisenstein_polygamma(r + 2, 0.25))
-        rec.lower_bound(f"uniqueness r={r} z=0.25", res / scale, 0.05,
-                        "the product identity fails for every order above one")
+        rec.check(f"uniqueness r={r} z=0.25", res / scale, 0.05, 0.0, "lower_bound",
+                  "the product identity fails for every order above one")
 
 
 def run_he_closed(rec: CheckSuite, cfg: SuiteConfig) -> None:
@@ -479,8 +478,8 @@ def run_omega_bounds(rec: CheckSuite, cfg: SuiteConfig) -> None:
         for x in (i / 10.0, -(i / 10.0)):
             lo, hi = om.omega_bounds(x)
             val = om.omega_digamma(x).real
-            rec.lower_bound(f"x={x:.1f} lower", val - lo, 0.0, anchor)
-            rec.lower_bound(f"x={x:.1f} upper", hi - val, 0.0, anchor)
+            rec.check(f"x={x:.1f} lower", val - lo, 0.0, 0.0, "lower_bound", anchor)
+            rec.check(f"x={x:.1f} upper", hi - val, 0.0, 0.0, "lower_bound", anchor)
 
 
 def run_omega_asymptotic(rec: CheckSuite, cfg: SuiteConfig) -> None:
@@ -624,11 +623,12 @@ SUITES = {
 
 def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
     """Run the named suites in order, each body recording into its own CheckSuite; first a
-    ConfigError for an unknown suite, a grid that is not finite, steps by <= 0 or has no
-    node or more than GRID_NODES, and a tolerance override that is no finite number >= 0.
+    ConfigError for an unknown suite, run or overridden, a grid that is not finite, steps by
+    <= 0 or has no node or more than GRID_NODES, and a tolerance override that is no finite
+    number >= 0.
     An EiskernError from a suite keeps its class; its message gains the suite's name, and
     the object, route and arguments where it came through CheckSuite.value."""
-    for name in names:
+    for name in [*names, *cfg.tolerance_overrides]:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     g = cfg.grid
@@ -650,7 +650,6 @@ def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
             raise
         if os.environ.get("SOURCE_DATE_EPOCH") is None:  # set: byte-identical reports
             suite.wall_time_ms = (time.perf_counter() - started) * 1000.0
-        suite.pass_count = sum(r.passed for r in suite.records)
-        suite.fail_count = len(suite.records) - suite.pass_count
+        suite.records.sort(key=lambda r: r.inputs)
         results.append(suite)
     return results

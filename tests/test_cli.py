@@ -410,7 +410,16 @@ def test_verify_bad_tol_exits_2(capsys):
     rc, _, err = run(["verify", "--suites", "bstar.values", "--tol", "bstar.values=abc"], capsys)
     assert rc == 2
     rc, _, err = run(["verify", "--suites", "bstar.values", "--tol", "zzz=1e-3"], capsys)
-    assert rc == 2
+    assert rc == 2 and "unknown suite 'zzz'; known: " in err
+
+
+def test_an_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
+    # the open error once left every command with a traceback and exit 1, which verify
+    # gives a failed record
+    out = str(tmp_path / "missing" / "x")
+    for argv in (["verify", "--suites", "bstar.values"], ["table", "bstar"], ["plotdata", "fig1"]):
+        rc, stdout, err = run(argv + ["--out", out], capsys)
+        assert rc == 2 and stdout == "" and f"cannot write --out {out!r}" in err, argv
 
 
 def test_verify_injected_failing_tolerance_exits_1(tmp_path, capsys):

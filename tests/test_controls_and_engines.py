@@ -178,6 +178,19 @@ def test_only_the_engines_judge_convergence():
     assert sites == ["summation.py"]
 
 
+def test_one_place_judges_a_record():
+    # CheckSuite.check builds every record and the counts derive from the records: a
+    # second site that built a record or stored a count could judge it by other rules
+    texts = _package_sources()
+    built = [n for n, t in texts.items() for c in ast.walk(ast.parse(t))
+             if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "CheckRecord"]
+    assert built == ["suites.py"]
+    stored = [(n, node.lineno) for n, t in texts.items() for node in ast.walk(ast.parse(t))
+              if isinstance(getattr(node, "ctx", None), ast.Store)
+              and getattr(node, "attr", getattr(node, "id", None)) in ("pass_count", "fail_count")]
+    assert stored == []
+
+
 def test_one_alternating_engine():
     # every alternating sum states where its moment sequence starts, and no series
     # regains a heuristic accelerator: the epsilon algorithm, whose estimate is no
@@ -286,8 +299,9 @@ def test_report_text_matches_json_dumps(all_suites):
               1e-12, "abs", "résumé of \u03b5_r at ½ \U0001d70b")
     odd.check("finite", 1e300 + 1e-300j, -2.5e-17, 1e-12, "abs_or_rel", "plain")
     odd.check("report", 3, -0.0, 1e9, "report", "reported")
-    odd.lower_bound("bound", -inf, 0.0, "lower bound at -inf")
-    odd.pass_count, odd.fail_count, odd.wall_time_ms = 3, 1, 1.5e-07
+    odd.check("bound", -inf, 0.0, 0.0, "lower_bound", "lower bound at -inf")
+    odd.wall_time_ms = 1.5e-07
+    assert (odd.pass_count, odd.fail_count) == (1, 3)  # only the report record passes
     empty = CheckSuite("empty")
     for suites in ([odd, empty], [empty], [empty, odd], []):
         assert report_text(suites) == reference(suites)
@@ -310,11 +324,43 @@ def test_a_suite_is_report_only_when_no_record_gates():
         suite = CheckSuite("s")
         suite.check("report", 1.0, 2.0, 1e-12, "report", "reported")
         assert suite.report_only
-        if policy == "lower_bound":
-            suite.lower_bound("bound", 1.0, 0.0, "gating")
-        else:
-            suite.check("gate", 1.0, 1.0, 1e-12, policy, "gating")
+        suite.check("gate", 1.0, 1.0, 1e-12, policy, "gating")
         assert not suite.report_only, policy
+
+
+def test_a_lower_bound_record_reports_its_shortfall():
+    # lhs >= rhs - tol passes; below it, abs_disc is rhs - lhs and rel_disc that over |rhs|
+    suite = CheckSuite("s")
+    suite.check("above", 2.0, -0.5, 0.0, "lower_bound", "bound")
+    suite.check("below", -0.5, -2.0, 0.0, "lower_bound", "bound")
+    suite.check("short", -4.0, 2.0, 0.0, "lower_bound", "bound")
+    above, below, short = suite.records
+    assert above.passed and below.passed and (above.abs_disc, above.rel_disc) == (0.0, 0.0)
+    assert not short.passed and (short.abs_disc, short.rel_disc) == (6.0, 3.0)
+    assert (suite.pass_count, suite.fail_count) == (2, 1)
+
+
+def test_a_tolerance_override_applies_to_every_gating_policy():
+    # --tol replaces the tolerance of abs, rel, abs_or_rel and lower_bound records alike
+    for override, passed in ((1.0, True), (0.01, False)):
+        suite = CheckSuite("s", override=override)
+        for policy in ("abs", "rel", "abs_or_rel"):
+            suite.check(policy, 1.0, 1.5, 1e-12, policy, "gating")
+        suite.check("lower_bound", 1.0, 1.5, 0.0, "lower_bound", "gating")
+        suite.check("report", 1.0, 1.5, 1e9, "report", "reported")
+        *gating, report = suite.records
+        assert [(r.tol, r.passed) for r in gating] == [(override, passed)] * 4, override
+        assert (report.tol, report.passed) == (1e9, True)
+
+
+def test_the_counts_follow_the_records():
+    # no count is stored: records appended after run_suites has returned are counted
+    suite, = run_suites(SuiteConfig(), ["bstar.values"])
+    assert (suite.pass_count, suite.fail_count) == (4, 0)
+    suite.check("late fail", 1.0, 2.0, 1e-12, "abs", "appended")
+    suite.check("late pass", 1.0, 1.0, 1e-12, "abs", "appended")
+    assert (suite.pass_count, suite.fail_count) == (5, 1)
+    assert suite.to_json()["fail_count"] == 1
 
 
 def test_strip_grid_keeps_each_node_in_its_unit_strip():
@@ -501,7 +547,7 @@ UNCHECKED = {
 
 
 def _gating_agreements(suites) -> set:
-    return {pair for s in suites if not s.report_only for pair in s.agreements}
+    return {r.routes for s in suites if not s.report_only for r in s.records if r.routes}
 
 
 def _shared_engines(table, pairs) -> set:
