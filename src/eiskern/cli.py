@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", action="append", default=[], metavar="NAME=VAL",
                    help="override every tolerance in suite NAME (repeatable)")
     v.add_argument("--grid", metavar="re_min,re_max,im_min,im_max,step",
-                   help="complex grid specification")
+                   help="complex grid specification; write --grid=-3.9,... when re_min "
+                        "is negative, since argparse reads -3.9 as an option")
     v.add_argument("--seed", type=int, default=20260808, help="grid jitter seed")
 
     e = sub.add_parser("eval", help="evaluate a named function")

@@ -5,6 +5,7 @@ grid; run_suites builds its CheckSuite, times it and sorts its records by inputs
 pass and fail counts derive from the records.  CheckSuite.check builds each record: both
 discrepancies, the tolerance and policy that decided the pass flag, and an anchor naming the
 identity.  Only report-policy records never gate; a suite of only those is report-only.
+The verify report is each suite's to_json() written by json, one record per line (report_text).
 
 A route-agreement record (CheckSuite.agree) reads both routes through eiskern.routes and names
 them in CheckRecord.routes, unreported; identity records and non-route helpers call the library.
@@ -15,12 +16,12 @@ A derivative check reads one route's Taylor coefficients on a circle (_taylor) a
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import os
 import random
 import time
 from itertools import accumulate, combinations, islice, repeat, takewhile
-from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -147,62 +148,17 @@ class CheckSuite:
 
 
 # ---------------------------------------------------------------------------
-# the report: json.dumps([s.to_json() for s in suites], indent=1) + "\n", from templates
-
-_RECORD = """   {
-    "inputs": %s,
-    "lhs": {
-     "re": %s,
-     "im": %s
-    },
-    "rhs": {
-     "re": %s,
-     "im": %s
-    },
-    "abs_disc": %s,
-    "rel_disc": %s,
-    "tol": %s,
-    "pass": %s,
-    "policy": %s,
-    "paper_anchor": %s
-   }"""
-
-_SUITE = """ {
-  "suite": %s,
-  "records": %s,
-  "pass_count": %d,
-  "fail_count": %d,
-  "wall_time_ms": %s,
-  "report_only": %s
- }"""
-
-
-def _json_num(x: float) -> str:
-    """A number as json spells it: repr, with NaN, Infinity and -Infinity."""
-    if math.isfinite(x):
-        return repr(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-
-def _json_bool(b: bool) -> str:
-    return "true" if b else "false"
-
+# the report: the JSON of each suite's to_json(), one record per line
 
 def report_text(suites: list[CheckSuite]) -> str:
-    """The verify report, byte for byte json.dumps([s.to_json() ...], indent=1) + "\n"
-    without json's pure-Python indenting encoder."""
+    """The verify report: a JSON array with one suite per header line, records moved last,
+    and each record of the suite on a line of its own, so a grep shows a record whole."""
     blocks = []
     for s in suites:
-        records = [_RECORD % (
-            _json_str(r.inputs), _json_num(r.lhs.real), _json_num(r.lhs.imag),
-            _json_num(r.rhs.real), _json_num(r.rhs.imag), _json_num(r.abs_disc),
-            _json_num(r.rel_disc), _json_num(r.tol), _json_bool(r.passed),
-            _json_str(r.policy), _json_str(r.paper_anchor))
-            for r in s.records]
-        listed = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
-        blocks.append(_SUITE % (_json_str(s.name), listed, s.pass_count, s.fail_count,
-                                _json_num(s.wall_time_ms), _json_bool(s.report_only)))
-    return ("[\n" + ",\n".join(blocks) + "\n]" if blocks else "[]") + "\n"
+        head = s.to_json()
+        records = ",".join("\n" + json.dumps(r) for r in head.pop("records"))
+        blocks.append(f'{json.dumps(head)[:-1]}, "records": [{records}]}}')
+    return "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +581,7 @@ def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
     """Run the named suites in order, each body recording into its own CheckSuite; first a
     ConfigError for an unknown suite, run or overridden, a grid that is not finite, steps by
     <= 0 or has no node or more than GRID_NODES, and a tolerance override that is no finite
-    number >= 0.
+    number >= 0 or is set for a suite that names does not run.
     An EiskernError from a suite keeps its class; its message gains the suite's name, and
     the object, route and arguments where it came through CheckSuite.value."""
     for name in [*names, *cfg.tolerance_overrides]:
@@ -639,6 +595,8 @@ def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
     for name, tol in cfg.tolerance_overrides.items():
         if not 0.0 <= tol < math.inf:  # a nan tolerance fails every record
             raise ConfigError(f"tolerance {tol!r} of suite {name} is not a finite number >= 0")
+        if name not in names:  # its override would replace no tolerance
+            raise ConfigError(f"--tol sets suite {name}, which --suites does not select")
     results = []
     for name in names:
         suite = CheckSuite(name, cfg.tolerance_overrides.get(name))

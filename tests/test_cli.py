@@ -413,6 +413,14 @@ def test_verify_bad_tol_exits_2(capsys):
     assert rc == 2 and "unknown suite 'zzz'; known: " in err
 
 
+def test_verify_tol_for_a_suite_not_selected_exits_2(capsys):
+    # the override once replaced no tolerance and verify exited 0, the injected failure unrun
+    rc, out, err = run(["verify", "--suites", "bstar.values", "--tol", "omega.moments=1e-30"],
+                       capsys)
+    assert rc == 2 and out == ""
+    assert "--tol sets suite omega.moments, which --suites does not select" in err
+
+
 def test_an_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
     # the open error once left every command with a traceback and exit 1, which verify
     # gives a failed record
@@ -464,6 +472,16 @@ def test_verify_grid_flag(tmp_path, capsys):
     assert rc == 0
     rc, _, err = run(["verify", "--suites", "eisenstein.product", "--grid", "1,2,3"], capsys)
     assert rc == 2
+
+
+def test_verify_grid_left_of_the_axis_takes_the_equals_form(tmp_path, capsys):
+    # argparse reads a value that starts with "-" as an option, so a negative re_min needs "="
+    out = tmp_path / "rep.json"
+    rc, _, _ = run(["verify", "--suites", "eisenstein.product,he.closed",
+                    "--grid=-3.9,-3.1,-1,1,0.4", "--out", str(out)], capsys)
+    assert rc == 0
+    for suite in json.loads(out.read_text()):  # each suite reads the grid at Re z < -3
+        assert any("z=-3." in r["inputs"] for r in suite["records"]), suite["suite"]
 
 
 def test_verify_grid_with_a_bound_that_is_no_finite_double_exits_2(capsys):

@@ -290,9 +290,9 @@ def test_run_suites_reproducible(monkeypatch):
     assert a == b
 
 
-def test_report_text_matches_json_dumps(all_suites):
-    reference = lambda suites: json.dumps([s.to_json() for s in suites], indent=1) + "\n"
-    assert report_text(all_suites) == reference(all_suites)
+def _report_cases(all_suites):
+    """Every suite, and odd records in four suite orders: non-finite values, non-ASCII text,
+    a quote, a backslash and a tab, a --tol override, an empty suite and no suite at all."""
     odd = CheckSuite("synthétique", override=1e-3)
     inf, nan = math.inf, math.nan
     odd.check('quote " backslash \\ tab \t z=0.5', complex(nan, inf), complex(-inf, 0.0),
@@ -303,8 +303,29 @@ def test_report_text_matches_json_dumps(all_suites):
     odd.wall_time_ms = 1.5e-07
     assert (odd.pass_count, odd.fail_count) == (1, 3)  # only the report record passes
     empty = CheckSuite("empty")
-    for suites in ([odd, empty], [empty], [empty, odd], []):
-        assert report_text(suites) == reference(suites)
+    return [all_suites, [odd, empty], [empty], [empty, odd], []]
+
+
+def test_report_text_parses_back_to_to_json(all_suites):
+    # compared as re-serialized text, since nan != nan; the report moves records last
+    dump = lambda obj: json.dumps(obj, sort_keys=True)
+    for suites in _report_cases(all_suites):
+        assert dump(json.loads(report_text(suites))) == dump([s.to_json() for s in suites])
+
+
+def test_report_text_writes_every_record_on_one_line(all_suites):
+    # so that grep '"pass": false' shows each failed record whole
+    decode = json.JSONDecoder().raw_decode
+    for suites in _report_cases(all_suites):
+        lines = report_text(suites).splitlines()
+        records = [r.to_json() for s in suites for r in s.records]
+        assert len(lines) == (len(suites) + len(records) + 2 if suites else 1)
+        record_lines = [line for line in lines if line.startswith('{"inputs": ')]
+        assert len(record_lines) == len(records)
+        for line, record in zip(record_lines, records):
+            value, end = decode(line)
+            assert json.dumps(value) == json.dumps(record)
+            assert line[end:] in ("", ",", "]}", "]},")
 
 
 def test_run_suites_owns_report_only_and_timing(all_suites):
