@@ -1,8 +1,9 @@
 """Command-line front end: verify | eval | table | plotdata.
 
 verify runs named check suites over a configurable grid and emits a JSON
-report (one object per suite) to stdout or --out; any failing record in a
-non-report-only suite forces exit code 1 and configuration problems exit 2.
+report (one object per suite) to stdout or --out.  Exit status: 0 when every
+record passes, 1 when any record fails, 2 on a configuration or library error,
+with nothing on stdout.
 eval computes a named function at given points by the route --route names, read
 from the table in eiskern.routes (by default its first route; an unknown route exits
 2), and prints the value with the route's label, its table key; `--` may stand anywhere
@@ -39,7 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify and evaluate the special-function identities in this package")
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="run identity/bound/conjecture suites")
+    v = sub.add_parser("verify", help="run identity/bound/conjecture suites",
+                       epilog="Exit status: 0 when every record passes, 1 when any record "
+                              "fails, 2 on a configuration or library error, with nothing "
+                              "on stdout.")
     v.add_argument("--suites", default="all",
                    help="comma-separated suite names (default: all)")
     v.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -579,14 +579,17 @@ SUITES = {
 
 def run_suites(cfg: SuiteConfig, names: list[str]) -> list[CheckSuite]:
     """Run the named suites in order, each body recording into its own CheckSuite; first a
-    ConfigError for an unknown suite, run or overridden, a grid that is not finite, steps by
-    <= 0 or has no node or more than GRID_NODES, and a tolerance override that is no finite
-    number >= 0 or is set for a suite that names does not run.
+    ConfigError for an unknown suite, run or overridden, a suite named twice, a grid that is
+    not finite, steps by <= 0 or has no node or more than GRID_NODES, and a tolerance
+    override that is no finite number >= 0 or is set for a suite that names does not run.
     An EiskernError from a suite keeps its class; its message gains the suite's name, and
     the object, route and arguments where it came through CheckSuite.value."""
     for name in [*names, *cfg.tolerance_overrides]:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    for i, name in enumerate(names):
+        if name in names[:i]:  # it would run twice and write two reports of one name
+            raise ConfigError(f"suite {name!r} is named more than once")
     g = cfg.grid
     if not (all(map(math.isfinite, g)) and g.step > 0 and 1 <= math.prod(
             len(_axis(lo, hi, g.step, GRID_NODES + 1)) for lo, hi in (g[:2], g[2:4])) <= GRID_NODES):

@@ -406,6 +406,13 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_repeated_suite_exits_2(capsys):
+    # run twice, a suite would write two report objects of one name
+    rc, out, err = run(["verify", "--suites", "bstar.values,omega.moments,bstar.values"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "configuration error: suite 'bstar.values' is named more than once\n"
+
+
 def test_verify_bad_tol_exits_2(capsys):
     rc, _, err = run(["verify", "--suites", "bstar.values", "--tol", "bstar.values=abc"], capsys)
     assert rc == 2
