@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated suite names (default: all)")
     v.add_argument("--out", help="write the JSON report here instead of stdout")
     v.add_argument("--tol", action="append", default=[], metavar="NAME=VAL",
-                   help="override every tolerance in suite NAME (repeatable)")
+                   help="override every tolerance in suite NAME (repeatable, once per suite)")
     v.add_argument("--grid", metavar="re_min,re_max,im_min,im_max,step",
                    help="complex grid specification; write --grid=-3.9,... when re_min "
                         "is negative, since argparse reads -3.9 as an option")
@@ -152,6 +152,8 @@ def _parse_verify_config(ns):
         if "=" not in item:
             raise ConfigError(f"--tol expects NAME=VAL, got {item!r}")
         name, val = item.split("=", 1)
+        if name in overrides:  # the later value would silently replace the first
+            raise ConfigError(f"--tol sets suite {name!r} more than once")
         try:
             overrides[name] = float(val)
         except ValueError:

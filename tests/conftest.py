@@ -13,3 +13,8 @@ def all_suites():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("SOURCE_DATE_EPOCH", "0")
         return run_suites(SuiteConfig(), list(SUITES))
+
+
+def family(label: str) -> str:
+    """A record's family within its suite: the words of its label that hold no digit."""
+    return " ".join(w for w in label.split() if not any(c.isdigit() for c in w))

@@ -413,6 +413,16 @@ def test_verify_repeated_suite_exits_2(capsys):
     assert err == "configuration error: suite 'bstar.values' is named more than once\n"
 
 
+def test_verify_repeated_tol_exits_2(capsys):
+    # the later value once replaced the first, so the exit code hung on the order
+    for tols in (["omega.moments=1e-30", "omega.moments=1"],
+                 ["omega.moments=1", "omega.moments=1e-30"]):
+        rc, out, err = run(["verify", "--suites", "omega.moments",
+                            *(a for t in tols for a in ("--tol", t))], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "configuration error: --tol sets suite 'omega.moments' more than once\n"
+
+
 def test_verify_bad_tol_exits_2(capsys):
     rc, _, err = run(["verify", "--suites", "bstar.values", "--tol", "bstar.values=abc"], capsys)
     assert rc == 2

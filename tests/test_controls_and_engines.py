@@ -17,6 +17,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from conftest import family
 from eiskern import conj_bernoulli as cb
 from eiskern import numkern as nk
 from eiskern import summation as sm
@@ -513,7 +514,6 @@ def test_no_gating_family_holds_by_construction(kernel_probe):
     # a family is a suite and the words of a label that hold no digit; every comparison
     # record outside the blind families moves when some kernel does
     _, moved, gating = kernel_probe
-    family = lambda label: " ".join(w for w in label.split() if not any(c.isdigit() for c in w))
     blind = {(s.name, family(r.inputs)) for s in gating for r in s.records
              if r.policy in ("abs", "rel", "abs_or_rel") and (s.name, r.inputs) not in moved}
     assert blind == set(BLIND)

@@ -110,11 +110,9 @@ def test_mirror_and_reflexivity():
     for x in (-2.0, -1.0, 0.5, 1.0, 2.0):
         for y in (-2.0, -1.0, 0.5, 1.0, 2.0):
             z = complex(x, y)
-            assert abs(omega_digamma(z.conjugate()) - omega_digamma(z).conjugate()) <= 1e-12
-            assert abs(omega_digamma(-z) + omega_digamma(z)) <= 1e-12
-            a, b = omega_digamma(complex(x, y)), omega_digamma(complex(x, -y))
-            assert abs(a.real - b.real) <= 1e-12
-            assert abs(a.imag + b.imag) <= 1e-12
+            pf = omega_partial_fraction(z).value  # one route on both sides would move alike
+            assert abs(omega_digamma(z.conjugate()) - pf.conjugate()) <= 1e-12
+            assert abs(omega_digamma(-z) + pf) <= 1e-12
     assert omega_digamma(1.7).imag == 0.0
 
 
